@@ -12,6 +12,7 @@ from .core import (
     arm_truncation_message,
     ingest_arm_datasets,
     ingest_records,
+    read_arms_csv,
     read_records_csv,
     read_study_csv,
     study_to_records,
@@ -64,7 +65,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArmDataset", "EventRecord", "Status", "StudyDataset", "SubjectHistory",
     "TruncationError", "ValidationError", "arm_truncation_message",
-    "ingest_arm_datasets", "ingest_records", "read_records_csv",
+    "ingest_arm_datasets", "ingest_records", "read_arms_csv", "read_records_csv",
     "read_study_csv", "study_to_records", "validate_truncation",
     "write_records_csv",
     "StepFunction", "area_under_step", "aumcf", "event_rate_increments",

@@ -14,6 +14,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import sys
 
 import click
@@ -22,13 +23,11 @@ from .augmentation import SingularCovariateError, augmented_contrast
 from .core import (
     ArmDataset,
     StudyDataset,
-    SubjectHistory,
     TruncationError,
     ValidationError,
     arm_truncation_message,
-    ingest_arm_datasets,
-    ingest_records,
-    read_records_csv,
+    read_arms_csv,
+    read_study_csv,
     validate_truncation,
 )
 from .estimation import S_CONVENTIONS, aumcf, km_survival, mcf
@@ -94,23 +93,25 @@ def _read_input_bytes(path: str) -> bytes:
         return fh.read()
 
 
-def _load_study(path: str, tau: float, strict: bool) -> tuple[StudyDataset, str]:
+def _read_csv_input(path: str, tau: float) -> tuple[io.StringIO, str]:
+    """The input text and its SHA-256, after checking tau."""
+    if not (tau > 0 and math.isfinite(tau)):
+        raise ValidationError("tau must be positive and finite")
     raw = _read_input_bytes(path)
-    digest = hashlib.sha256(raw).hexdigest()
-    records, cov_names = read_records_csv(io.StringIO(raw.decode("utf-8")))
-    study = ingest_records(records, tau)
-    if cov_names:
-        study = StudyDataset(study.arm1, study.arm2, study.tau, covariate_names=cov_names)
+    return io.StringIO(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
+
+
+def _load_study(path: str, tau: float, strict: bool) -> tuple[StudyDataset, str]:
+    text, digest = _read_csv_input(path, tau)
+    study = read_study_csv(text, tau)
     validate_truncation(study, strict=strict)
     return study, digest
 
 
 def _load_arms(path: str, tau: float, strict: bool) -> tuple[list[ArmDataset], str]:
     """Arm-wise loader for the commands that accept single-arm input."""
-    raw = _read_input_bytes(path)
-    digest = hashlib.sha256(raw).hexdigest()
-    records, _ = read_records_csv(io.StringIO(raw.decode("utf-8")))
-    arms = ingest_arm_datasets(records)
+    text, digest = _read_csv_input(path, tau)
+    arms, _ = read_arms_csv(text)
     msgs = [m for a in arms.values() if (m := arm_truncation_message(a, tau))]
     if msgs and strict:
         raise TruncationError("; ".join(msgs))
@@ -162,20 +163,14 @@ def _subset_covariates(study: StudyDataset, names: tuple[str, ...]) -> StudyData
         raise ConfigError(
             f"unknown covariate column; available: {list(study.covariate_names)}"
         ) from exc
-    arms = []
-    for arm in study.arms():
-        subjects = [
-            SubjectHistory(
-                subject_id=s.subject_id,
-                follow_up=s.follow_up,
-                terminal=s.terminal,
-                event_times=s.event_times,
-                event_types=s.event_types,
-                covariates=tuple(s.covariates[i] for i in idx),
-            )
-            for s in arm.subjects
-        ]
-        arms.append(ArmDataset(arm.arm, subjects))
+    arms = [
+        ArmDataset.from_columns(
+            arm.arm, arm.subject_ids, arm.follow_up, arm.terminal,
+            arm.covariates[:, idx], arm.event_times, arm.event_subjects,
+            arm.event_type_labels,
+        )
+        for arm in study.arms()
+    ]
     return StudyDataset(arms[0], arms[1], study.tau, covariate_names=names)
 
 

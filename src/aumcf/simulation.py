@@ -410,7 +410,6 @@ def bootstrap_se(
         thetas = []
         for arm in study.arms():
             idx = rng.integers(0, arm.n, size=arm.n)
-            resampled = ArmDataset(arm.arm, [arm.subjects[i] for i in idx])
-            thetas.append(aumcf(resampled, study.tau, s_convention))
+            thetas.append(aumcf(arm.take(idx), study.tau, s_convention))
         deltas[b] = thetas[0] - thetas[1]
     return float(np.std(deltas, ddof=1))

@@ -54,6 +54,7 @@ def report(capfd):
     return _report
 
 
+@pytest.mark.slow
 def test_criterion_1_icr_null_calibration(report):
     cfg = ScenarioConfig(kind="icr", n_per_arm=200, tau=1.0,
                          replicates=2000, seed=SEED)
@@ -66,6 +67,7 @@ def test_criterion_1_icr_null_calibration(report):
     report("criterion 1 (ICR null, tau=1)", ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_2_icr_alternative_power(report):
     cfg = ScenarioConfig(kind="icr", lambda_event=(1.4, 1.0), n_per_arm=200,
                          tau=1.0, replicates=2000, seed=SEED)
@@ -76,6 +78,7 @@ def test_criterion_2_icr_alternative_power(report):
     report("criterion 2 (ICR alternative, lambda_E1=1.4)", ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_3_frailty_null(report):
     cfg = ScenarioConfig(kind="frailty", n_per_arm=200, tau=4.0,
                          replicates=2000, seed=SEED)
@@ -86,6 +89,7 @@ def test_criterion_3_frailty_null(report):
     report("criterion 3 (frailty null, tau=4)", ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_4_time_varying(report):
     null_cfg = ScenarioConfig(kind="time_varying", rate_multipliers=(0.5, 0.5),
                               change_point=1.0, n_per_arm=200, tau=4.0,
@@ -103,6 +107,7 @@ def test_criterion_4_time_varying(report):
     report("criterion 4 (time-varying, tau=4)", ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_5_augmentation_efficiency(report):
     results = {}
     for mode in ("informative", "uninformative"):
@@ -121,6 +126,7 @@ def test_criterion_5_augmentation_efficiency(report):
     report("criterion 5 (augmentation efficiency)", ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_6_survival_bias_sensitivity(report):
     cfg = ScenarioConfig(kind="icr", n_per_arm=200, tau=4.0,
                          replicates=500, seed=SEED)
@@ -227,6 +233,7 @@ def test_criterion_7f_variance_reduction(rng, report):
     report("criterion 7f (se_adj <= se_unadj)", ok, f"{checked} datasets")
 
 
+@pytest.mark.slow
 def test_criterion_7g_bootstrap_agreement(report):
     hits = 0
     for r in range(50):

@@ -227,3 +227,49 @@ def test_error_paths_leave_no_partial_output(runner, toy_csv, tmp_path):
                                   "--strict-tau", "--out", str(out)])
     assert result.exit_code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("row,match", [
+    ("a,abc,0,1", "line 3: bad time 'abc'"),
+    ("a,1.0,0,x", "line 3: bad arm 'x'"),
+    ("a,1.0,0", "line 3: expected 4 fields, got 3"),
+])
+@pytest.mark.parametrize("command", ["estimate", "compare", "curves"])
+def test_csv_field_error_exits_2_with_line(runner, tmp_path, command, row, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"id,time,status,arm\nz,1.0,0,2\n{row}\n")
+    result = runner.invoke(main, [command, str(path), "--tau", "1"])
+    assert result.exit_code == 2
+    err = json.loads(result.output.strip().splitlines()[-1])["error"]
+    assert err["code"] == 2 and err["type"] == "ValidationError"
+    assert match in err["message"]
+
+
+@pytest.mark.parametrize("command,tau", [
+    ("estimate", "-1"), ("curves", "-1"), ("estimate", "inf"), ("compare", "nan"),
+])
+def test_bad_tau_exits_2(runner, toy_csv, command, tau):
+    result = runner.invoke(main, [command, toy_csv, "--tau", tau])
+    assert result.exit_code == 2
+    err = json.loads(result.output.strip().splitlines()[-1])["error"]
+    assert err == {"code": 2, "type": "ValidationError",
+                   "message": "tau must be positive and finite"}
+
+
+def test_covariate_subset_matches_object_path(runner, tmp_path, rng):
+    from aumcf import ArmDataset, StudyDataset, SubjectHistory, augmented_contrast
+    from aumcf.cli import _subset_covariates
+
+    study = random_study(rng, n=40, n_cov=3)
+    sub = _subset_covariates(study, ("w3", "w1"))
+    arms = [
+        ArmDataset(arm.arm, [
+            SubjectHistory(s.subject_id, s.follow_up, s.terminal, s.event_times,
+                           s.event_types, (s.covariates[2], s.covariates[0]))
+            for s in arm.subjects
+        ])
+        for arm in study.arms()
+    ]
+    ref = StudyDataset(arms[0], arms[1], study.tau, covariate_names=("w3", "w1"))
+    assert sub == ref
+    assert augmented_contrast(sub).to_dict() == augmented_contrast(ref).to_dict()

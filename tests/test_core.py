@@ -12,6 +12,7 @@ from aumcf import (
     SubjectHistory,
     TruncationError,
     ValidationError,
+    ingest_arm_datasets,
     ingest_records,
     read_study_csv,
     study_to_records,
@@ -157,3 +158,181 @@ def test_covariate_dim_mismatch_rejected():
             SubjectHistory("a", 1.0, False, covariates=(1.0,)),
             SubjectHistory("b", 1.0, False),
         ])
+
+
+# ---------------------------------------------------------------------------
+# CSV parse errors name the line
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("body,match", [
+    ("a,abc,0,1\n", "line 2: bad time 'abc'"),
+    ("a,1.0,0,x\n", "line 2: bad arm 'x'"),
+    ("a,1.0,x,1\n", "line 2: bad status 'x'"),
+    ("a,1.0,0\n", "line 2: expected 4 fields, got 3"),
+    ("a,1.0,0,1,9\n", "line 2: expected 4 fields, got 5"),
+    ("a,1.0,0,1\n\n\nb,1.0,0,zz\n", "line 5: bad arm 'zz'"),
+    ("a,1.0,0,1\n\nb,1.0\n", "line 4: expected 4 fields"),
+    ("a,1.0,0,1\nb,1.0,0,99999999999999999999\n", "line 3: bad arm"),
+])
+def test_csv_field_errors_name_the_line(body, match):
+    with pytest.raises(ValidationError, match=match):
+        read_study_csv(io.StringIO("id,time,status,arm\n" + body), tau=1.0)
+
+
+def test_csv_first_bad_field_in_row_order():
+    text = ("id,time,status,arm,event_type,w1\n"
+            "a,1.0,1,1,2,0.5\n"
+            "a,1.0,1,1,x,0.5\n"
+            "a,nope,0,1,,0.5\n")
+    with pytest.raises(ValidationError, match="line 3: bad event_type 'x'"):
+        read_study_csv(io.StringIO(text), tau=1.0)
+    with pytest.raises(ValidationError, match="line 2: bad covariate value"):
+        read_study_csv(io.StringIO(text.replace("2,0.5", "2,w")), tau=1.0)
+
+
+def test_csv_numbers_parse_like_python():
+    text = "id,time,status,arm\na, 1.5,1,1\na,1_0,0, 1\nb,2e0,2,2\n"
+    study = read_study_csv(io.StringIO(text), tau=1.0)
+    assert study.arm1.event_times.tolist() == [1.5]
+    assert study.arm1.follow_up.tolist() == [10.0]
+    with pytest.raises(ValidationError, match="negative or non-finite time"):
+        read_study_csv(io.StringIO(text.replace("2e0", "inf")), tau=1.0)
+
+
+@pytest.mark.parametrize("rows,match", [
+    (["b,1,0,1", "a,1,0,1", "a,2,0,1"], "subject 'a': multiple terminal"),
+    (["b,1,1,1", "a,1,1,1"], "subject 'a': missing terminal"),
+    (["a,3,1,1", "a,2,0,1"], "subject 'a': event time exceeds follow-up"),
+    (["a,1,1,1,0.5", "a,2,0,1,0.25"], "subject 'a': conflicting covariate"),
+    (["a,1,1,1,nan", "a,2,0,1,nan"], "subject 'a': conflicting covariate"),
+    (["a,2,0,1,nan"], "subject 'a': missing or non-finite covariate"),
+    (["a,2,0,1,inf", "b,2,0,1,1"], "subject 'a': missing or non-finite covariate"),
+    (["z,-1,0,1", "a,2,0,3"], "subject 'z': negative or non-finite"),
+    (["z,1,0,1", "a,2,0,3"], "subject 'a': arm must be 1 or 2"),
+])
+def test_csv_validation_names_first_offending_subject(rows, match):
+    cov = ",w1" if rows[0].count(",") == 4 else ""
+    text = "\n".join([f"id,time,status,arm{cov}"] + rows + ["c,1,0,2" + (",0" if cov else "")])
+    with pytest.raises(ValidationError, match=match):
+        read_study_csv(io.StringIO(text + "\n"), tau=1.0)
+
+
+def test_subject_order_is_python_sorted():
+    ids = ["b", "a\0", "a", "B", "ä", "a\0\0", " a"]
+    rows = [f"{sid},1.0,0,1" for sid in ids] + ["z,1.0,0,2"]
+    study = read_study_csv(io.StringIO("\n".join(["id,time,status,arm"] + rows)), 1.0)
+    assert study.arm1.subject_ids.tolist() == sorted(ids)
+
+
+# ---------------------------------------------------------------------------
+# Columnar ingest equals the v0.1 object path
+# ---------------------------------------------------------------------------
+
+def _reference_arms(records):
+    """The v0.1 object path: group rows per (arm, id) in sorted order, order
+    each subject's events stably by time, build subjects, then arms."""
+    groups = {}
+    for r in records:
+        groups.setdefault((r.arm, r.subject_id), []).append(r)
+    subjects = {1: [], 2: []}
+    for (arm, sid), rows in sorted(groups.items()):
+        end = next(r for r in rows if r.status != Status.EVENT)
+        events = sorted((r for r in rows if r.status == Status.EVENT),
+                        key=lambda r: r.time)
+        subjects[arm].append(SubjectHistory(
+            sid, end.time, end.status == Status.DEATH,
+            tuple(e.time for e in events),
+            tuple(0 if e.event_type is None else e.event_type for e in events),
+            tuple(rows[0].covariates or ()),
+        ))
+    return {arm: ArmDataset(arm, subs) for arm, subs in subjects.items() if subs}
+
+
+def _assert_same_columns(a, b):
+    assert a == b
+    for name in ("subject_ids", "follow_up", "terminal", "covariates",
+                 "event_times", "event_subjects", "event_type_labels"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tolist() == y.tolist(), name
+
+
+_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)  # a coarse grid makes ties (and ties with deaths)
+
+
+@st.composite
+def _long_format(draw):
+    p = draw(st.integers(0, 2))
+    typed = draw(st.booleans())
+    records = []
+    for arm in (1, 2):
+        ids = draw(st.lists(st.text("ab\0é ", min_size=1, max_size=3),
+                            min_size=1, max_size=6, unique=True))
+        for sid in ids:
+            x = draw(st.sampled_from(_GRID))
+            cov = tuple(draw(st.lists(st.floats(-5, 5), min_size=p, max_size=p))) or None
+            events = draw(st.lists(st.sampled_from([t for t in _GRID if t <= x]),
+                                   max_size=4))
+            for t in events:
+                etype = draw(st.integers(0, 2)) if typed else None
+                records.append(EventRecord(sid, t, Status.EVENT, arm, etype, cov))
+            status = draw(st.sampled_from([Status.CENSOR, Status.DEATH]))
+            records.append(EventRecord(sid, x, status, arm, None, cov))
+    order = draw(st.permutations(range(len(records))))
+    return [records[i] for i in order], p
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_long_format())
+def test_columnar_ingest_equals_object_path(data):
+    records, p = data
+    ref = _reference_arms(records)
+    arms = ingest_arm_datasets(records)
+    assert sorted(arms) == sorted(ref) == [1, 2]
+    for k in (1, 2):
+        _assert_same_columns(arms[k], ref[k])
+        assert arms[k].subjects == ref[k].subjects
+    # CSV round trip, column level
+    study = StudyDataset(ref[1], ref[2], tau=1.0,
+                         covariate_names=tuple(f"w{j + 1}" for j in range(p)))
+    buf = io.StringIO()
+    write_records_csv(study, buf)
+    buf.seek(0)
+    back = read_study_csv(buf, study.tau)
+    _assert_same_columns(back.arm1, study.arm1)
+    _assert_same_columns(back.arm2, study.arm2)
+    assert back.covariate_names == study.covariate_names
+
+
+def test_take_equals_resampled_subjects(rng):
+    study = random_study(rng, n=15, n_cov=2, n_types=3)
+    buf = io.StringIO()
+    write_records_csv(study, buf)
+    buf.seek(0)
+    arm = read_study_csv(buf, study.tau).arm1  # subjects come from the lazy view
+    for _ in range(5):
+        idx = rng.integers(0, arm.n, size=arm.n)
+        _assert_same_columns(arm.take(idx),
+                             ArmDataset(arm.arm, [arm.subjects[i] for i in idx]))
+
+
+def test_from_columns_checks_the_data_model():
+    ok = dict(arm=1, subject_ids=["a", "b"], follow_up=[2.0, 1.0],
+              terminal=[True, False], covariates=np.empty((2, 0)),
+              event_times=[1.5, 0.5], event_subjects=[0, 1],
+              event_type_labels=[0, 0])
+    arm = ArmDataset.from_columns(**ok)
+    assert arm.event_times.tolist() == [0.5, 1.5]
+    assert arm.event_subjects.tolist() == [1, 0]
+    assert not arm.follow_up.flags.writeable
+    with pytest.raises(ValidationError, match="subject 'b': event time outside"):
+        ArmDataset.from_columns(**dict(ok, event_times=[1.5, 1.5]))
+    with pytest.raises(ValidationError, match="subject 'a': follow-up"):
+        ArmDataset.from_columns(**dict(ok, follow_up=[np.nan, 1.0]))
+    with pytest.raises(ValidationError, match="column lengths"):
+        ArmDataset.from_columns(**dict(ok, terminal=[True]))
+    with pytest.raises(ValidationError, match="empty arm"):
+        ArmDataset.from_columns(**dict(ok, subject_ids=[], follow_up=[],
+                                       terminal=[], covariates=np.empty((0, 0)),
+                                       event_times=[], event_subjects=[],
+                                       event_type_labels=[]))

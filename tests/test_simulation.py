@@ -17,7 +17,10 @@ from aumcf import (
     true_value_oracle,
 )
 from aumcf.core import ArmDataset, SubjectHistory, StudyDataset
-from aumcf.simulation import _stream
+from aumcf.estimation import aumcf
+from aumcf.simulation import _PURPOSE_BOOTSTRAP, _stream
+
+from conftest import random_study
 
 # quadrature truths, frozen from an independent oracle
 THETA_ICR_TAU1 = 0.4682688269495465
@@ -119,6 +122,7 @@ def test_frailty_increases_dispersion():
     assert counts(frail).var() > 1.5 * counts(base).var()
 
 
+@pytest.mark.slow
 def test_oracle_matches_quadrature_truths():
     cfg = ScenarioConfig(kind="icr", tau=1.0, seed=17)
     tv = true_value_oracle(cfg, n_per_arm=2000, replicates=25)
@@ -135,6 +139,7 @@ def test_oracle_matches_quadrature_truths():
     assert tv.theta1 == pytest.approx(THETA_TV_NULL_TAU4, rel=0.02)
 
 
+@pytest.mark.slow
 def test_oracle_no_deaths_closed_form():
     # lambda_D = 0: theta = lambda_E * tau^2 / 2
     cfg = ScenarioConfig(lambda_death=(0.0, 0.0), tau=1.0, seed=12)
@@ -186,6 +191,22 @@ def test_bootstrap_deterministic_and_degenerate():
     degen = StudyDataset(ArmDataset(1, same),
                          ArmDataset(2, list(same)), tau=2.0)
     assert bootstrap_se(degen, B=100, seed=1) == 0.0
+
+
+def test_bootstrap_equals_resampling_subject_objects(rng):
+    """Resampling on the columns gives bitwise the SE of rebuilding each
+    resampled arm from subject objects, draw for draw."""
+    study = random_study(rng, n=30, n_types=2)
+    draws = _stream(11, _PURPOSE_BOOTSTRAP)
+    deltas = []
+    for _ in range(100):
+        thetas = []
+        for arm in study.arms():
+            idx = draws.integers(0, arm.n, size=arm.n)
+            resampled = ArmDataset(arm.arm, [arm.subjects[i] for i in idx])
+            thetas.append(aumcf(resampled, study.tau))
+        deltas.append(thetas[0] - thetas[1])
+    assert bootstrap_se(study, B=100, seed=11) == float(np.std(deltas, ddof=1))
 
 
 def test_streams_are_distinct():
