@@ -20,10 +20,12 @@ from .core import (
     write_records_csv,
 )
 from .estimation import (
+    ArmFit,
     StepFunction,
     area_under_step,
     aumcf,
     event_rate_increments,
+    fit_arm,
     km_survival,
     mcf,
     nelson_aalen_terminal,
@@ -37,9 +39,9 @@ from .inference import (
     arm_variance,
     contrast_difference,
     contrast_ratio,
+    fit_influence,
     ghosh_lin_Q,
     influence_values,
-    martingale_residuals,
     weighted_contrast,
 )
 from .augmentation import (
@@ -68,12 +70,12 @@ __all__ = [
     "ingest_arm_datasets", "ingest_records", "read_arms_csv", "read_records_csv",
     "read_study_csv", "study_to_records", "validate_truncation",
     "write_records_csv",
-    "StepFunction", "area_under_step", "aumcf", "event_rate_increments",
-    "km_survival", "mcf", "nelson_aalen_terminal", "rmst",
+    "ArmFit", "StepFunction", "area_under_step", "aumcf", "event_rate_increments",
+    "fit_arm", "km_survival", "mcf", "nelson_aalen_terminal", "rmst",
     "time_lost_per_subject",
     "ContrastResult", "InfluenceSet", "RatioUndefinedError", "arm_variance",
-    "contrast_difference", "contrast_ratio", "ghosh_lin_Q", "influence_values",
-    "martingale_residuals", "weighted_contrast",
+    "contrast_difference", "contrast_ratio", "fit_influence", "ghosh_lin_Q",
+    "influence_values", "weighted_contrast",
     "AugmentedResult", "SingularCovariateError", "augmentation_weights",
     "augmented_contrast",
     "OperatingCharacteristics", "ScenarioConfig", "TrueValues", "bootstrap_se",

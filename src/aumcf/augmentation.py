@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import StudyDataset, ValidationError
-from .estimation import aumcf
 from .inference import (
     ContrastResult,
     InfluenceSet,
+    _arm_estimates,
+    _difference_result,
     _wald_result,
     arm_variance,
-    influence_values,
 )
 
 
@@ -132,23 +132,9 @@ def augmented_contrast(
     With zero covariates the adjusted result equals the unadjusted one. A
     negative plug-in adjusted variance is clamped to zero with a warning.
     """
-    tau = study.tau
-    n1, n2 = study.arm1.n, study.arm2.n
-    n = n1 + n2
-    thetas, ses, infs = [], [], []
-    for arm in study.arms():
-        theta = aumcf(arm, tau, s_convention)
-        inf = influence_values(arm, tau, s_convention)
-        thetas.append(theta)
-        ses.append(math.sqrt(arm_variance(inf) / arm.n))
-        infs.append(inf)
-    sigma1, sigma2 = arm_variance(infs[0]), arm_variance(infs[1])
-    delta = thetas[0] - thetas[1]
-    se_unadj = math.sqrt(sigma1 / n1 + sigma2 / n2)
-    unadjusted = _wald_result(
-        "difference", tau, alpha, delta, se_unadj, 0.0,
-        thetas[0], ses[0], thetas[1], ses[1], n1, n2,
-    )
+    estimates = _arm_estimates(study, s_convention)
+    unadjusted = _difference_result(study, alpha, estimates)
+    (_, inf1), (_, inf2) = estimates
 
     p = study.arm1.covariate_dim
     if p == 0:
@@ -162,9 +148,11 @@ def augmented_contrast(
             covariate_names=study.covariate_names, relative_efficiency=1.0,
         )
 
-    summary = augmentation_weights(study, infs[0], infs[1], ridge=ridge)
-    point = delta - float(summary.beta_hat @ (summary.mean1 - summary.mean2))
-    sigma_delta = n * (sigma1 / n1 + sigma2 / n2)
+    summary = augmentation_weights(study, inf1, inf2, ridge=ridge)
+    point = unadjusted.point - float(summary.beta_hat @ (summary.mean1 - summary.mean2))
+    n1, n2 = study.arm1.n, study.arm2.n
+    n = n1 + n2
+    sigma_delta = n * (arm_variance(inf1) / n1 + arm_variance(inf2) / n2)
     sigma_adj = sigma_delta - float(summary.gamma_hat @ summary.beta_hat)
     clamped = False
     if sigma_adj < 0:
@@ -177,10 +165,10 @@ def augmented_contrast(
         clamped = True
     se_adj = math.sqrt(sigma_adj / n)
     adjusted = _wald_result(
-        "difference", tau, alpha, point, se_adj, 0.0,
-        thetas[0], ses[0], thetas[1], ses[1], n1, n2,
+        "difference", study.tau, alpha, point, se_adj, 0.0,
+        unadjusted.theta1, unadjusted.se1, unadjusted.theta2, unadjusted.se2, n1, n2,
     )
-    rel_eff = (se_unadj / se_adj) ** 2 if se_adj > 0 else math.inf
+    rel_eff = (unadjusted.se / se_adj) ** 2 if se_adj > 0 else math.inf
     return AugmentedResult(
         adjusted=adjusted,
         unadjusted=unadjusted,

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import sys
+from statistics import NormalDist
 
 import click
 
@@ -30,14 +31,13 @@ from .core import (
     read_study_csv,
     validate_truncation,
 )
-from .estimation import S_CONVENTIONS, aumcf, km_survival, mcf
+from .estimation import S_CONVENTIONS, fit_arm, km_survival, mcf
 from .inference import (
     RatioUndefinedError,
     arm_variance,
     contrast_difference,
     contrast_ratio,
-    influence_values,
-    normal_quantile,
+    fit_influence,
     weighted_contrast,
 )
 from .simulation import (
@@ -98,7 +98,13 @@ def _read_csv_input(path: str, tau: float) -> tuple[io.StringIO, str]:
     if not (tau > 0 and math.isfinite(tau)):
         raise ValidationError("tau must be positive and finite")
     raw = _read_input_bytes(path)
-    return io.StringIO(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"input is not UTF-8: byte 0x{raw[exc.start]:02x} at offset {exc.start}"
+        ) from exc
+    return io.StringIO(text), hashlib.sha256(raw).hexdigest()
 
 
 def _load_study(path: str, tau: float, strict: bool) -> tuple[StudyDataset, str]:
@@ -213,12 +219,12 @@ def estimate(input_path, tau, alpha, strict_tau, s_convention, fmt, out):
     if not 0 < alpha < 1:
         raise ConfigError("alpha must be in (0, 1)")
     arm_data, digest = _load_arms(input_path, tau, strict_tau)
-    z = normal_quantile(1.0 - alpha / 2.0)
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     arms = []
     for arm in arm_data:
-        theta = aumcf(arm, tau, s_convention)
-        inf = influence_values(arm, tau, s_convention)
-        se = (arm_variance(inf) / arm.n) ** 0.5
+        fit = fit_arm(arm, tau, s_convention)
+        theta = fit.theta
+        se = (arm_variance(fit_influence(fit)) / arm.n) ** 0.5
         arms.append({
             "arm": arm.arm,
             "n": arm.n,
@@ -350,12 +356,12 @@ def simulate(config_path, seed, reps, alpha, truth, oracle_reps, oracle_n,
     digest = hashlib.sha256(raw).hexdigest()
     try:
         config = ScenarioConfig.from_dict(json.loads(raw.decode("utf-8")))
+        if seed is not None:
+            config = dataclasses.replace(config, seed=seed)
+        if reps is not None:
+            config = dataclasses.replace(config, replicates=reps)
     except (ValidationError, TypeError) as exc:
         raise ConfigError(f"bad scenario config: {exc}") from exc
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
-    if reps is not None:
-        config = dataclasses.replace(config, replicates=reps)
     methods = ("unadjusted", "adjusted") if config.covariate_mode != "none" else ("unadjusted",)
     truth_value: TrueValues | float
     if truth is not None:

@@ -70,12 +70,16 @@ class SubjectHistory:
             raise ValidationError(
                 f"subject {self.subject_id!r}: event time outside [0, X]"
             )
-        if list(self.event_times) != sorted(self.event_times):
-            object.__setattr__(self, "event_times", tuple(sorted(self.event_times)))
         if self.event_types and len(self.event_types) != len(self.event_times):
             raise ValidationError(
                 f"subject {self.subject_id!r}: event_types/event_times length mismatch"
             )
+        if list(self.event_times) != sorted(self.event_times):
+            # one stable time order for the times and their type labels
+            order = sorted(range(len(self.event_times)), key=self.event_times.__getitem__)
+            object.__setattr__(self, "event_times", tuple(self.event_times[i] for i in order))
+            if self.event_types:
+                object.__setattr__(self, "event_types", tuple(self.event_types[i] for i in order))
 
 
 _COLUMNS = (

@@ -81,21 +81,65 @@ class JumpIncrements:
     at_risk: np.ndarray
 
 
+@dataclass(frozen=True)
+class ArmFit:
+    """The jumps on [0, tau] that the AUMCF and its influence values sum over.
+
+    One fit per (arm, tau, s_convention, event_type). Event jumps: distinct
+    event times ``te`` <= tau with at-risk counts ``y_e``, rate increments
+    ``dr`` = events / ``y_e`` and the survival ``s`` at ``te`` under the
+    convention. Death jumps: distinct terminal-event times ``td`` <= tau
+    with death counts ``d`` and at-risk counts ``y_d``. ``theta`` is the
+    AUMCF point estimate.
+    """
+
+    arm: ArmDataset
+    tau: float
+    event_type: int | None
+    te: np.ndarray
+    y_e: np.ndarray
+    dr: np.ndarray
+    s: np.ndarray
+    td: np.ndarray
+    d: np.ndarray
+    y_d: np.ndarray
+    theta: float
+
+
+def fit_arm(
+    arm: ArmDataset,
+    tau: float,
+    s_convention: str = "left",
+    event_type: int | None = None,
+) -> ArmFit:
+    """Fit one arm on [0, tau]: its event and death jumps and its AUMCF.
+
+    With ``event_type`` given, only events of that type carry rate mass;
+    the survival curve and the risk sets are the arm's own.
+    """
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+    keep = arm.event_times <= tau
+    if event_type is not None:
+        keep &= arm.event_type_labels == event_type
+    te, counts = np.unique(arm.event_times[keep], return_counts=True)
+    y_e = arm.at_risk(te).astype(np.float64)
+    dr = counts / y_e
+    td, d, y_d = _death_jumps(arm, tau)
+    s = _survival_at(StepFunction(td, np.cumprod(1.0 - d / y_d), 1.0), te, s_convention)
+    theta = float(np.sum((tau - te) * s * dr))
+    return ArmFit(arm, tau, event_type, te, y_e, dr, s, td, d, y_d, theta)
+
+
 def km_survival(arm: ArmDataset) -> StepFunction:
     """Kaplan-Meier product-limit estimator of the terminal-event survival."""
-    td, d = _death_jumps(arm)
-    if td.size == 0:
-        return StepFunction(np.empty(0), np.empty(0), 1.0)
-    y = arm.at_risk(td).astype(np.float64)
+    td, d, y = _death_jumps(arm)
     return StepFunction(td, np.cumprod(1.0 - d / y), 1.0)
 
 
 def nelson_aalen_terminal(arm: ArmDataset) -> StepFunction:
     """Nelson-Aalen estimator of the terminal-event cumulative hazard."""
-    td, d = _death_jumps(arm)
-    if td.size == 0:
-        return StepFunction(np.empty(0), np.empty(0), 0.0)
-    y = arm.at_risk(td).astype(np.float64)
+    td, d, y = _death_jumps(arm)
     return StepFunction(td, np.cumsum(d / y), 0.0)
 
 
@@ -129,15 +173,7 @@ def aumcf(
     event_type: int | None = None,
 ) -> float:
     """AUMCF point estimate: sum of (tau - u) * S_D * dR over jumps u <= tau."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    inc = event_rate_increments(arm, event_type)
-    keep = inc.times <= tau
-    te = inc.times[keep]
-    if te.size == 0:
-        return 0.0
-    s = _survival_at(km_survival(arm), te, s_convention)
-    return float(np.sum((tau - te) * s * inc.increments[keep]))
+    return fit_arm(arm, tau, s_convention, event_type).theta
 
 
 def area_under_step(f: StepFunction, tau: float) -> float:
@@ -163,12 +199,11 @@ def time_lost_per_subject(subject: SubjectHistory, tau: float) -> float:
     return float(sum(max(tau - t, 0.0) for t in subject.event_times))
 
 
-def _death_jumps(arm: ArmDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct terminal-event times with death counts."""
-    deaths = arm.follow_up[arm.terminal]
-    if deaths.size == 0:
-        return np.empty(0), np.empty(0)
-    return np.unique(deaths, return_counts=True)
+def _death_jumps(arm: ArmDataset, tau: float = np.inf):
+    """Distinct terminal-event times <= tau, death counts and at-risk counts."""
+    x = arm.follow_up
+    td, d = np.unique(x[arm.terminal & (x <= tau)], return_counts=True)
+    return td, d, arm.at_risk(td).astype(np.float64)
 
 
 def _survival_at(km: StepFunction, times: np.ndarray, s_convention: str) -> np.ndarray:

@@ -12,18 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from statistics import NormalDist
 
 import numpy as np
 
-from . import _kernels
 from .core import ArmDataset, StudyDataset, ValidationError
-from .estimation import (
-    _survival_at,
-    aumcf,
-    event_rate_increments,
-    km_survival,
-    nelson_aalen_terminal,
-)
+from .estimation import ArmFit, _survival_at, fit_arm, km_survival
 
 
 class RatioUndefinedError(ValueError):
@@ -41,21 +35,6 @@ class InfluenceSet:
     arm: int
     tau: float
     values: np.ndarray
-
-
-@dataclass(frozen=True)
-class MartingaleResiduals:
-    """Dense per-subject residual increments at the aggregated jump times.
-
-    ``d_event[i, k]`` is the event-process residual mass of subject i at
-    ``event_times[k]``; ``d_terminal`` likewise at ``death_times``. Column
-    sums of both matrices are identically zero.
-    """
-
-    event_times: np.ndarray
-    d_event: np.ndarray
-    death_times: np.ndarray
-    d_terminal: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -95,32 +74,42 @@ class ContrastResult:
         return [getattr(self, f) for f in self.CSV_FIELDS]
 
 
-def martingale_residuals(arm: ArmDataset) -> MartingaleResiduals:
-    """Per-subject event and terminal-event residual increments.
+def fit_influence(fit: ArmFit) -> InfluenceSet:
+    """Per-subject influence values of the AUMCF from one arm fit.
 
-    The observed jumps get positive mass; every subject still at risk at a
-    jump time gets the negative compensator mass -dR(u) (resp. -dLambda(u)).
-    Dense matrices; intended for diagnostics and tests, not the hot path.
+    psi_i = sum over event jumps u of w(u) dM_i(u), with w(u) = (tau - u)
+    S_D(u) n / Y(u), minus the sum over death jumps v of B(v) n / Y(v)
+    dM^D_i(v), where dM_i and dM^D_i are subject i's event and terminal
+    residuals (observed jump minus the compensator dR or dLambda = d / Y
+    while at risk) and B(v) = theta minus the AUMCF mass at jumps <= v.
     """
-    n = arm.n
-    inc = event_rate_increments(arm)
-    te = inc.times
-    d_event = np.zeros((n, te.size))
-    if te.size:
-        at_risk = arm.follow_up[:, None] >= te[None, :]
-        d_event -= at_risk * inc.increments[None, :]
-        cols = np.searchsorted(te, arm.event_times)
-        np.add.at(d_event, (arm.event_subjects, cols), 1.0)
-    haz = nelson_aalen_terminal(arm)
-    td = haz.jump_times
-    dlam = np.diff(haz.values, prepend=0.0) if td.size else np.empty(0)
-    d_term = np.zeros((n, td.size))
-    if td.size:
-        at_risk = arm.follow_up[:, None] >= td[None, :]
-        d_term -= at_risk * dlam[None, :]
-        observed = arm.terminal[:, None] & (arm.follow_up[:, None] == td[None, :])
-        d_term += observed
-    return MartingaleResiduals(te, d_event, td, d_term)
+    arm, tau, n = fit.arm, fit.tau, fit.arm.n
+    x = arm.follow_up
+    te, td = fit.te, fit.td
+
+    w_e = (tau - te) * fit.s * (n / fit.y_e)
+    ev = arm.event_times <= tau
+    if fit.event_type is not None:
+        ev &= arm.event_type_labels == fit.event_type
+    obs_event = np.zeros(n)
+    np.add.at(obs_event, arm.event_subjects[ev], w_e[np.searchsorted(te, arm.event_times[ev])])
+    comp_event = _prefix_at(w_e * fit.dr, te, x)
+
+    b = fit.theta - _prefix_at((tau - te) * fit.s * fit.dr, te, td)
+    w_d = b * (n / fit.y_d)
+    dead = arm.terminal & (x <= tau)
+    obs_death = np.zeros(n)
+    obs_death[dead] = w_d[np.searchsorted(td, x[dead])]
+    comp_death = _prefix_at(w_d * (fit.d / fit.y_d), td, x)
+
+    psi = (obs_event - comp_event) - (obs_death - comp_death)
+    return InfluenceSet(arm=arm.arm, tau=float(tau), values=psi)
+
+
+def _prefix_at(mass: np.ndarray, knots: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Total mass at the knots <= t, for each t (closed inequality)."""
+    cum = np.concatenate(([0.0], np.cumsum(mass)))
+    return cum[np.searchsorted(knots, t, side="right")]
 
 
 def influence_values(
@@ -135,102 +124,12 @@ def influence_values(
     type (shared survival curve and risk sets), as used by the weighted
     multi-type contrast.
     """
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    n = arm.n
-    km = km_survival(arm)
-    inc = event_rate_increments(arm, event_type)
-    keep = inc.times <= tau
-    te = inc.times[keep]
-    dr = inc.increments[keep]
-    y_e = inc.at_risk[keep].astype(np.float64)
-    s = _survival_at(km, te, s_convention)
-    w_e = (tau - te) * s * (n / y_e)
-    cum_event = np.cumsum(w_e * dr)
-
-    # observed event mass at each subject's own jumps (time <= tau)
-    ev_keep = arm.event_times <= tau
-    if event_type is not None:
-        ev_keep &= arm.event_type_labels == event_type
-    ev_times = arm.event_times[ev_keep]
-    ev_subj = arm.event_subjects[ev_keep]
-    ev_w = w_e[np.searchsorted(te, ev_times)] if te.size else np.empty(0)
-
-    # tail integral B(u) over (u, tau]: total minus prefix at u (closed)
-    dm = s * dr
-    tail_total = float(np.sum((tau - te) * dm))
-    cum_tail = np.cumsum((tau - te) * dm)
-
-    def b_at(u):
-        if te.size == 0:
-            return np.zeros_like(u)
-        idx = np.searchsorted(te, u, side="right")
-        padded = np.concatenate(([0.0], cum_tail))
-        return tail_total - padded[idx]
-
-    haz = nelson_aalen_terminal(arm)
-    td_all = haz.jump_times
-    dlam_all = np.diff(haz.values, prepend=0.0) if td_all.size else np.empty(0)
-    dkeep = td_all <= tau
-    td = td_all[dkeep]
-    dlam = dlam_all[dkeep]
-    y_d = arm.at_risk(td).astype(np.float64)
-    cum_death = np.cumsum(b_at(td) * (n / y_d) * dlam)
-
-    x = arm.follow_up
-    obs_death = np.where(
-        arm.terminal & (x <= tau),
-        b_at(x) * (n / arm.at_risk(x).astype(np.float64)),
-        0.0,
-    )
-    psi = _kernels.influence_accumulate(
-        x, te, cum_event, ev_subj, ev_w, td, cum_death, obs_death
-    )
-    return InfluenceSet(arm=arm.arm, tau=float(tau), values=psi)
+    return fit_influence(fit_arm(arm, tau, s_convention, event_type))
 
 
 def arm_variance(inf: InfluenceSet) -> float:
     """Plug-in arm variance: mean of squared influence values."""
     return float(np.mean(inf.values**2))
-
-
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def normal_quantile(p: float) -> float:
-    """Standard normal quantile, rational approximation polished by Newton."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0, 1)")
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    for _ in range(2):
-        err = normal_cdf(x) - p
-        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        if pdf > 0:
-            x -= err / pdf
-    return x
 
 
 def wald_pvalue(point: float, se: float, null_value: float = 0.0) -> float:
@@ -247,46 +146,44 @@ def wald_pvalue(point: float, se: float, null_value: float = 0.0) -> float:
     return math.erfc(dev / se / math.sqrt(2.0))
 
 
-def _arm_summaries(study: StudyDataset, s_convention: str):
-    thetas, sigmas, ses, infs = [], [], [], []
-    for arm in study.arms():
-        theta = aumcf(arm, study.tau, s_convention)
-        inf = influence_values(arm, study.tau, s_convention)
-        sigma = arm_variance(inf)
-        thetas.append(theta)
-        sigmas.append(sigma)
-        ses.append(math.sqrt(sigma / arm.n))
-        infs.append(inf)
-    return thetas, sigmas, ses, infs
+def _arm_estimates(study: StudyDataset, s_convention: str) -> list[tuple[float, InfluenceSet]]:
+    """Theta and influence values of each arm, from one fit per arm."""
+    fits = [fit_arm(arm, study.tau, s_convention) for arm in study.arms()]
+    return [(fit.theta, fit_influence(fit)) for fit in fits]
+
+
+def _difference_result(study: StudyDataset, alpha: float, estimates) -> ContrastResult:
+    """Wald difference contrast from the per-arm ``_arm_estimates``."""
+    (t1, inf1), (t2, inf2) = estimates
+    n1, n2 = study.arm1.n, study.arm2.n
+    s1, s2 = arm_variance(inf1), arm_variance(inf2)
+    return _wald_result(
+        "difference", study.tau, alpha, t1 - t2, math.sqrt(s1 / n1 + s2 / n2), 0.0,
+        t1, math.sqrt(s1 / n1), t2, math.sqrt(s2 / n2), n1, n2,
+    )
 
 
 def contrast_difference(
     study: StudyDataset, alpha: float = 0.05, s_convention: str = "left"
 ) -> ContrastResult:
     """Difference in AUMCFs with influence-function Wald inference."""
-    (t1, t2), (s1, s2), (se1, se2), _ = _arm_summaries(study, s_convention)
-    n1, n2 = study.arm1.n, study.arm2.n
-    point = t1 - t2
-    se = math.sqrt(s1 / n1 + s2 / n2)
-    return _wald_result(
-        "difference", study.tau, alpha, point, se, 0.0,
-        t1, se1, t2, se2, n1, n2,
-    )
+    return _difference_result(study, alpha, _arm_estimates(study, s_convention))
 
 
 def contrast_ratio(
     study: StudyDataset, alpha: float = 0.05, s_convention: str = "left"
 ) -> ContrastResult:
     """Ratio of AUMCFs; delta-method inference on the log scale."""
-    (t1, t2), (s1, s2), (se1, se2), _ = _arm_summaries(study, s_convention)
+    (t1, inf1), (t2, inf2) = _arm_estimates(study, s_convention)
     if t1 <= 0 or t2 <= 0:
         raise RatioUndefinedError(
             f"ratio undefined for nonpositive AUMCF: theta1={t1:g}, theta2={t2:g}"
         )
     n1, n2 = study.arm1.n, study.arm2.n
+    s1, s2 = arm_variance(inf1), arm_variance(inf2)
     point = t1 / t2
     se_log = math.sqrt(s1 / (n1 * t1**2) + s2 / (n2 * t2**2))
-    z = normal_quantile(1.0 - alpha / 2.0)
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     degenerate = se_log == 0.0
     log_point = math.log(point)
     return ContrastResult(
@@ -298,7 +195,7 @@ def contrast_ratio(
         ci_lower=math.exp(log_point - z * se_log),
         ci_upper=math.exp(log_point + z * se_log),
         p_value=wald_pvalue(log_point, se_log, 0.0),
-        theta1=t1, se1=se1, theta2=t2, se2=se2,
+        theta1=t1, se1=math.sqrt(s1 / n1), theta2=t2, se2=math.sqrt(s2 / n2),
         n1=n1, n2=n2, degenerate=degenerate,
     )
 
@@ -358,29 +255,20 @@ def weighted_contrast(
     missing = sorted(observed - set(weights))
     if missing:
         raise ValidationError(f"no weight supplied for event type(s): {missing}")
-    thetas, sigmas, ses = [], [], []
+    estimates = []
     for arm in study.arms():
-        theta = 0.0
-        psi = np.zeros(arm.n)
+        theta, psi = 0.0, np.zeros(arm.n)
         for k, w in sorted(weights.items()):
-            theta += w * aumcf(arm, study.tau, s_convention, event_type=k)
-            psi += w * influence_values(arm, study.tau, s_convention, event_type=k).values
-        sigma = float(np.mean(psi**2))
-        thetas.append(theta)
-        sigmas.append(sigma)
-        ses.append(math.sqrt(sigma / arm.n))
-    n1, n2 = study.arm1.n, study.arm2.n
-    point = thetas[0] - thetas[1]
-    se = math.sqrt(sigmas[0] / n1 + sigmas[1] / n2)
-    return _wald_result(
-        "difference", study.tau, alpha, point, se, 0.0,
-        thetas[0], ses[0], thetas[1], ses[1], n1, n2,
-    )
+            fit = fit_arm(arm, study.tau, s_convention, event_type=k)
+            theta += w * fit.theta
+            psi += w * fit_influence(fit).values
+        estimates.append((theta, InfluenceSet(arm=arm.arm, tau=float(study.tau), values=psi)))
+    return _difference_result(study, alpha, estimates)
 
 
 def _wald_result(kind, tau, alpha, point, se, null_value,
                  t1, se1, t2, se2, n1, n2) -> ContrastResult:
-    z = normal_quantile(1.0 - alpha / 2.0)
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     return ContrastResult(
         kind=kind,
         tau=tau,

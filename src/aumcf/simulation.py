@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace, asdict
 
 import numpy as np
@@ -332,6 +331,9 @@ def run_operating_characteristics(
     reps = config.replicates
     tasks = [(config, r, methods, alpha, s_convention) for r in range(reps)]
     if n_jobs > 1:
+        # imported here: the pool machinery adds about 2 MB to every import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             results = list(pool.map(_replicate_worker, tasks, chunksize=max(1, reps // (8 * n_jobs))))
     else:

@@ -273,3 +273,34 @@ def test_covariate_subset_matches_object_path(runner, tmp_path, rng):
     ref = StudyDataset(arms[0], arms[1], study.tau, covariate_names=("w3", "w1"))
     assert sub == ref
     assert augmented_contrast(sub).to_dict() == augmented_contrast(ref).to_dict()
+
+
+@pytest.mark.parametrize("command", ["estimate", "compare", "curves"])
+def test_non_utf8_input_exits_2(runner, tmp_path, command):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"id,time,status,arm\n\xff,1,0,1\nb,1,0,2\n")
+    result = runner.invoke(main, [command, str(path), "--tau", "1"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    err = json.loads(result.stderr)["error"]
+    assert err == {"code": 2, "type": "ValidationError",
+                   "message": "input is not UTF-8: byte 0xff at offset 19"}
+
+
+def _zero_reps_result(runner, tmp_path, config, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict({"kind": "icr", "n_per_arm": 20, "seed": 7,
+                                    "tau": 1.0}, **config)))
+    return runner.invoke(main, ["simulate", str(cfg), "--truth", "0"] + flags)
+
+
+def test_simulate_zero_reps_flag_is_config_error(runner, tmp_path):
+    result = _zero_reps_result(runner, tmp_path, {"replicates": 2}, ["--reps", "0"])
+    assert result.exit_code == 4
+    assert json.loads(result.stderr)["error"]["type"] == "ConfigError"
+
+
+def test_simulate_zero_reps_in_config_is_config_error(runner, tmp_path):
+    result = _zero_reps_result(runner, tmp_path, {"replicates": 0}, [])
+    assert result.exit_code == 4
+    assert json.loads(result.stderr)["error"]["type"] == "ConfigError"

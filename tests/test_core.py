@@ -17,6 +17,7 @@ from aumcf import (
     read_study_csv,
     study_to_records,
     validate_truncation,
+    weighted_contrast,
     write_records_csv,
 )
 
@@ -143,6 +144,33 @@ def test_csv_bad_status():
     text = "id,time,status,arm\ns1,1.0,7,1\n"
     with pytest.raises(ValidationError, match="bad status"):
         read_study_csv(io.StringIO(text), tau=1.0)
+
+
+def test_subject_history_reorders_types_with_times():
+    s = SubjectHistory("x", 5.0, False, (3.0, 1.0), (7, 8))
+    assert s.event_times == (1.0, 3.0) and s.event_types == (8, 7)
+    # ties keep their given order (stable sort)
+    s = SubjectHistory("y", 5.0, False, (3.0, 1.0, 3.0, 2.0), (1, 2, 3, 4))
+    assert s.event_times == (1.0, 2.0, 3.0, 3.0) and s.event_types == (2, 4, 1, 3)
+
+
+def test_weighted_contrast_unsorted_histories(rng):
+    study = random_study(rng, n=20, n_types=3)
+
+    def shuffled(arm):
+        subjects = []
+        for s in arm.subjects:
+            order = rng.permutation(len(s.event_times))
+            subjects.append(SubjectHistory(
+                s.subject_id, s.follow_up, s.terminal,
+                tuple(s.event_times[i] for i in order),
+                tuple(s.event_types[i] for i in order),
+            ))
+        return ArmDataset(arm.arm, subjects)
+
+    unsorted = StudyDataset(shuffled(study.arm1), shuffled(study.arm2), study.tau)
+    weights = {0: 1.0, 1: 2.0, 2: 0.5}
+    assert weighted_contrast(unsorted, weights) == weighted_contrast(study, weights)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -16,12 +17,11 @@ from aumcf import (
     ghosh_lin_Q,
     influence_values,
     km_survival,
-    martingale_residuals,
     weighted_contrast,
 )
-from aumcf.inference import InfluenceSet, normal_cdf, normal_quantile, wald_pvalue
+from aumcf.inference import InfluenceSet, wald_pvalue
 
-from conftest import random_arm, random_study
+from conftest import dense_influence, martingale_residuals, random_arm, random_study
 
 
 def _shifted_toy_study(toy_arm):
@@ -43,6 +43,62 @@ def test_martingale_single_subject_self_compensates():
     arm = ArmDataset(1, [SubjectHistory("a", 2.0, False, (1.0,))])
     res = martingale_residuals(arm)
     assert np.allclose(res.d_event, 0.0)
+
+
+def _rounded(arm, step=0.5):
+    """The arm on a coarse time grid: tied events, tied deaths, and events
+    tied with deaths."""
+    def r(t):
+        return round(t / step) * step
+    return ArmDataset(arm.arm, [
+        SubjectHistory(s.subject_id, r(s.follow_up), s.terminal,
+                       tuple(min(r(t), r(s.follow_up)) for t in s.event_times),
+                       s.event_types)
+        for s in arm.subjects
+    ])
+
+
+def _assert_matches_oracle(arm, tau, s_convention="left", event_type=None):
+    got = influence_values(arm, tau, s_convention, event_type).values
+    want = dense_influence(arm, tau, s_convention, event_type)
+    scale = np.max(np.abs(want), initial=0.0)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+
+
+def test_influence_matches_dense_oracle(rng):
+    # an event tied with its own death and with another subject's death
+    tied = ArmDataset(1, [
+        SubjectHistory("a", 2.0, True, (1.0, 2.0)),
+        SubjectHistory("b", 2.0, True, (2.0,)),
+        SubjectHistory("c", 3.0, False, (1.0, 2.0, 2.5)),
+        SubjectHistory("d", 4.0, True, (3.0,)),
+    ])
+    for tau in (0.5, 1.0, 2.0, 2.7, 3.5, 10.0):
+        for conv in ("left", "right"):
+            _assert_matches_oracle(tied, tau, conv)
+    for _ in range(30):
+        arm = _rounded(random_arm(rng, n=int(rng.integers(2, 40)), n_types=3))
+        x_max = float(arm.follow_up.max())
+        first = min(np.min(arm.event_times, initial=np.inf),
+                    np.min(arm.follow_up[arm.terminal], initial=np.inf))
+        taus = [float(rng.uniform(0.1, 5.0)), x_max + 1.0]
+        if 0 < first < np.inf:
+            taus.append(first / 2)  # before the first jump
+        for tau in taus:
+            for conv in ("left", "right"):
+                for k in (None, 0, 1, 2):
+                    _assert_matches_oracle(arm, tau, conv, k)
+
+
+def test_influence_empty_jump_sets():
+    # no events and no deaths by tau: every influence value is zero
+    arm = ArmDataset(1, [
+        SubjectHistory("a", 1.0, False),
+        SubjectHistory("b", 5.0, True, (4.0,)),
+        SubjectHistory("c", 2.0, False),
+    ])
+    psi = influence_values(arm, 3.0).values
+    assert psi.shape == (3,) and np.all(psi == 0.0)
 
 
 def test_influence_sums_to_zero(rng):
@@ -84,9 +140,13 @@ def test_normal_helpers():
     assert wald_pvalue(1.959964 * 2.0, 2.0) == pytest.approx(0.05, abs=1e-6)
     assert wald_pvalue(0.0, 2.0) == 1.0
     assert wald_pvalue(3.0, 1.0) == pytest.approx(0.0026998, abs=1e-7)
-    assert normal_cdf(0.0) == 0.5
-    for p in (0.001, 0.025, 0.5, 0.975, 0.999):
-        assert normal_cdf(normal_quantile(p)) == pytest.approx(p, abs=1e-12)
+    # the Wald CI half-width is the standard normal quantile times the SE
+    study = random_study(np.random.default_rng(5), n=15)
+    for alpha in (0.001, 0.05, 0.5):
+        res = contrast_difference(study, alpha=alpha)
+        z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+        assert res.ci_upper - res.point == pytest.approx(z * res.se, rel=1e-12)
+        assert wald_pvalue(z * res.se, res.se) == pytest.approx(alpha, rel=1e-9)
 
 
 def test_wald_degenerate_conventions():
