@@ -3,19 +3,14 @@ cumulative function (AUMCF) with recurrent events and a terminal event."""
 
 from .core import (
     ArmDataset,
-    EventRecord,
     Status,
     StudyDataset,
     SubjectHistory,
     TruncationError,
     ValidationError,
     arm_truncation_message,
-    ingest_arm_datasets,
-    ingest_records,
     read_arms_csv,
-    read_records_csv,
     read_study_csv,
-    study_to_records,
     validate_truncation,
     write_records_csv,
 )
@@ -65,10 +60,9 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmDataset", "EventRecord", "Status", "StudyDataset", "SubjectHistory",
+    "ArmDataset", "Status", "StudyDataset", "SubjectHistory",
     "TruncationError", "ValidationError", "arm_truncation_message",
-    "ingest_arm_datasets", "ingest_records", "read_arms_csv", "read_records_csv",
-    "read_study_csv", "study_to_records", "validate_truncation",
+    "read_arms_csv", "read_study_csv", "validate_truncation",
     "write_records_csv",
     "ArmFit", "StepFunction", "area_under_step", "aumcf", "event_rate_increments",
     "fit_arm", "km_survival", "mcf", "nelson_aalen_terminal", "rmst",

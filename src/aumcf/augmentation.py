@@ -63,7 +63,9 @@ class AugmentedResult:
             "unadjusted": self.unadjusted.to_dict(),
             "beta_hat": self.summary.beta_hat.tolist(),
             "covariate_names": list(self.covariate_names),
-            "relative_efficiency": self.relative_efficiency,
+            # null when the adjusted se is 0, which ``adjusted.degenerate`` flags
+            "relative_efficiency": (self.relative_efficiency
+                                    if math.isfinite(self.relative_efficiency) else None),
             "variance_clamped": self.variance_clamped,
         }
 

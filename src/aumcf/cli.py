@@ -16,7 +16,6 @@ import io
 import json
 import math
 import sys
-from statistics import NormalDist
 
 import click
 
@@ -31,9 +30,10 @@ from .core import (
     read_study_csv,
     validate_truncation,
 )
-from .estimation import S_CONVENTIONS, fit_arm, km_survival, mcf
+from .estimation import S_CONVENTIONS, _mcf_given_km, fit_arm, km_survival
 from .inference import (
     RatioUndefinedError,
+    _z,
     arm_variance,
     contrast_difference,
     contrast_ratio,
@@ -74,7 +74,7 @@ def _handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (SingularCovariateError, RatioUndefinedError) as exc:
+        except (SingularCovariateError, RatioUndefinedError, ArithmeticError) as exc:
             _error_exit(exc, EXIT_DEGENERATE)
         except (ConfigError, json.JSONDecodeError) as exc:
             _error_exit(exc, EXIT_CONFIG)
@@ -142,8 +142,14 @@ def _emit(text: str, out: str | None) -> None:
         click.echo(text, nl=False)
 
 
+_NON_FINITE = "report has a non-finite statistic (overflow or degenerate input)"
+
+
 def _json_report(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ArithmeticError(_NON_FINITE) from exc
 
 
 def _csv_report(provenance: dict, header: list[str], rows: list[list]) -> str:
@@ -152,6 +158,8 @@ def _csv_report(provenance: dict, header: list[str], rows: list[list]) -> str:
         buf.write(f"# {key}={provenance[key]}\n")
     buf.write(",".join(header) + "\n")
     for row in rows:
+        if any(isinstance(v, float) and not math.isfinite(v) for v in row):
+            raise ArithmeticError(_NON_FINITE)
         buf.write(",".join(_csv_cell(v) for v in row) + "\n")
     return buf.getvalue()
 
@@ -180,6 +188,14 @@ def _subset_covariates(study: StudyDataset, names: tuple[str, ...]) -> StudyData
     return StudyDataset(arms[0], arms[1], study.tau, covariate_names=names)
 
 
+def _alpha_z(alpha: float) -> float:
+    """The Wald z for ``alpha``; a bad alpha is a config error."""
+    try:
+        return _z(alpha)
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _parse_weights(text: str) -> dict[int, float]:
     weights = {}
     for part in text.split(","):
@@ -187,9 +203,11 @@ def _parse_weights(text: str) -> dict[int, float]:
             raise ConfigError(f"bad weight entry {part!r}; expected type=weight")
         key, _, val = part.partition("=")
         try:
-            weights[int(key.strip())] = float(val)
+            weights[int(key.strip())] = w = float(val)
         except ValueError as exc:
             raise ConfigError(f"bad weight entry {part!r}") from exc
+        if not (w > 0 and math.isfinite(w)):
+            raise ConfigError("event-type weights must be positive and finite")
     if not weights:
         raise ConfigError("empty weight specification")
     return weights
@@ -216,10 +234,8 @@ def main():
 @_handle_errors
 def estimate(input_path, tau, alpha, strict_tau, s_convention, fmt, out):
     """Per-arm AUMCF point estimates with influence-function CIs."""
-    if not 0 < alpha < 1:
-        raise ConfigError("alpha must be in (0, 1)")
+    z = _alpha_z(alpha)
     arm_data, digest = _load_arms(input_path, tau, strict_tau)
-    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     arms = []
     for arm in arm_data:
         fit = fit_arm(arm, tau, s_convention)
@@ -265,8 +281,7 @@ def compare(input_path, tau, alpha, contrast, covariates, weights, strict_tau,
             s_convention, fmt, out):
     """Two-sample AUMCF contrast (difference or ratio), optionally
     covariate-adjusted or weighted across event types."""
-    if not 0 < alpha < 1:
-        raise ConfigError("alpha must be in (0, 1)")
+    _alpha_z(alpha)
     if covariates and weights:
         raise ConfigError("--covariates and --weights are mutually exclusive")
     if covariates and contrast == "ratio":
@@ -324,7 +339,8 @@ def curves(input_path, tau, strict_tau, s_convention, out):
     prov = _provenance("curves", digest, tau=tau, s_convention=s_convention)
     rows = []
     for arm in arm_data:
-        for name, fn in (("mcf", mcf(arm, s_convention)), ("km", km_survival(arm))):
+        km = km_survival(arm)
+        for name, fn in (("mcf", _mcf_given_km(arm, km, s_convention)), ("km", km)):
             for t, v in fn.to_rows(tau):
                 rows.append([arm.arm, name, t, v])
     _emit(_csv_report(prov, ["arm", "curve", "time", "value"], rows), out)
@@ -352,6 +368,7 @@ def simulate(config_path, seed, reps, alpha, truth, oracle_reps, oracle_n,
              jobs, fmt, out):
     """Run the Monte Carlo harness for a JSON scenario config and report
     operating characteristics (bias, ESE, ASE, rejection, coverage)."""
+    _alpha_z(alpha)
     raw = _read_input_bytes(config_path)
     digest = hashlib.sha256(raw).hexdigest()
     try:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,18 +31,6 @@ class ValidationError(ValueError):
 
 class TruncationError(ValidationError):
     """Raised in strict mode when the MCF is not identifiable up to tau."""
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One row of long-format input data."""
-
-    subject_id: str
-    time: float
-    status: Status
-    arm: int
-    event_type: Optional[int] = None
-    covariates: Optional[tuple[float, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -295,39 +283,11 @@ class TruncationReport:
     messages: tuple[str, ...] = ()
 
 
-def ingest_arm_datasets(records: Iterable[EventRecord]) -> dict[int, ArmDataset]:
-    """Group long-format records into per-arm datasets (one or both arms).
-
-    Each subject must have exactly one CENSOR or DEATH record; its time is
-    the follow-up X and must be the subject's maximum time. The output is a
-    pure function of the record multiset: subjects are ordered by id within
-    arm, so permuting the input leaves the result unchanged.
-    """
-    records = list(records)
-    covs = [r.covariates for r in records]
-    dims = {len(c) for c in covs if c is not None}
-    if len(dims) > 1:
-        raise ValidationError("covariate vectors of different lengths")
-    p = dims.pop() if dims else 0
-    return _arms_from_rows(
-        [str(r.subject_id) for r in records],
-        np.array([r.time for r in records], dtype=np.float64),
-        np.array([r.status for r in records]),
-        np.array([r.arm for r in records]),
-        np.array([0 if r.event_type is None else r.event_type for r in records],
-                 dtype=np.int64),
-        np.array([(0.0,) * p if c is None else c for c in covs],
-                 dtype=np.float64).reshape(len(records), p),
-        np.array([c is not None for c in covs]) if p else None,
-    )
-
-
-def _arms_from_rows(ids, time, status, arm, event_type, covariates, cov_present=None):
+def _arms_from_rows(ids, time, status, arm, event_type, covariates):
     """Validate long-format rows given as columns and group them into arms.
 
     ``ids`` is a list of str; the other columns are arrays with one entry
-    per row, ``covariates`` of shape ``(rows, p)``. ``cov_present`` marks
-    the rows that carry covariates (default: all). Each error names the
+    per row, ``covariates`` of shape ``(rows, p)``. Each error names the
     first offending subject: rows are checked in input order, then
     subjects in (arm, id) order.
     """
@@ -367,19 +327,15 @@ def _arms_from_rows(ids, time, status, arm, event_type, covariates, cov_present=
     late = np.zeros(n_subj, dtype=bool)
     late[ev_subj[ev_time > follow_up[ev_subj]]] = True
 
-    # a subject's covariates are those of its first row that carries them
-    rows = np.arange(len(ids)) if cov_present is None else np.flatnonzero(cov_present)
-    has_cov_subj, first = np.unique(subj[rows], return_index=True)
-    ref = np.zeros(n_subj, dtype=np.int64)
-    ref[has_cov_subj] = rows[first]
-    has_cov = np.zeros(n_subj, dtype=bool)
-    has_cov[has_cov_subj] = True
-    ref_row = ref[subj[rows]]
-    differs = (rows != ref_row) & (covariates[rows] != covariates[ref_row]).any(axis=1)
+    # a subject's covariates are those of its first row; comparing row
+    # indices keeps a NaN in that row from conflicting with itself
+    first = np.unique(subj, return_index=True)[1]
+    ref_row = first[subj]
+    differs = (np.arange(len(ids)) != ref_row) & (covariates != covariates[ref_row]).any(axis=1)
     conflict = np.zeros(n_subj, dtype=bool)
-    conflict[subj[rows][differs]] = True
-    cov = covariates[ref]
-    nonfinite = has_cov & ~np.isfinite(cov).all(axis=1)
+    conflict[subj[differs]] = True
+    cov = covariates[first]
+    nonfinite = ~np.isfinite(cov).all(axis=1)
 
     problems = (
         (n_end == 0, "missing terminal/censor record"),
@@ -401,52 +357,12 @@ def _arms_from_rows(ids, time, status, arm, event_type, covariates, cov_present=
     for a, lo, hi in ((1, 0, n1), (2, n1, n_subj)):
         if lo == hi:
             continue
-        if not (has_cov[lo:hi].all() or not has_cov[lo:hi].any()):
-            raise ValidationError(f"arm {a}: inconsistent covariate dimensions")
-        p = covariates.shape[1] if has_cov[lo] else 0
         on = ev_arm == a
         arms[a] = ArmDataset.from_columns(
             a, subject_ids[lo:hi], follow_up[lo:hi], terminal[lo:hi],
-            cov[lo:hi, :p], ev_time[on], ev_subj[on] - lo, ev_type[on],
+            cov[lo:hi], ev_time[on], ev_subj[on] - lo, ev_type[on],
         )
     return arms
-
-
-def _two_arm_study(arms: dict[int, ArmDataset], tau: float,
-                   covariate_names: tuple[str, ...] = ()) -> StudyDataset:
-    for arm in (1, 2):
-        if arm not in arms:
-            raise ValidationError(f"arm {arm}: no subjects")
-    return StudyDataset(arms[1], arms[2], float(tau), covariate_names)
-
-
-def ingest_records(records: Iterable[EventRecord], tau: float) -> StudyDataset:
-    """Group long-format records into a two-arm :class:`StudyDataset`."""
-    return _two_arm_study(ingest_arm_datasets(records), tau)
-
-
-def study_to_records(study: StudyDataset) -> list[EventRecord]:
-    """Serialize a study back to long-format records (round-trips ingest)."""
-    out: list[EventRecord] = []
-    for arm_data in study.arms():
-        for s in arm_data.subjects:
-            cov = tuple(s.covariates) if s.covariates else None
-            for k, t in enumerate(s.event_times):
-                out.append(
-                    EventRecord(
-                        s.subject_id,
-                        t,
-                        Status.EVENT,
-                        arm_data.arm,
-                        event_type=s.event_types[k] if s.event_types else None,
-                        covariates=cov,
-                    )
-                )
-            status = Status.DEATH if s.terminal else Status.CENSOR
-            out.append(
-                EventRecord(s.subject_id, s.follow_up, status, arm_data.arm, covariates=cov)
-            )
-    return out
 
 
 def validate_truncation(study: StudyDataset, strict: bool = False) -> TruncationReport:
@@ -486,14 +402,13 @@ _CHUNK_ROWS = 4096
 @dataclass(frozen=True)
 class _CsvColumns:
     """Parsed CSV rows as columns; ``event_type`` is 0 where the field is
-    empty or absent, and ``type_given`` marks where it is not."""
+    empty or absent."""
 
     ids: list[str]
     time: np.ndarray
     status: np.ndarray
     arm: np.ndarray
     event_type: np.ndarray
-    type_given: np.ndarray
     covariates: np.ndarray
     covariate_names: tuple[str, ...]
 
@@ -522,13 +437,6 @@ def _int64(v) -> int:
     if not -(2 ** 63) <= x < 2 ** 63:
         raise OverflowError(f"{v!r} does not fit in 64 bits")
     return x
-
-
-def _read_csv(source, parse):
-    if hasattr(source, "read"):
-        return parse(source)
-    with open(source, newline="") as fh:
-        return parse(fh)
 
 
 def _read_columns(fh) -> _CsvColumns:
@@ -562,7 +470,6 @@ def _read_columns(fh) -> _CsvColumns:
                    ("arm", col["arm"], _ints, _int64)]
         width = len(header)
         ids: list[str] = []
-        type_given: list[bool] = []
         parts: list[list[np.ndarray]] = [[] for _ in fields]
         blanks: list[int] = []  # rows read before each skipped blank line
         while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
@@ -578,8 +485,6 @@ def _read_columns(fh) -> _CsvColumns:
                 _raise_bad_field(chunk, fields, len(ids), blanks)
                 raise
             ids.extend(cols[col["id"]])
-            if has_type:
-                type_given.extend(map(bool, cols[col["event_type"]]))
     except csv.Error as exc:
         raise ValidationError(f"line {reader.line_num}: {exc}") from exc
 
@@ -592,7 +497,6 @@ def _read_columns(fh) -> _CsvColumns:
         status=arrays[0].astype(np.int64),
         arm=arrays[-1].astype(np.int64),
         event_type=arrays[1].astype(np.int64) if has_type else np.zeros(n, dtype=np.int64),
-        type_given=np.array(type_given if has_type else [False] * n, dtype=bool),
         covariates=np.column_stack(covs) if covs else np.empty((n, 0)),
         covariate_names=cov_names,
     )
@@ -632,34 +536,22 @@ def _raise_bad_field(chunk, fields, offset, blanks):
                 raise ValidationError(f"line {line}: bad {label} {row[k]!r}") from None
 
 
-def read_records_csv(source) -> tuple[list[EventRecord], tuple[str, ...]]:
-    """Read long-format records from a CSV path or file object.
-
-    Returns the records plus the covariate column names (columns after the
-    fixed ones, excluding the optional ``event_type``).
-    """
-    c = _read_csv(source, _read_columns)
-    covs = map(tuple, c.covariates.tolist()) if c.covariate_names else itertools.repeat(None)
-    records = [
-        EventRecord(sid, t, Status(s), a, et if given else None, cov)
-        for sid, t, s, a, et, given, cov in zip(
-            c.ids, c.time.tolist(), c.status.tolist(), c.arm.tolist(),
-            c.event_type.tolist(), c.type_given.tolist(), covs,
-        )
-    ]
-    return records, c.covariate_names
-
-
 def read_arms_csv(source) -> tuple[dict[int, ArmDataset], tuple[str, ...]]:
     """Read per-arm datasets (one or both arms) from a CSV path or file
     object, plus the covariate column names."""
-    c = _read_csv(source, _read_columns)
+    if hasattr(source, "read"):
+        c = _read_columns(source)
+    else:
+        with open(source, newline="") as fh:
+            c = _read_columns(fh)
     arms = _arms_from_rows(c.ids, c.time, c.status, c.arm, c.event_type, c.covariates)
     return arms, c.covariate_names
 
 
 def write_records_csv(study: StudyDataset, fh) -> None:
-    """Write a study in the CSV interchange format."""
+    """Write a study in the CSV interchange format: arm by arm, subject by
+    subject, each subject's event rows in time order, then its censor or
+    death row."""
     cov_names = study.covariate_names or tuple(
         f"w{k + 1}" for k in range(study.arm1.covariate_dim)
     )
@@ -670,15 +562,27 @@ def write_records_csv(study: StudyDataset, fh) -> None:
     header.extend(cov_names)
     writer = csv.writer(fh)
     writer.writerow(header)
-    for r in study_to_records(study):
-        row = [r.subject_id, repr(float(r.time)), int(r.status), r.arm]
-        if has_type:
-            row.append("" if r.event_type is None else r.event_type)
-        row.extend(repr(float(c)) for c in (r.covariates or ()))
-        writer.writerow(row)
+    no_type = [""] if has_type else []
+    for arm in study.arms():
+        order, counts = arm._events_by_subject()
+        events = zip(arm.event_times[order].tolist(), arm.event_type_labels[order].tolist())
+        for sid, x, dead, w, k in zip(
+            arm.subject_ids.tolist(), arm.follow_up.tolist(), arm.terminal.tolist(),
+            arm.covariates.tolist(), counts.tolist(),
+        ):
+            cov = list(map(repr, w))
+            writer.writerows(
+                [sid, repr(t), int(Status.EVENT), arm.arm, label, *cov]
+                for t, label in itertools.islice(events, k)
+            )
+            status = Status.DEATH if dead else Status.CENSOR
+            writer.writerow([sid, repr(x), int(status), arm.arm, *no_type, *cov])
 
 
 def read_study_csv(source, tau: float) -> StudyDataset:
     """Read a two-arm study from a CSV path or file object."""
     arms, cov_names = read_arms_csv(source)
-    return _two_arm_study(arms, tau, cov_names)
+    for arm in (1, 2):
+        if arm not in arms:
+            raise ValidationError(f"arm {arm}: no subjects")
+    return StudyDataset(arms[1], arms[2], float(tau), cov_names)

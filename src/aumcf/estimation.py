@@ -119,11 +119,8 @@ def fit_arm(
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
-    keep = arm.event_times <= tau
-    if event_type is not None:
-        keep &= arm.event_type_labels == event_type
-    te, counts = np.unique(arm.event_times[keep], return_counts=True)
-    y_e = arm.at_risk(te).astype(np.float64)
+    te, counts, y = _event_jumps(arm, tau, event_type)
+    y_e = y.astype(np.float64)
     dr = counts / y_e
     td, d, y_d = _death_jumps(arm, tau)
     s = _survival_at(StepFunction(td, np.cumprod(1.0 - d / y_d), 1.0), te, s_convention)
@@ -149,21 +146,22 @@ def event_rate_increments(arm: ArmDataset, event_type: int | None = None) -> Jum
     With ``event_type`` given, only events of that type contribute mass;
     the at-risk counts are unchanged.
     """
-    times = arm.event_times
-    if event_type is not None:
-        times = times[arm.event_type_labels == event_type]
-    te, counts = np.unique(times, return_counts=True)
-    y = arm.at_risk(te).astype(np.float64)
-    return JumpIncrements(te, counts / y, arm.at_risk(te))
+    te, counts, y = _event_jumps(arm, event_type=event_type)
+    return JumpIncrements(te, counts / y, y)
 
 
 def mcf(arm: ArmDataset, s_convention: str = "left") -> StepFunction:
     """Estimated mean cumulative function m(t) = sum of S_D * dR over jumps."""
-    inc = event_rate_increments(arm)
-    if inc.times.size == 0:
+    return _mcf_given_km(arm, km_survival(arm), s_convention)
+
+
+def _mcf_given_km(arm: ArmDataset, km: StepFunction, s_convention: str) -> StepFunction:
+    """The MCF of ``arm`` with its Kaplan-Meier curve ``km`` already built."""
+    te, counts, y = _event_jumps(arm)
+    if te.size == 0:
         return StepFunction(np.empty(0), np.empty(0), 0.0)
-    s = _survival_at(km_survival(arm), inc.times, s_convention)
-    return StepFunction(inc.times, np.cumsum(s * inc.increments), 0.0)
+    s = _survival_at(km, te, s_convention)
+    return StepFunction(te, np.cumsum(s * (counts / y)), 0.0)
 
 
 def aumcf(
@@ -197,6 +195,16 @@ def time_lost_per_subject(subject: SubjectHistory, tau: float) -> float:
     if not tau > 0:
         raise ValueError("tau must be positive")
     return float(sum(max(tau - t, 0.0) for t in subject.event_times))
+
+
+def _event_jumps(arm: ArmDataset, tau: float = np.inf, event_type: int | None = None):
+    """Distinct event times <= tau (of ``event_type``, when given), event
+    counts and integer at-risk counts."""
+    keep = arm.event_times <= tau
+    if event_type is not None:
+        keep &= arm.event_type_labels == event_type
+    te, counts = np.unique(arm.event_times[keep], return_counts=True)
+    return te, counts, arm.at_risk(te)
 
 
 def _death_jumps(arm: ArmDataset, tau: float = np.inf):

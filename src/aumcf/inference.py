@@ -183,7 +183,7 @@ def contrast_ratio(
     s1, s2 = arm_variance(inf1), arm_variance(inf2)
     point = t1 / t2
     se_log = math.sqrt(s1 / (n1 * t1**2) + s2 / (n2 * t2**2))
-    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    z = _z(alpha)
     degenerate = se_log == 0.0
     log_point = math.log(point)
     return ContrastResult(
@@ -247,8 +247,8 @@ def weighted_contrast(
     influence expansion (a construction of this artifact, not a published
     variance formula).
     """
-    if any(w <= 0 for w in weights.values()):
-        raise ValidationError("event-type weights must be positive")
+    if not all(w > 0 and math.isfinite(w) for w in weights.values()):
+        raise ValidationError("event-type weights must be positive and finite")
     observed = set(np.concatenate([
         study.arm1.event_type_labels, study.arm2.event_type_labels
     ]).tolist())
@@ -268,7 +268,7 @@ def weighted_contrast(
 
 def _wald_result(kind, tau, alpha, point, se, null_value,
                  t1, se1, t2, se2, n1, n2) -> ContrastResult:
-    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    z = _z(alpha)
     return ContrastResult(
         kind=kind,
         tau=tau,
@@ -281,3 +281,10 @@ def _wald_result(kind, tau, alpha, point, se, null_value,
         theta1=t1, se1=se1, theta2=t2, se2=se2,
         n1=n1, n2=n2, degenerate=(se == 0.0),
     )
+
+
+def _z(alpha: float) -> float:
+    """The two-sided normal quantile z_{1 - alpha/2} of a Wald interval."""
+    if not 0 < alpha < 1 or 1.0 - alpha / 2.0 == 1.0:
+        raise ValidationError(f"alpha must be in (2**-53, 1), got {alpha!r}")
+    return NormalDist().inv_cdf(1.0 - alpha / 2.0)

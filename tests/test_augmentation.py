@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -118,3 +121,16 @@ def test_ridge_resolves_collinearity(rng):
         augmented_contrast(study)
     aug = augmented_contrast(study, ridge=1e-6)
     assert np.all(np.isfinite(aug.summary.beta_hat))
+
+
+def test_no_events_relative_efficiency_is_null():
+    arms = [
+        ArmDataset(k, [SubjectHistory(f"{k}{i}", 2.0 + i, False, covariates=(float(w),))
+                       for i, w in enumerate(ws)])
+        for k, ws in ((1, (0.5, 1.5, -1.0)), (2, (0.1, 0.7, 2.0)))
+    ]
+    aug = augmented_contrast(StudyDataset(arms[0], arms[1], tau=1.0))
+    assert aug.relative_efficiency == math.inf and aug.adjusted.degenerate
+    out = aug.to_dict()
+    assert out["relative_efficiency"] is None
+    json.dumps(out, allow_nan=False)

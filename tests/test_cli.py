@@ -304,3 +304,90 @@ def test_simulate_zero_reps_in_config_is_config_error(runner, tmp_path):
     result = _zero_reps_result(runner, tmp_path, {"replicates": 0}, [])
     assert result.exit_code == 4
     assert json.loads(result.stderr)["error"]["type"] == "ConfigError"
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+NO_EVENTS_CSV = "id,time,status,arm,w1\na,2,0,1,0.5\nb,3,0,1,1.5\nc,2,0,1,-1\n" \
+                "d,2,0,2,0.1\ne,3,0,2,0.7\nf,4,0,2,2\n"
+
+
+def test_compare_no_events_relative_efficiency_null(runner, tmp_path):
+    path = tmp_path / "noev.csv"
+    path.write_text(NO_EVENTS_CSV)
+    args = ["compare", str(path), "--tau", "1", "--covariates", "w1"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    report = _strict_json(result.stdout)
+    assert report["relative_efficiency"] is None
+    assert report["adjusted"]["degenerate"] is True
+    # the CSV comment line still states the value
+    result = runner.invoke(main, args + ["--format", "csv"])
+    assert result.exit_code == 0
+    assert "# relative_efficiency=inf\n" in result.stdout
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("args", [["estimate"], ["compare"],
+                                  ["compare", "--contrast", "ratio"]])
+def test_non_finite_result_exits_3(runner, toy_csv, args, fmt):
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        result = runner.invoke(main, args + [toy_csv, "--tau", "1e308", "--format", fmt])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    err = json.loads(result.stderr.strip().splitlines()[-1])["error"]
+    assert err["code"] == 3
+
+
+TYPED_CSV = "id,time,status,arm,event_type\na,1,1,1,1\na,2,1,1,2\na,3,0,1,\n" \
+            "b,1.5,1,2,1\nb,3,0,2,\n"
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "-1", "0"])
+def test_bad_weight_exits_4(runner, tmp_path, weight):
+    path = tmp_path / "ty.csv"
+    path.write_text(TYPED_CSV)
+    result = runner.invoke(main, ["compare", str(path), "--tau", "1",
+                                  "--weights", f"1={weight},2=1"])
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    err = json.loads(result.stderr)["error"]
+    assert err == {"code": 4, "type": "ConfigError",
+                   "message": "event-type weights must be positive and finite"}
+
+
+@pytest.mark.parametrize("alpha", ["1e-320", "1e-17", "0", "1", "nan"])
+@pytest.mark.parametrize("command", ["estimate", "compare"])
+def test_bad_alpha_exits_4(runner, toy_csv, command, alpha):
+    result = runner.invoke(main, [command, toy_csv, "--tau", "12", "--alpha", alpha])
+    assert result.exit_code == 4
+    err = json.loads(result.stderr)["error"]
+    assert err["type"] == "ConfigError" and "alpha must be in" in err["message"]
+
+
+def test_simulate_bad_alpha_exits_4(runner, tmp_path):
+    result = _zero_reps_result(runner, tmp_path, {"replicates": 2}, ["--alpha", "1e-320"])
+    assert result.exit_code == 4
+    assert json.loads(result.stderr)["error"]["type"] == "ConfigError"
+
+
+def test_curves_build_each_km_once(runner, toy_csv, monkeypatch):
+    import aumcf.cli
+    import aumcf.estimation
+
+    calls = []
+    real = aumcf.estimation.km_survival
+
+    def counted(arm):
+        calls.append(arm.arm)
+        return real(arm)
+
+    for module in (aumcf.cli, aumcf.estimation):
+        monkeypatch.setattr(module, "km_survival", counted)
+    result = runner.invoke(main, ["curves", toy_csv, "--tau", "12"])
+    assert result.exit_code == 0
+    assert calls == [1, 2]

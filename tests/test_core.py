@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -6,16 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from aumcf import (
     ArmDataset,
-    EventRecord,
     Status,
     StudyDataset,
     SubjectHistory,
     TruncationError,
     ValidationError,
-    ingest_arm_datasets,
-    ingest_records,
+    read_arms_csv,
     read_study_csv,
-    study_to_records,
     validate_truncation,
     weighted_contrast,
     write_records_csv,
@@ -24,21 +22,13 @@ from aumcf import (
 from conftest import random_study
 
 
-def _terminal(sid, t, arm, status=Status.CENSOR, **kw):
-    return EventRecord(sid, t, status, arm, **kw)
-
-
-def _dummy_arm2():
-    return [_terminal("z1", 1.0, 2)]
+def _csv(*rows):
+    """CSV text of ``rows`` plus one censored arm-2 subject."""
+    return io.StringIO("\n".join(["id,time,status,arm", *rows, "z1,1.0,0,2"]) + "\n")
 
 
 def test_ingest_regroups_records():
-    recs = [
-        EventRecord("s1", 2.0, Status.EVENT, 1),
-        EventRecord("s1", 10.0, Status.DEATH, 1),
-        EventRecord("s2", 8.0, Status.CENSOR, 1),
-    ] + _dummy_arm2()
-    study = ingest_records(recs, tau=10.0)
+    study = read_study_csv(_csv("s1,2.0,1,1", "s1,10.0,2,1", "s2,8.0,0,1"), tau=10.0)
     s1 = study.arm1.subjects[0]
     assert s1.follow_up == 10.0 and s1.terminal and s1.event_times == (2.0,)
     s2 = study.arm1.subjects[1]
@@ -46,48 +36,37 @@ def test_ingest_regroups_records():
 
 
 def test_ingest_missing_terminal_record():
-    recs = [EventRecord("s3", 5.0, Status.EVENT, 1)] + _dummy_arm2()
-    with pytest.raises(ValidationError, match="missing terminal/censor"):
-        ingest_records(recs, tau=10.0)
+    with pytest.raises(ValidationError, match="subject 's3': missing terminal/censor"):
+        read_study_csv(_csv("s3,5.0,1,1"), tau=10.0)
 
 
 def test_ingest_duplicate_terminal_record():
-    recs = [
-        EventRecord("s1", 5.0, Status.CENSOR, 1),
-        EventRecord("s1", 6.0, Status.DEATH, 1),
-    ] + _dummy_arm2()
-    with pytest.raises(ValidationError, match="multiple terminal/censor"):
-        ingest_records(recs, tau=10.0)
+    with pytest.raises(ValidationError, match="subject 's1': multiple terminal/censor"):
+        read_study_csv(_csv("s1,5.0,0,1", "s1,6.0,2,1"), tau=10.0)
 
 
 def test_ingest_event_after_followup():
-    recs = [
-        EventRecord("s1", 7.0, Status.EVENT, 1),
-        EventRecord("s1", 5.0, Status.CENSOR, 1),
-    ] + _dummy_arm2()
-    with pytest.raises(ValidationError, match="exceeds follow-up"):
-        ingest_records(recs, tau=10.0)
+    with pytest.raises(ValidationError, match="subject 's1': event time exceeds follow-up"):
+        read_study_csv(_csv("s1,7.0,1,1", "s1,5.0,0,1"), tau=10.0)
 
 
 def test_ingest_single_arm():
-    from aumcf import ingest_arm_datasets
-
-    recs = [
-        EventRecord("s1", 2.0, Status.EVENT, 1),
-        EventRecord("s1", 10.0, Status.DEATH, 1),
-    ]
-    arms = ingest_arm_datasets(recs)
+    text = "id,time,status,arm\ns1,2.0,1,1\ns1,10.0,2,1\n"
+    arms, _ = read_arms_csv(io.StringIO(text))
     assert list(arms) == [1] and arms[1].n == 1
     with pytest.raises(ValidationError, match="arm 2: no subjects"):
-        ingest_records(recs, tau=5.0)
+        read_study_csv(io.StringIO(text), tau=5.0)
 
 
 def test_ingest_permutation_invariant(rng):
-    study = random_study(rng, n=12)
-    recs = study_to_records(study)
-    perm = [recs[i] for i in rng.permutation(len(recs))]
-    a = ingest_records(recs, study.tau)
-    b = ingest_records(perm, study.tau)
+    study = random_study(rng, n=12, n_cov=1, n_types=2)
+    buf = io.StringIO()
+    write_records_csv(study, buf)
+    header, *lines = buf.getvalue().splitlines()
+    perm = [lines[i] for i in rng.permutation(len(lines))]
+    a = read_study_csv(io.StringIO("\n".join([header, *lines])), study.tau)
+    b = read_study_csv(io.StringIO("\n".join([header, *perm])), study.tau)
+    assert a.arm1 == b.arm1 and a.arm2 == b.arm2
     assert a.arm1.subjects == b.arm1.subjects
     assert a.arm2.subjects == b.arm2.subjects
 
@@ -133,6 +112,26 @@ def test_csv_round_trip(rng):
     assert back.arm1.subjects == study.arm1.subjects
     assert back.arm2.subjects == study.arm2.subjects
     assert back.covariate_names == study.covariate_names
+
+
+def test_csv_writer_fixed_text():
+    arm1 = ArmDataset(1, [
+        SubjectHistory("b", 4.0, True, (1.5, 0.25, 1.5), (2, 1, 0), (0.5, -1.0)),
+        SubjectHistory("a", 3.0, False, (), (), (2.0, 0.125)),
+    ])
+    arm2 = ArmDataset(2, [SubjectHistory("c", 2.5, False, (2.5,), (1,), (0.0, 3.0))])
+    buf = io.StringIO()
+    write_records_csv(StudyDataset(arm1, arm2, 2.0, ("age", "dose")), buf)
+    assert buf.getvalue() == (
+        "id,time,status,arm,event_type,age,dose\r\n"
+        "b,0.25,1,1,1,0.5,-1.0\r\n"
+        "b,1.5,1,1,2,0.5,-1.0\r\n"
+        "b,1.5,1,1,0,0.5,-1.0\r\n"
+        "b,4.0,2,1,,0.5,-1.0\r\n"
+        "a,3.0,0,1,,2.0,0.125\r\n"
+        "c,2.5,1,2,1,0.0,3.0\r\n"
+        "c,2.5,0,2,,0.0,3.0\r\n"
+    )
 
 
 def test_csv_missing_columns():
@@ -256,22 +255,25 @@ def test_subject_order_is_python_sorted():
 # Columnar ingest equals the v0.1 object path
 # ---------------------------------------------------------------------------
 
-def _reference_arms(records):
+def _reference_arms(rows):
     """The v0.1 object path: group rows per (arm, id) in sorted order, order
-    each subject's events stably by time, build subjects, then arms."""
+    each subject's events stably by time, build subjects, then arms.
+
+    A row is ``(id, time, status, arm, event_type or None, covariates or
+    None)``.
+    """
     groups = {}
-    for r in records:
-        groups.setdefault((r.arm, r.subject_id), []).append(r)
+    for r in rows:
+        groups.setdefault((r[3], r[0]), []).append(r)
     subjects = {1: [], 2: []}
-    for (arm, sid), rows in sorted(groups.items()):
-        end = next(r for r in rows if r.status != Status.EVENT)
-        events = sorted((r for r in rows if r.status == Status.EVENT),
-                        key=lambda r: r.time)
+    for (arm, sid), rs in sorted(groups.items()):
+        end = next(r for r in rs if r[2] != Status.EVENT)
+        events = sorted((r for r in rs if r[2] == Status.EVENT), key=lambda r: r[1])
         subjects[arm].append(SubjectHistory(
-            sid, end.time, end.status == Status.DEATH,
-            tuple(e.time for e in events),
-            tuple(0 if e.event_type is None else e.event_type for e in events),
-            tuple(rows[0].covariates or ()),
+            sid, end[1], end[2] == Status.DEATH,
+            tuple(e[1] for e in events),
+            tuple(0 if e[4] is None else e[4] for e in events),
+            tuple(rs[0][5] or ()),
         ))
     return {arm: ArmDataset(arm, subs) for arm, subs in subjects.items() if subs}
 
@@ -292,7 +294,7 @@ _GRID = (0.0, 0.5, 1.0, 1.5, 2.0)  # a coarse grid makes ties (and ties with dea
 def _long_format(draw):
     p = draw(st.integers(0, 2))
     typed = draw(st.booleans())
-    records = []
+    rows = []
     for arm in (1, 2):
         ids = draw(st.lists(st.text("ab\0é ", min_size=1, max_size=3),
                             min_size=1, max_size=6, unique=True))
@@ -303,26 +305,35 @@ def _long_format(draw):
                                    max_size=4))
             for t in events:
                 etype = draw(st.integers(0, 2)) if typed else None
-                records.append(EventRecord(sid, t, Status.EVENT, arm, etype, cov))
+                rows.append((sid, t, Status.EVENT, arm, etype, cov))
             status = draw(st.sampled_from([Status.CENSOR, Status.DEATH]))
-            records.append(EventRecord(sid, x, status, arm, None, cov))
-    order = draw(st.permutations(range(len(records))))
-    return [records[i] for i in order], p
+            rows.append((sid, x, status, arm, None, cov))
+    order = draw(st.permutations(range(len(rows))))
+    rows = [rows[i] for i in order]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["id", "time", "status", "arm"] + ["event_type"] * typed
+                    + [f"w{j + 1}" for j in range(p)])
+    for sid, t, status, arm, etype, cov in rows:
+        writer.writerow([sid, repr(t), int(status), arm]
+                        + (["" if etype is None else etype] if typed else [])
+                        + list(map(repr, cov or ())))
+    return rows, buf.getvalue(), p
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=_long_format())
 def test_columnar_ingest_equals_object_path(data):
-    records, p = data
-    ref = _reference_arms(records)
-    arms = ingest_arm_datasets(records)
+    rows, text, p = data
+    ref = _reference_arms(rows)
+    arms, names = read_arms_csv(io.StringIO(text))
     assert sorted(arms) == sorted(ref) == [1, 2]
+    assert names == tuple(f"w{j + 1}" for j in range(p))
     for k in (1, 2):
         _assert_same_columns(arms[k], ref[k])
         assert arms[k].subjects == ref[k].subjects
     # CSV round trip, column level
-    study = StudyDataset(ref[1], ref[2], tau=1.0,
-                         covariate_names=tuple(f"w{j + 1}" for j in range(p)))
+    study = StudyDataset(ref[1], ref[2], tau=1.0, covariate_names=names)
     buf = io.StringIO()
     write_records_csv(study, buf)
     buf.seek(0)

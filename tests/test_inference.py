@@ -293,3 +293,27 @@ def test_weighted_contrast_validation(rng):
         weighted_contrast(study, {0: 1.0, 1: -1.0})
     with pytest.raises(ValidationError, match="no weight supplied"):
         weighted_contrast(study, {0: 1.0})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_weighted_contrast_rejects_non_finite_weights(rng, bad):
+    study = random_study(rng, n=10, n_types=2)
+    with pytest.raises(ValidationError, match="positive and finite"):
+        weighted_contrast(study, {0: 1.0, 1: bad})
+
+
+@pytest.mark.parametrize("alpha", [1e-320, 2.0 ** -53, 0.0, 1.0, math.nan])
+def test_contrasts_reject_bad_alpha(rng, alpha):
+    study = random_study(rng, n=10)
+    for contrast in (contrast_difference, contrast_ratio):
+        with pytest.raises(ValidationError, match="alpha must be in"):
+            contrast(study, alpha=alpha)
+    with pytest.raises(ValidationError, match="alpha must be in"):
+        weighted_contrast(study, {0: 1.0}, alpha=alpha)
+
+
+def test_smallest_alpha_keeps_normal_quantile(rng):
+    alpha = 2.0 ** -52
+    res = contrast_difference(random_study(rng, n=10), alpha=alpha)
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    assert res.ci_upper == res.point + z * res.se
