@@ -5,7 +5,6 @@ from .core import (
     ArmDataset,
     Status,
     StudyDataset,
-    SubjectHistory,
     TruncationError,
     ValidationError,
     arm_truncation_message,
@@ -52,7 +51,6 @@ from .simulation import (
     bootstrap_se,
     generate_dataset,
     run_operating_characteristics,
-    simulate_subject,
     survival_bias_sensitivity,
     true_value_oracle,
 )
@@ -60,7 +58,7 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmDataset", "Status", "StudyDataset", "SubjectHistory",
+    "ArmDataset", "Status", "StudyDataset",
     "TruncationError", "ValidationError", "arm_truncation_message",
     "read_arms_csv", "read_study_csv", "validate_truncation",
     "write_records_csv",
@@ -73,6 +71,6 @@ __all__ = [
     "AugmentedResult", "SingularCovariateError", "augmentation_weights",
     "augmented_contrast",
     "OperatingCharacteristics", "ScenarioConfig", "TrueValues", "bootstrap_se",
-    "generate_dataset", "run_operating_characteristics", "simulate_subject",
+    "generate_dataset", "run_operating_characteristics",
     "survival_bias_sensitivity", "true_value_oracle",
 ]

@@ -18,6 +18,7 @@ import math
 import sys
 
 import click
+import numpy as np
 
 from .augmentation import SingularCovariateError, augmented_contrast
 from .core import (
@@ -73,7 +74,10 @@ def _handle_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
-            return fn(*args, **kwargs)
+            # an overflow surfaces as a non-finite statistic (exit 3), not
+            # as numpy warnings on stderr
+            with np.errstate(over="ignore", invalid="ignore"):
+                return fn(*args, **kwargs)
         except (SingularCovariateError, RatioUndefinedError, ArithmeticError) as exc:
             _error_exit(exc, EXIT_DEGENERATE)
         except (ConfigError, json.JSONDecodeError) as exc:
@@ -93,18 +97,20 @@ def _read_input_bytes(path: str) -> bytes:
         return fh.read()
 
 
-def _read_csv_input(path: str, tau: float) -> tuple[io.StringIO, str]:
-    """The input text and its SHA-256, after checking tau."""
+def _read_csv_input(path: str, tau: float) -> tuple[io.TextIOWrapper, str]:
+    """The input as a text stream, read as ``read_arms_csv(path)`` reads a
+    file, and its SHA-256, after checking tau."""
     if not (tau > 0 and math.isfinite(tau)):
         raise ValidationError("tau must be positive and finite")
     raw = _read_input_bytes(path)
     try:
-        text = raw.decode("utf-8")
+        raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(
             f"input is not UTF-8: byte 0x{raw[exc.start]:02x} at offset {exc.start}"
         ) from exc
-    return io.StringIO(text), hashlib.sha256(raw).hexdigest()
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    return text, hashlib.sha256(raw).hexdigest()
 
 
 def _load_study(path: str, tau: float, strict: bool) -> tuple[StudyDataset, str]:
@@ -178,7 +184,7 @@ def _subset_covariates(study: StudyDataset, names: tuple[str, ...]) -> StudyData
             f"unknown covariate column; available: {list(study.covariate_names)}"
         ) from exc
     arms = [
-        ArmDataset.from_columns(
+        ArmDataset(
             arm.arm, arm.subject_ids, arm.follow_up, arm.terminal,
             arm.covariates[:, idx], arm.event_times, arm.event_subjects,
             arm.event_type_labels,

@@ -12,7 +12,7 @@ import csv
 import itertools
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -33,43 +33,6 @@ class TruncationError(ValidationError):
     """Raised in strict mode when the MCF is not identifiable up to tau."""
 
 
-@dataclass(frozen=True)
-class SubjectHistory:
-    """One subject's complete follow-up.
-
-    ``follow_up`` is X = min(terminal time, censoring time); ``terminal``
-    is True when the terminal event was observed at X. ``event_times`` are
-    ascending, each in [0, X]; ties within a subject carry multiplicity.
-    """
-
-    subject_id: str
-    follow_up: float
-    terminal: bool
-    event_times: tuple[float, ...] = ()
-    event_types: tuple[int, ...] = ()
-    covariates: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if not np.isfinite(self.follow_up) or self.follow_up < 0:
-            raise ValidationError(
-                f"subject {self.subject_id!r}: follow-up must be finite and >= 0"
-            )
-        if any(t < 0 or t > self.follow_up for t in self.event_times):
-            raise ValidationError(
-                f"subject {self.subject_id!r}: event time outside [0, X]"
-            )
-        if self.event_types and len(self.event_types) != len(self.event_times):
-            raise ValidationError(
-                f"subject {self.subject_id!r}: event_types/event_times length mismatch"
-            )
-        if list(self.event_times) != sorted(self.event_times):
-            # one stable time order for the times and their type labels
-            order = sorted(range(len(self.event_times)), key=self.event_times.__getitem__)
-            object.__setattr__(self, "event_times", tuple(self.event_times[i] for i in order))
-            if self.event_types:
-                object.__setattr__(self, "event_types", tuple(self.event_types[i] for i in order))
-
-
 _COLUMNS = (
     "subject_ids", "follow_up", "terminal", "covariates",
     "event_times", "event_subjects", "event_type_labels",
@@ -84,40 +47,11 @@ class ArmDataset:
     by time with ties broken by subject order: ``event_times``,
     ``event_subjects`` (the owning subject's row) and ``event_type_labels``
     (0 when unlabelled). Per-subject results (e.g. influence values) align
-    with subject order. ``subjects`` is a per-subject object view built on
-    first use.
+    with subject order.
     """
 
-    def __init__(self, arm: int, subjects: Sequence[SubjectHistory]):
-        """Adapter from subject objects, kept in the order given."""
-        if len(subjects) == 0:
-            raise ValidationError(f"arm {arm}: empty arm")
-        dims = {len(s.covariates) for s in subjects}
-        if len(dims) != 1:
-            raise ValidationError(f"arm {arm}: inconsistent covariate dimensions")
-        subjects = tuple(subjects)
-        n = len(subjects)
-        counts = [len(s.event_times) for s in subjects]
-        total = sum(counts)
-        chain = itertools.chain.from_iterable
-        self._set_columns(
-            arm,
-            np.array([s.subject_id for s in subjects], dtype=object),
-            np.array([s.follow_up for s in subjects], dtype=np.float64),
-            np.array([s.terminal for s in subjects], dtype=bool),
-            np.array([s.covariates for s in subjects], dtype=np.float64).reshape(n, dims.pop()),
-            np.fromiter(chain(s.event_times for s in subjects), np.float64, total),
-            np.repeat(np.arange(n, dtype=np.int64), counts),
-            np.fromiter(
-                chain(s.event_types or (0,) * len(s.event_times) for s in subjects),
-                np.int64, total,
-            ),
-        )
-        self._subjects = subjects
-
-    @classmethod
-    def from_columns(
-        cls,
+    def __init__(
+        self,
         arm: int,
         subject_ids,
         follow_up,
@@ -126,11 +60,10 @@ class ArmDataset:
         event_times,
         event_subjects,
         event_type_labels,
-    ) -> "ArmDataset":
-        """Columnar constructor; ``covariates`` is ``(n, p)``.
-
-        Events may come in any order: they are sorted by time, then by
-        subject, then by the order given.
+    ):
+        """Check the columns against the data model; ``covariates`` is
+        ``(n, p)``. Events may come in any order: they are sorted by time,
+        then by subject, then by the order given.
         """
         follow_up = np.array(follow_up, dtype=np.float64)
         n = follow_up.size
@@ -166,10 +99,8 @@ class ArmDataset:
                 f"subject {subject_ids[event_subjects[np.argmax(outside)]]!r}: "
                 "event time outside [0, X]"
             )
-        self = cls.__new__(cls)
         self._set_columns(arm, subject_ids, follow_up, terminal, covariates,
                           event_times, event_subjects, event_type_labels)
-        return self
 
     def _set_columns(self, arm, subject_ids, follow_up, terminal, covariates,
                      event_times, event_subjects, event_type_labels) -> None:
@@ -186,25 +117,6 @@ class ArmDataset:
         for name in _COLUMNS:
             getattr(self, name).flags.writeable = False
         self._sorted_follow_up = np.sort(self.follow_up)
-        self._subjects = None
-
-    @property
-    def subjects(self) -> tuple[SubjectHistory, ...]:
-        """One :class:`SubjectHistory` per subject, in subject order."""
-        if self._subjects is None:
-            order, counts = self._events_by_subject()
-            ends = np.cumsum(counts).tolist()
-            times = self.event_times[order].tolist()
-            types = self.event_type_labels[order].tolist()
-            self._subjects = tuple(
-                SubjectHistory(sid, x, d, tuple(times[a:b]), tuple(types[a:b]), tuple(w))
-                for sid, x, d, w, a, b in zip(
-                    self.subject_ids.tolist(), self.follow_up.tolist(),
-                    self.terminal.tolist(), self.covariates.tolist(),
-                    [0] + ends[:-1], ends,
-                )
-            )
-        return self._subjects
 
     def _events_by_subject(self) -> tuple[np.ndarray, np.ndarray]:
         """Event rows grouped by subject, each group in time order, and the
@@ -224,8 +136,8 @@ class ArmDataset:
     def take(self, idx) -> "ArmDataset":
         """The arm of subjects ``idx`` (repeats allowed), in that order.
 
-        Equals ``ArmDataset(arm, [self.subjects[i] for i in idx])`` column
-        for column, without building subject objects.
+        Each picked subject keeps its events; the columns are taken from a
+        checked arm, so they are not checked again.
         """
         idx = np.asarray(idx, dtype=np.int64)
         by_subject, counts = self._events_by_subject()
@@ -358,7 +270,7 @@ def _arms_from_rows(ids, time, status, arm, event_type, covariates):
         if lo == hi:
             continue
         on = ev_arm == a
-        arms[a] = ArmDataset.from_columns(
+        arms[a] = ArmDataset(
             a, subject_ids[lo:hi], follow_up[lo:hi], terminal[lo:hi],
             cov[lo:hi], ev_time[on], ev_subj[on] - lo, ev_type[on],
         )

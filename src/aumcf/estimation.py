@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArmDataset, SubjectHistory
+from .core import ArmDataset
 
 S_CONVENTIONS = ("left", "right")
 
@@ -190,11 +190,13 @@ def rmst(arm: ArmDataset, tau: float) -> float:
     return area_under_step(km_survival(arm), tau)
 
 
-def time_lost_per_subject(subject: SubjectHistory, tau: float) -> float:
-    """Total event-free time lost by one subject: sum of (tau - T)+ over events."""
+def time_lost_per_subject(arm: ArmDataset, tau: float) -> np.ndarray:
+    """Event-free time lost by each subject: the sum of (tau - T)+ over its
+    events T, in subject order."""
     if not tau > 0:
         raise ValueError("tau must be positive")
-    return float(sum(max(tau - t, 0.0) for t in subject.event_times))
+    return np.bincount(arm.event_subjects, weights=np.maximum(tau - arm.event_times, 0.0),
+                       minlength=arm.n)
 
 
 def _event_jumps(arm: ArmDataset, tau: float = np.inf, event_type: int | None = None):

@@ -182,21 +182,27 @@ def contrast_ratio(
     n1, n2 = study.arm1.n, study.arm2.n
     s1, s2 = arm_variance(inf1), arm_variance(inf2)
     point = t1 / t2
-    se_log = math.sqrt(s1 / (n1 * t1**2) + s2 / (n2 * t2**2))
     z = _z(alpha)
-    degenerate = se_log == 0.0
-    log_point = math.log(point)
+    try:
+        se_log = math.sqrt(s1 / (n1 * t1**2) + s2 / (n2 * t2**2))
+        log_point = math.log(point)
+        ci_lower = math.exp(log_point - z * se_log)
+        ci_upper = math.exp(log_point + z * se_log)
+    except OverflowError as exc:
+        raise OverflowError(
+            f"ratio CI overflows on the log scale: theta1={t1:g}, theta2={t2:g}"
+        ) from exc
     return ContrastResult(
         kind="ratio",
         tau=study.tau,
         alpha=alpha,
         point=point,
         se=point * se_log,
-        ci_lower=math.exp(log_point - z * se_log),
-        ci_upper=math.exp(log_point + z * se_log),
+        ci_lower=ci_lower,
+        ci_upper=ci_upper,
         p_value=wald_pvalue(log_point, se_log, 0.0),
         theta1=t1, se1=math.sqrt(s1 / n1), theta2=t2, se2=math.sqrt(s2 / n2),
-        n1=n1, n2=n2, degenerate=degenerate,
+        n1=n1, n2=n2, degenerate=se_log == 0.0,
     )
 
 

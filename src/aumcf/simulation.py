@@ -10,6 +10,7 @@ replicates are reproducible and independent of execution order.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace, asdict
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace, asdict
 import numpy as np
 
 from .augmentation import augmented_contrast
-from .core import ArmDataset, StudyDataset, SubjectHistory, ValidationError
+from .core import ArmDataset, StudyDataset, ValidationError
 from .estimation import aumcf
 from .inference import contrast_difference
 
@@ -185,9 +186,10 @@ def simulate_subject(
     config: ScenarioConfig,
     arm: int,
     rng: np.random.Generator,
-    subject_id: str = "s",
-) -> SubjectHistory:
-    """Draw one subject's history for the given arm (1 or 2).
+) -> tuple[float, bool, list[float], float | None]:
+    """Draw one subject's history for the given arm (1 or 2): follow-up X,
+    the terminal flag, the ascending event times on [0, X] and the
+    covariate (None when the scenario has none).
 
     Draw order within the stream is fixed: frailty, covariate, terminal
     time, censoring time, then event gaps. When both the terminal and
@@ -199,11 +201,10 @@ def simulate_subject(
     if config.kind == "frailty" and config.frailty_variance > 0:
         shape = 1.0 / config.frailty_variance
         xi = rng.gamma(shape, config.frailty_variance)
-    covariates: tuple[float, ...] = ()
+    w = None
     death_scale = event_scale = 1.0
     if config.covariate_mode != "none":
         w = rng.standard_normal()
-        covariates = (w,)
         if config.covariate_mode == "informative":
             death_scale = math.exp(w * config.death_log_effect)
             event_scale = math.exp(w * config.event_log_effect)
@@ -235,13 +236,7 @@ def simulate_subject(
         if t > x:
             break
         events.append(t)
-    return SubjectHistory(
-        subject_id=subject_id,
-        follow_up=x,
-        terminal=terminal,
-        event_times=tuple(events),
-        covariates=covariates,
-    )
+    return x, terminal, events, w
 
 
 def generate_dataset(
@@ -252,19 +247,24 @@ def generate_dataset(
 ) -> StudyDataset:
     """Deterministic dataset for one replicate of the scenario."""
     n = n_per_arm if n_per_arm is not None else config.n_per_arm
+    names = ("w1",) if config.covariate_mode != "none" else ()
     arms = []
     for arm in (1, 2):
-        subjects = [
-            simulate_subject(
-                config,
-                arm,
-                _stream(config.seed, purpose, replicate, arm, i),
-                subject_id=f"a{arm}s{i:06d}",
-            )
+        follow_up, terminal, events, w = zip(*(
+            simulate_subject(config, arm, _stream(config.seed, purpose, replicate, arm, i))
             for i in range(n)
-        ]
-        arms.append(ArmDataset(arm, subjects))
-    names = ("w1",) if config.covariate_mode != "none" else ()
+        ))
+        counts = [len(e) for e in events]
+        arms.append(ArmDataset(
+            arm,
+            [f"a{arm}s{i:06d}" for i in range(n)],
+            follow_up,
+            terminal,
+            np.reshape(w, (n, 1)) if names else np.empty((n, 0)),
+            np.fromiter(itertools.chain.from_iterable(events), np.float64),
+            np.repeat(np.arange(n), counts),
+            np.zeros(sum(counts), dtype=np.int64),
+        ))
     return StudyDataset(arms[0], arms[1], tau=config.tau, covariate_names=names)
 
 

@@ -3,7 +3,39 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from aumcf import ArmDataset, StudyDataset, SubjectHistory
+from aumcf import ArmDataset, StudyDataset
+
+
+def make_arm(arm, subjects):
+    """An arm from one ``(id, x, terminal, times=(), types=(), covs=())``
+    tuple per subject, in the order given; missing types are 0."""
+    ids, follow_up, terminal, covs = [], [], [], []
+    times, owners, types = [], [], []
+    for i, (sid, x, dead, *rest) in enumerate(subjects):
+        ev, ty, w = (*rest, (), (), ())[:3]
+        ids.append(sid)
+        follow_up.append(x)
+        terminal.append(dead)
+        covs.append(tuple(w))
+        times.extend(ev)
+        owners.extend([i] * len(ev))
+        types.extend(ty or [0] * len(ev))
+    return ArmDataset(arm, ids, follow_up, terminal, covs, times, owners, types)
+
+
+def subject_rows(arm):
+    """The ``make_arm`` tuples of an arm: each subject's events in time
+    order, found by a plain loop over the event columns."""
+    rows = []
+    for i in range(arm.n):
+        mine = [k for k in range(arm.event_times.size) if arm.event_subjects[k] == i]
+        rows.append((
+            arm.subject_ids[i], float(arm.follow_up[i]), bool(arm.terminal[i]),
+            tuple(float(arm.event_times[k]) for k in mine),
+            tuple(int(arm.event_type_labels[k]) for k in mine),
+            tuple(float(w) for w in arm.covariates[i]),
+        ))
+    return rows
 
 
 def random_arm(rng, n=30, arm=1, event_rate=1.0, death_rate=0.3,
@@ -27,11 +59,8 @@ def random_arm(rng, n=30, arm=1, event_rate=1.0, death_rate=0.3,
             events.append(t)
         types = tuple(int(k) for k in rng.integers(0, n_types, len(events)))
         cov = tuple(rng.standard_normal(n_cov)) if n_cov else ()
-        subjects.append(SubjectHistory(
-            subject_id=f"a{arm}s{i}", follow_up=x, terminal=terminal,
-            event_times=tuple(events), event_types=types, covariates=cov,
-        ))
-    return ArmDataset(arm, subjects)
+        subjects.append((f"a{arm}s{i}", x, terminal, events, types, cov))
+    return make_arm(arm, subjects)
 
 
 def random_study(rng, tau=3.0, n=30, n_cov=0, **kw):
@@ -49,10 +78,10 @@ def rng():
 @pytest.fixture
 def toy_arm():
     # 3-subject worked example: theta(tau=12) = 26/3
-    return ArmDataset(1, [
-        SubjectHistory("s1", 10.0, True, (2.0, 5.0)),
-        SubjectHistory("s2", 8.0, False, (3.0,)),
-        SubjectHistory("s3", 12.0, False, ()),
+    return make_arm(1, [
+        ("s1", 10.0, True, (2.0, 5.0)),
+        ("s2", 8.0, False, (3.0,)),
+        ("s3", 12.0, False, ()),
     ])
 
 

@@ -10,12 +10,10 @@ import pytest
 
 import aumcf
 from aumcf import (
-    ArmDataset,
     RatioUndefinedError,
     ScenarioConfig,
     SingularCovariateError,
     StudyDataset,
-    SubjectHistory,
     area_under_step,
     aumcf as aumcf_estimate,
     augmented_contrast,
@@ -31,7 +29,7 @@ from aumcf import (
     time_lost_per_subject,
 )
 
-from conftest import random_arm, random_study
+from conftest import make_arm, random_arm, random_study
 
 SEED = 20260823
 
@@ -162,14 +160,12 @@ def test_criterion_7b_rmst_identity(rng, report):
         n = int(rng.integers(2, 25))
         xs = rng.exponential(2.0, n)
         died = rng.random(n) < 0.7
-        base = [SubjectHistory(f"s{i}", float(x), bool(d))
+        base = [(f"s{i}", float(x), bool(d))
                 for i, (x, d) in enumerate(zip(xs, died))]
-        withev = [SubjectHistory(s.subject_id, s.follow_up, s.terminal,
-                                 (s.follow_up,) if s.terminal else ())
-                  for s in base]
+        withev = [(sid, x, d, (x,) if d else ()) for sid, x, d in base]
         tau = float(rng.uniform(0.5, 5.0))
-        theta = aumcf_estimate(ArmDataset(1, withev), tau)
-        ident = tau - rmst(ArmDataset(1, base), tau)
+        theta = aumcf_estimate(make_arm(1, withev), tau)
+        ident = tau - rmst(make_arm(1, base), tau)
         if max(abs(theta), abs(ident)) > 0:
             worst = max(worst, abs(theta - ident) / max(abs(theta), abs(ident)))
     report("criterion 7b (theta == tau - RMST, death-only)", worst <= 1e-10,
@@ -180,11 +176,11 @@ def test_criterion_7c_no_censoring_brute_force(rng, report):
     ok = True
     for _ in range(50):
         tau = float(rng.uniform(1.0, 6.0))
-        subs = [SubjectHistory(f"s{i}", tau, False,
-                               tuple(sorted(rng.uniform(0, tau, int(rng.integers(0, 5))))))
+        subs = [(f"s{i}", tau, False,
+                 tuple(sorted(rng.uniform(0, tau, int(rng.integers(0, 5))))))
                 for i in range(int(rng.integers(2, 30)))]
-        arm = ArmDataset(1, subs)
-        brute = float(np.mean([time_lost_per_subject(s, tau) for s in subs]))
+        arm = make_arm(1, subs)
+        brute = float(np.mean(time_lost_per_subject(arm, tau)))
         ok &= aumcf_estimate(arm, tau) == pytest.approx(brute, rel=1e-12, abs=1e-12)
     report("criterion 7c (theta == mean time lost, no censoring)", ok, "exact")
 
@@ -248,9 +244,7 @@ def test_criterion_7g_bootstrap_agreement(report):
 
 
 def test_criterion_7h_worked_time_lost_examples(report):
-    s1 = SubjectHistory("o1", 24.0, False, (6.0, 12.0))
-    s3 = SubjectHistory("o3", 18.0, True, (6.0, 18.0))
-    v1 = time_lost_per_subject(s1, 24.0)
-    v3 = time_lost_per_subject(s3, 24.0)
+    arm = make_arm(1, [("o1", 24.0, False, (6.0, 12.0)), ("o3", 18.0, True, (6.0, 18.0))])
+    v1, v3 = time_lost_per_subject(arm, 24.0).tolist()
     report("criterion 7h (worked 24-month examples)",
             v1 == 30.0 and v3 == 24.0, f"values {v1:g} and {v3:g}")

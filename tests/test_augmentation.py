@@ -5,24 +5,20 @@ import numpy as np
 import pytest
 
 from aumcf import (
-    ArmDataset,
     SingularCovariateError,
     StudyDataset,
-    SubjectHistory,
     augmentation_weights,
     augmented_contrast,
     contrast_difference,
 )
 from aumcf.inference import influence_values
 
-from conftest import random_arm, random_study
+from conftest import make_arm, random_arm, random_study, subject_rows
 
 
 def _with_covariates(arm, label, covs):
-    return ArmDataset(label, [
-        SubjectHistory(s.subject_id, s.follow_up, s.terminal, s.event_times,
-                       s.event_types, (float(w),))
-        for s, w in zip(arm.subjects, covs)
+    return make_arm(label, [
+        (*row[:5], (float(w),)) for row, w in zip(subject_rows(arm), covs)
     ])
 
 
@@ -109,10 +105,8 @@ def test_ridge_resolves_collinearity(rng):
     w2 = rng.standard_normal(20)
 
     def dup(arm, label, w):
-        return ArmDataset(label, [
-            SubjectHistory(s.subject_id, s.follow_up, s.terminal, s.event_times,
-                           s.event_types, (float(v), float(2 * v)))
-            for s, v in zip(arm.subjects, w)
+        return make_arm(label, [
+            (*row[:5], (float(v), float(2 * v))) for row, v in zip(subject_rows(arm), w)
         ])
 
     study = StudyDataset(dup(base1, 1, w1), dup(base2, 2, w2), tau=2.0,
@@ -125,8 +119,8 @@ def test_ridge_resolves_collinearity(rng):
 
 def test_no_events_relative_efficiency_is_null():
     arms = [
-        ArmDataset(k, [SubjectHistory(f"{k}{i}", 2.0 + i, False, covariates=(float(w),))
-                       for i, w in enumerate(ws)])
+        make_arm(k, [(f"{k}{i}", 2.0 + i, False, (), (), (float(w),))
+                     for i, w in enumerate(ws)])
         for k, ws in ((1, (0.5, 1.5, -1.0)), (2, (0.1, 0.7, 2.0)))
     ]
     aug = augmented_contrast(StudyDataset(arms[0], arms[1], tau=1.0))

@@ -1,13 +1,19 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import aumcf
 from aumcf import write_records_csv
 from aumcf.cli import main
 
-from conftest import random_study
+from conftest import make_arm, random_study, subject_rows
 
 TOY_CSV = """id,time,status,arm
 s1,2,1,1
@@ -257,17 +263,13 @@ def test_bad_tau_exits_2(runner, toy_csv, command, tau):
 
 
 def test_covariate_subset_matches_object_path(runner, tmp_path, rng):
-    from aumcf import ArmDataset, StudyDataset, SubjectHistory, augmented_contrast
+    from aumcf import StudyDataset, augmented_contrast
     from aumcf.cli import _subset_covariates
 
     study = random_study(rng, n=40, n_cov=3)
     sub = _subset_covariates(study, ("w3", "w1"))
     arms = [
-        ArmDataset(arm.arm, [
-            SubjectHistory(s.subject_id, s.follow_up, s.terminal, s.event_times,
-                           s.event_types, (s.covariates[2], s.covariates[0]))
-            for s in arm.subjects
-        ])
+        make_arm(arm.arm, [(*row[:5], (row[5][2], row[5][0])) for row in subject_rows(arm)])
         for arm in study.arms()
     ]
     ref = StudyDataset(arms[0], arms[1], study.tau, covariate_names=("w3", "w1"))
@@ -335,12 +337,49 @@ def test_compare_no_events_relative_efficiency_null(runner, tmp_path):
 @pytest.mark.parametrize("args", [["estimate"], ["compare"],
                                   ["compare", "--contrast", "ratio"]])
 def test_non_finite_result_exits_3(runner, toy_csv, args, fmt):
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow must not warn
         result = runner.invoke(main, args + [toy_csv, "--tau", "1e308", "--format", fmt])
     assert result.exit_code == 3
     assert result.stdout == ""
-    err = json.loads(result.stderr.strip().splitlines()[-1])["error"]
+    err = _strict_json(result.stderr)["error"]
     assert err["code"] == 3
+
+
+@pytest.mark.parametrize("args", [["estimate"], ["compare"],
+                                  ["compare", "--contrast", "ratio"]])
+def test_huge_tau_stderr_is_one_error_record(toy_csv, args):
+    # a fresh interpreter, so that numpy warnings would reach stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(aumcf.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "aumcf.cli", *args, toy_csv, "--tau", "1e308"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    err = _strict_json(lines[0])["error"]
+    assert err["code"] == 3
+    if "ratio" in args:
+        assert err["type"] == "OverflowError" and "ratio CI" in err["message"]
+
+
+def test_line_endings_read_alike(runner, tmp_path, rng):
+    # LF, CRLF and bare CR files of one study: one report, as from a path
+    buf = io.StringIO()
+    write_records_csv(random_study(rng, n=15, n_cov=1, n_types=2), buf)
+    crlf = buf.getvalue()
+    assert "\r\n" in crlf
+    outs = []
+    for name, text in (("lf", crlf.replace("\r\n", "\n")), ("crlf", crlf),
+                       ("cr", crlf.replace("\r\n", "\r"))):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode())
+        result = runner.invoke(main, ["compare", str(path), "--tau", "3"])
+        assert result.exit_code == 0, result.output
+        report = _strict_json(result.stdout)
+        del report["provenance"]["input_sha256"]
+        outs.append(report)
+    assert outs[0] == outs[1] == outs[2]
 
 
 TYPED_CSV = "id,time,status,arm,event_type\na,1,1,1,1\na,2,1,1,2\na,3,0,1,\n" \

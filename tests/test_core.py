@@ -9,7 +9,6 @@ from aumcf import (
     ArmDataset,
     Status,
     StudyDataset,
-    SubjectHistory,
     TruncationError,
     ValidationError,
     read_arms_csv,
@@ -19,7 +18,7 @@ from aumcf import (
     write_records_csv,
 )
 
-from conftest import random_study
+from conftest import make_arm, random_study, subject_rows
 
 
 def _csv(*rows):
@@ -29,10 +28,7 @@ def _csv(*rows):
 
 def test_ingest_regroups_records():
     study = read_study_csv(_csv("s1,2.0,1,1", "s1,10.0,2,1", "s2,8.0,0,1"), tau=10.0)
-    s1 = study.arm1.subjects[0]
-    assert s1.follow_up == 10.0 and s1.terminal and s1.event_times == (2.0,)
-    s2 = study.arm1.subjects[1]
-    assert s2.follow_up == 8.0 and not s2.terminal and s2.event_times == ()
+    assert study.arm1 == make_arm(1, [("s1", 10.0, True, (2.0,)), ("s2", 8.0, False)])
 
 
 def test_ingest_missing_terminal_record():
@@ -67,26 +63,12 @@ def test_ingest_permutation_invariant(rng):
     a = read_study_csv(io.StringIO("\n".join([header, *lines])), study.tau)
     b = read_study_csv(io.StringIO("\n".join([header, *perm])), study.tau)
     assert a.arm1 == b.arm1 and a.arm2 == b.arm2
-    assert a.arm1.subjects == b.arm1.subjects
-    assert a.arm2.subjects == b.arm2.subjects
-
-
-def test_subject_history_validation():
-    with pytest.raises(ValidationError):
-        SubjectHistory("x", -1.0, False)
-    with pytest.raises(ValidationError):
-        SubjectHistory("x", np.inf, False)
-    with pytest.raises(ValidationError):
-        SubjectHistory("x", 5.0, False, (6.0,))
-    # events get sorted
-    s = SubjectHistory("x", 5.0, True, (3.0, 1.0))
-    assert s.event_times == (1.0, 3.0)
 
 
 def test_at_risk_closed_inequality():
-    arm = ArmDataset(1, [
-        SubjectHistory("a", 2.0, False),
-        SubjectHistory("b", 4.0, True),
+    arm = make_arm(1, [
+        ("a", 2.0, False),
+        ("b", 4.0, True),
     ])
     assert arm.at_risk(np.array([2.0]))[0] == 2  # X >= t counts
     assert arm.at_risk(np.array([2.0 + 1e-12]))[0] == 1
@@ -94,8 +76,8 @@ def test_at_risk_closed_inequality():
 
 @pytest.mark.parametrize("max_x,tau,ok", [(12.0, 12.0, True), (10.0, 12.0, False)])
 def test_truncation_boundary(max_x, tau, ok):
-    arm = ArmDataset(1, [SubjectHistory("a", max_x, False)])
-    study = StudyDataset(arm, ArmDataset(2, [SubjectHistory("b", max_x, False)]), tau)
+    arm = make_arm(1, [("a", max_x, False)])
+    study = StudyDataset(arm, make_arm(2, [("b", max_x, False)]), tau)
     report = validate_truncation(study)
     assert report.ok is ok
     if not ok:
@@ -109,17 +91,16 @@ def test_csv_round_trip(rng):
     write_records_csv(study, buf)
     buf.seek(0)
     back = read_study_csv(buf, study.tau)
-    assert back.arm1.subjects == study.arm1.subjects
-    assert back.arm2.subjects == study.arm2.subjects
+    assert back.arm1 == study.arm1 and back.arm2 == study.arm2
     assert back.covariate_names == study.covariate_names
 
 
 def test_csv_writer_fixed_text():
-    arm1 = ArmDataset(1, [
-        SubjectHistory("b", 4.0, True, (1.5, 0.25, 1.5), (2, 1, 0), (0.5, -1.0)),
-        SubjectHistory("a", 3.0, False, (), (), (2.0, 0.125)),
+    arm1 = make_arm(1, [
+        ("b", 4.0, True, (1.5, 0.25, 1.5), (2, 1, 0), (0.5, -1.0)),
+        ("a", 3.0, False, (), (), (2.0, 0.125)),
     ])
-    arm2 = ArmDataset(2, [SubjectHistory("c", 2.5, False, (2.5,), (1,), (0.0, 3.0))])
+    arm2 = make_arm(2, [("c", 2.5, False, (2.5,), (1,), (0.0, 3.0))])
     buf = io.StringIO()
     write_records_csv(StudyDataset(arm1, arm2, 2.0, ("age", "dose")), buf)
     assert buf.getvalue() == (
@@ -145,12 +126,14 @@ def test_csv_bad_status():
         read_study_csv(io.StringIO(text), tau=1.0)
 
 
-def test_subject_history_reorders_types_with_times():
-    s = SubjectHistory("x", 5.0, False, (3.0, 1.0), (7, 8))
-    assert s.event_times == (1.0, 3.0) and s.event_types == (8, 7)
+def test_constructor_reorders_types_with_times():
+    arm = make_arm(1, [("x", 5.0, False, (3.0, 1.0), (7, 8))])
+    assert arm.event_times.tolist() == [1.0, 3.0]
+    assert arm.event_type_labels.tolist() == [8, 7]
     # ties keep their given order (stable sort)
-    s = SubjectHistory("y", 5.0, False, (3.0, 1.0, 3.0, 2.0), (1, 2, 3, 4))
-    assert s.event_times == (1.0, 2.0, 3.0, 3.0) and s.event_types == (2, 4, 1, 3)
+    arm = make_arm(1, [("y", 5.0, False, (3.0, 1.0, 3.0, 2.0), (1, 2, 3, 4))])
+    assert arm.event_times.tolist() == [1.0, 2.0, 3.0, 3.0]
+    assert arm.event_type_labels.tolist() == [2, 4, 1, 3]
 
 
 def test_weighted_contrast_unsorted_histories(rng):
@@ -158,14 +141,12 @@ def test_weighted_contrast_unsorted_histories(rng):
 
     def shuffled(arm):
         subjects = []
-        for s in arm.subjects:
-            order = rng.permutation(len(s.event_times))
-            subjects.append(SubjectHistory(
-                s.subject_id, s.follow_up, s.terminal,
-                tuple(s.event_times[i] for i in order),
-                tuple(s.event_types[i] for i in order),
+        for sid, x, d, times, types, _ in subject_rows(arm):
+            order = rng.permutation(len(times))
+            subjects.append((
+                sid, x, d, tuple(times[i] for i in order), tuple(types[i] for i in order),
             ))
-        return ArmDataset(arm.arm, subjects)
+        return make_arm(arm.arm, subjects)
 
     unsorted = StudyDataset(shuffled(study.arm1), shuffled(study.arm2), study.tau)
     weights = {0: 1.0, 1: 2.0, 2: 0.5}
@@ -173,18 +154,27 @@ def test_weighted_contrast_unsorted_histories(rng):
 
 
 @settings(max_examples=50, deadline=None)
-@given(times=st.lists(st.floats(0.0, 10.0), min_size=0, max_size=6))
-def test_subject_history_sorts_any_event_times(times):
-    s = SubjectHistory("h", 10.0, False, tuple(times))
-    assert list(s.event_times) == sorted(times)
+@given(events=st.lists(st.tuples(st.floats(0.0, 10.0), st.integers(0, 2)), max_size=8))
+def test_constructor_sorts_any_event_times(events):
+    # (time, subject) pairs in any order: sorted by time, then subject,
+    # then the order given, with each label kept on its event
+    times = [t for t, _ in events]
+    owners = [k for _, k in events]
+    arm = ArmDataset(1, ["a", "b", "c"], [10.0] * 3, [False] * 3, np.empty((3, 0)),
+                     times, owners, range(len(events)))
+    expected = sorted(range(len(events)), key=lambda e: events[e])
+    assert arm.event_type_labels.tolist() == expected
+    assert arm.event_times.tolist() == [times[e] for e in expected]
+    assert arm.event_subjects.tolist() == [owners[e] for e in expected]
 
 
 def test_covariate_dim_mismatch_rejected():
-    with pytest.raises(ValidationError, match="inconsistent covariate"):
-        ArmDataset(1, [
-            SubjectHistory("a", 1.0, False, covariates=(1.0,)),
-            SubjectHistory("b", 1.0, False),
-        ])
+    # covariates are one (n, p) matrix: any other shape is rejected
+    cols = dict(arm=1, subject_ids=["a", "b"], follow_up=[1.0, 1.0], terminal=[False, False],
+                event_times=[], event_subjects=[], event_type_labels=[])
+    for covariates in ([1.0, 2.0], np.ones((1, 2)), np.ones((3, 1)), np.ones((2, 1, 1))):
+        with pytest.raises(ValidationError, match="column lengths disagree"):
+            ArmDataset(**cols, covariates=covariates)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +246,8 @@ def test_subject_order_is_python_sorted():
 # ---------------------------------------------------------------------------
 
 def _reference_arms(rows):
-    """The v0.1 object path: group rows per (arm, id) in sorted order, order
-    each subject's events stably by time, build subjects, then arms.
+    """The v0.1 grouping by plain loops: rows per (arm, id) in sorted order,
+    each subject's events stably by time, one ``make_arm`` tuple per subject.
 
     A row is ``(id, time, status, arm, event_type or None, covariates or
     None)``.
@@ -269,13 +259,13 @@ def _reference_arms(rows):
     for (arm, sid), rs in sorted(groups.items()):
         end = next(r for r in rs if r[2] != Status.EVENT)
         events = sorted((r for r in rs if r[2] == Status.EVENT), key=lambda r: r[1])
-        subjects[arm].append(SubjectHistory(
+        subjects[arm].append((
             sid, end[1], end[2] == Status.DEATH,
             tuple(e[1] for e in events),
             tuple(0 if e[4] is None else e[4] for e in events),
             tuple(rs[0][5] or ()),
         ))
-    return {arm: ArmDataset(arm, subs) for arm, subs in subjects.items() if subs}
+    return {arm: make_arm(arm, subs) for arm, subs in subjects.items() if subs}
 
 
 def _assert_same_columns(a, b):
@@ -331,7 +321,6 @@ def test_columnar_ingest_equals_object_path(data):
     assert names == tuple(f"w{j + 1}" for j in range(p))
     for k in (1, 2):
         _assert_same_columns(arms[k], ref[k])
-        assert arms[k].subjects == ref[k].subjects
     # CSV round trip, column level
     study = StudyDataset(ref[1], ref[2], tau=1.0, covariate_names=names)
     buf = io.StringIO()
@@ -348,30 +337,46 @@ def test_take_equals_resampled_subjects(rng):
     buf = io.StringIO()
     write_records_csv(study, buf)
     buf.seek(0)
-    arm = read_study_csv(buf, study.tau).arm1  # subjects come from the lazy view
+    arm = read_study_csv(buf, study.tau).arm1
+    rows = subject_rows(arm)
     for _ in range(5):
         idx = rng.integers(0, arm.n, size=arm.n)
-        _assert_same_columns(arm.take(idx),
-                             ArmDataset(arm.arm, [arm.subjects[i] for i in idx]))
+        _assert_same_columns(arm.take(idx), make_arm(arm.arm, [rows[i] for i in idx]))
+
+
+_TWO_SUBJECTS = dict(arm=1, subject_ids=["a", "b"], follow_up=[2.0, 1.0],
+                     terminal=[True, False], covariates=np.empty((2, 0)),
+                     event_times=[1.5, 0.5], event_subjects=[0, 1],
+                     event_type_labels=[0, 0])
 
 
 def test_from_columns_checks_the_data_model():
-    ok = dict(arm=1, subject_ids=["a", "b"], follow_up=[2.0, 1.0],
-              terminal=[True, False], covariates=np.empty((2, 0)),
-              event_times=[1.5, 0.5], event_subjects=[0, 1],
-              event_type_labels=[0, 0])
-    arm = ArmDataset.from_columns(**ok)
+    ok = _TWO_SUBJECTS
+    arm = ArmDataset(**ok)
     assert arm.event_times.tolist() == [0.5, 1.5]
     assert arm.event_subjects.tolist() == [1, 0]
     assert not arm.follow_up.flags.writeable
     with pytest.raises(ValidationError, match="subject 'b': event time outside"):
-        ArmDataset.from_columns(**dict(ok, event_times=[1.5, 1.5]))
+        ArmDataset(**dict(ok, event_times=[1.5, 1.5]))
     with pytest.raises(ValidationError, match="subject 'a': follow-up"):
-        ArmDataset.from_columns(**dict(ok, follow_up=[np.nan, 1.0]))
+        ArmDataset(**dict(ok, follow_up=[np.nan, 1.0]))
     with pytest.raises(ValidationError, match="column lengths"):
-        ArmDataset.from_columns(**dict(ok, terminal=[True]))
+        ArmDataset(**dict(ok, terminal=[True]))
     with pytest.raises(ValidationError, match="empty arm"):
-        ArmDataset.from_columns(**dict(ok, subject_ids=[], follow_up=[],
-                                       terminal=[], covariates=np.empty((0, 0)),
-                                       event_times=[], event_subjects=[],
-                                       event_type_labels=[]))
+        ArmDataset(**dict(ok, subject_ids=[], follow_up=[], terminal=[],
+                          covariates=np.empty((0, 0)), event_times=[],
+                          event_subjects=[], event_type_labels=[]))
+
+
+def test_subject_history_validation():
+    ok = _TWO_SUBJECTS
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValidationError, match="subject 'a': follow-up must be finite"):
+            ArmDataset(**dict(ok, follow_up=[bad, 1.0]))
+    with pytest.raises(ValidationError, match="subject 'a': event time outside"):
+        ArmDataset(**dict(ok, event_times=[2.5, 0.5]))
+    with pytest.raises(ValidationError, match="subject 'b': event time outside"):
+        ArmDataset(**dict(ok, event_times=[1.5, -0.5]))
+    # one subject's events get sorted
+    arm = ArmDataset(**dict(ok, event_times=[1.5, 0.5], event_subjects=[0, 0]))
+    assert arm.event_times.tolist() == [0.5, 1.5]

@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aumcf import (
-    ArmDataset,
     StepFunction,
-    SubjectHistory,
     area_under_step,
     aumcf,
     event_rate_increments,
@@ -16,7 +14,7 @@ from aumcf import (
     time_lost_per_subject,
 )
 
-from conftest import random_arm
+from conftest import make_arm, random_arm
 
 
 def test_step_function_evaluation():
@@ -41,38 +39,38 @@ def test_km_survival_hand_example(toy_arm):
 
 
 def test_km_no_deaths_constant_one():
-    arm = ArmDataset(1, [SubjectHistory("a", 3.0, False)])
+    arm = make_arm(1, [("a", 3.0, False)])
     assert km_survival(arm)(100.0) == 1.0
 
 
 def test_km_single_death():
-    arm = ArmDataset(1, [SubjectHistory("a", 5.0, True)])
+    arm = make_arm(1, [("a", 5.0, True)])
     km = km_survival(arm)
     assert km(4.99) == 1.0 and km(5.0) == 0.0
 
 
 def test_nelson_aalen_hand_example():
-    arm = ArmDataset(1, [
-        SubjectHistory("a", 10.0, True),
-        SubjectHistory("b", 12.0, False),
+    arm = make_arm(1, [
+        ("a", 10.0, True),
+        ("b", 12.0, False),
     ])
     haz = nelson_aalen_terminal(arm)
     assert haz(9.99) == 0.0 and haz(10.0) == 0.5
-    arm2 = ArmDataset(1, [SubjectHistory("a", 5.0, True)])
+    arm2 = make_arm(1, [("a", 5.0, True)])
     assert nelson_aalen_terminal(arm2)(5.0) == 1.0
 
 
 def test_event_rate_increments_distinct_and_tied():
-    arm = ArmDataset(1, [
-        SubjectHistory("a", 5.0, False, (2.0,)),
-        SubjectHistory("b", 5.0, False, (3.0,)),
-        SubjectHistory("c", 5.0, False, (5.0,)),
+    arm = make_arm(1, [
+        ("a", 5.0, False, (2.0,)),
+        ("b", 5.0, False, (3.0,)),
+        ("c", 5.0, False, (5.0,)),
     ])
     inc = event_rate_increments(arm)
     assert np.allclose(inc.increments, [1 / 3, 1 / 3, 1 / 3])
-    tied = ArmDataset(1, [
-        SubjectHistory("a", 5.0, False, (4.0,)),
-        SubjectHistory("b", 5.0, False, (4.0,)),
+    tied = make_arm(1, [
+        ("a", 5.0, False, (4.0,)),
+        ("b", 5.0, False, (4.0,)),
     ])
     inc = event_rate_increments(tied)
     assert inc.times.tolist() == [4.0] and inc.increments.tolist() == [1.0]
@@ -85,7 +83,7 @@ def test_mcf_hand_example(toy_arm):
 
 
 def test_mcf_single_subject_indicator():
-    arm = ArmDataset(1, [SubjectHistory("a", 2.0, False, (1.0,))])
+    arm = make_arm(1, [("a", 2.0, False, (1.0,))])
     m = mcf(arm)
     assert m(0.5) == 0.0 and m(1.0) == 1.0 and m(2.0) == 1.0
 
@@ -95,7 +93,7 @@ def test_aumcf_hand_example(toy_arm):
 
 
 def test_aumcf_empty_and_early_tau(toy_arm):
-    empty = ArmDataset(1, [SubjectHistory("a", 5.0, False)])
+    empty = make_arm(1, [("a", 5.0, False)])
     assert aumcf(empty, 3.0) == 0.0
     assert aumcf(toy_arm, 1.5) == 0.0  # tau before the first event
 
@@ -112,9 +110,9 @@ def test_switch_of_integration_identity(rng):
 
 def test_rmst_hand_examples(toy_arm):
     assert rmst(toy_arm, 12.0) == pytest.approx(11.0)
-    no_deaths = ArmDataset(1, [SubjectHistory("a", 5.0, False)])
+    no_deaths = make_arm(1, [("a", 5.0, False)])
     assert rmst(no_deaths, 4.0) == 4.0
-    single = ArmDataset(1, [SubjectHistory("a", 5.0, True)])
+    single = make_arm(1, [("a", 5.0, True)])
     assert rmst(single, 8.0) == 5.0
 
 
@@ -125,14 +123,12 @@ def test_rmst_identity_death_only(rng):
         n = int(rng.integers(2, 20))
         xs = rng.exponential(2.0, n)
         died = rng.random(n) < 0.7
-        base = [SubjectHistory(f"s{i}", float(x), bool(d))
+        base = [(f"s{i}", float(x), bool(d))
                 for i, (x, d) in enumerate(zip(xs, died))]
-        withev = [SubjectHistory(s.subject_id, s.follow_up, s.terminal,
-                                 (s.follow_up,) if s.terminal else ())
-                  for s in base]
+        withev = [(sid, x, d, (x,) if d else ()) for sid, x, d in base]
         tau = float(rng.uniform(0.5, 5.0))
-        theta = aumcf(ArmDataset(1, withev), tau)
-        assert theta == pytest.approx(tau - rmst(ArmDataset(1, base), tau),
+        theta = aumcf(make_arm(1, withev), tau)
+        assert theta == pytest.approx(tau - rmst(make_arm(1, base), tau),
                                       rel=1e-10, abs=1e-12)
 
 
@@ -142,27 +138,28 @@ def test_no_censoring_brute_force(rng):
     subs = []
     for i in range(40):
         k = int(rng.integers(0, 5))
-        subs.append(SubjectHistory(f"s{i}", tau, False,
-                                   tuple(sorted(rng.uniform(0, tau, k)))))
-    arm = ArmDataset(1, subs)
-    brute = np.mean([time_lost_per_subject(s, tau) for s in subs])
-    assert aumcf(arm, tau) == pytest.approx(brute, rel=1e-12)
+        subs.append((f"s{i}", tau, False, tuple(sorted(rng.uniform(0, tau, k)))))
+    arm = make_arm(1, subs)
+    lost = time_lost_per_subject(arm, tau)
+    assert lost.tolist() == [sum(max(tau - t, 0.0) for t in s[3]) for s in subs]
+    assert aumcf(arm, tau) == pytest.approx(lost.mean(), rel=1e-12)
 
 
 def test_time_lost_worked_examples():
     # 24-month window: events at 6 and 12 lose 18 + 12 = 30 event-months;
     # an event at 6 plus a terminal event at 18 counted as an event: 18 + 6 = 24
-    s1 = SubjectHistory("o1", 24.0, False, (6.0, 12.0))
-    assert time_lost_per_subject(s1, 24.0) == 30.0
-    s3 = SubjectHistory("o3", 18.0, True, (6.0, 18.0))
-    assert time_lost_per_subject(s3, 24.0) == 24.0
-    assert time_lost_per_subject(SubjectHistory("o2", 12.0, False), 24.0) == 0.0
+    arm = make_arm(1, [
+        ("o1", 24.0, False, (6.0, 12.0)),
+        ("o2", 12.0, False),
+        ("o3", 18.0, True, (6.0, 18.0)),
+    ])
+    assert time_lost_per_subject(arm, 24.0).tolist() == [30.0, 0.0, 24.0]
 
 
 def test_curve_rows_include_origin_and_tau(toy_arm):
     rows = mcf(toy_arm).to_rows(12.0)
     assert rows[0] == (0.0, 0.0) and rows[-1][0] == 12.0
-    empty = ArmDataset(1, [SubjectHistory("a", 5.0, False)])
+    empty = make_arm(1, [("a", 5.0, False)])
     assert mcf(empty).to_rows(5.0) == [(0.0, 0.0), (5.0, 0.0)]
 
 

@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from aumcf import (
-    ArmDataset,
     RatioUndefinedError,
     StudyDataset,
-    SubjectHistory,
     ValidationError,
     arm_variance,
     aumcf,
@@ -21,14 +19,16 @@ from aumcf import (
 )
 from aumcf.inference import InfluenceSet, wald_pvalue
 
-from conftest import dense_influence, martingale_residuals, random_arm, random_study
+from conftest import (
+    dense_influence, make_arm, martingale_residuals, random_arm, random_study, subject_rows,
+)
 
 
 def _shifted_toy_study(toy_arm):
-    arm2 = ArmDataset(2, [
-        SubjectHistory("t1", 10.0, True, (3.0, 6.0)),
-        SubjectHistory("t2", 8.0, False, (4.0,)),
-        SubjectHistory("t3", 12.0, False, ()),
+    arm2 = make_arm(2, [
+        ("t1", 10.0, True, (3.0, 6.0)),
+        ("t2", 8.0, False, (4.0,)),
+        ("t3", 12.0, False, ()),
     ])
     return StudyDataset(toy_arm, arm2, tau=12.0)
 
@@ -40,7 +40,7 @@ def test_martingale_residual_column_sums(toy_arm):
 
 
 def test_martingale_single_subject_self_compensates():
-    arm = ArmDataset(1, [SubjectHistory("a", 2.0, False, (1.0,))])
+    arm = make_arm(1, [("a", 2.0, False, (1.0,))])
     res = martingale_residuals(arm)
     assert np.allclose(res.d_event, 0.0)
 
@@ -50,11 +50,9 @@ def _rounded(arm, step=0.5):
     tied with deaths."""
     def r(t):
         return round(t / step) * step
-    return ArmDataset(arm.arm, [
-        SubjectHistory(s.subject_id, r(s.follow_up), s.terminal,
-                       tuple(min(r(t), r(s.follow_up)) for t in s.event_times),
-                       s.event_types)
-        for s in arm.subjects
+    return make_arm(arm.arm, [
+        (sid, r(x), d, tuple(min(r(t), r(x)) for t in times), types)
+        for sid, x, d, times, types, _ in subject_rows(arm)
     ])
 
 
@@ -67,11 +65,11 @@ def _assert_matches_oracle(arm, tau, s_convention="left", event_type=None):
 
 def test_influence_matches_dense_oracle(rng):
     # an event tied with its own death and with another subject's death
-    tied = ArmDataset(1, [
-        SubjectHistory("a", 2.0, True, (1.0, 2.0)),
-        SubjectHistory("b", 2.0, True, (2.0,)),
-        SubjectHistory("c", 3.0, False, (1.0, 2.0, 2.5)),
-        SubjectHistory("d", 4.0, True, (3.0,)),
+    tied = make_arm(1, [
+        ("a", 2.0, True, (1.0, 2.0)),
+        ("b", 2.0, True, (2.0,)),
+        ("c", 3.0, False, (1.0, 2.0, 2.5)),
+        ("d", 4.0, True, (3.0,)),
     ])
     for tau in (0.5, 1.0, 2.0, 2.7, 3.5, 10.0):
         for conv in ("left", "right"):
@@ -92,10 +90,10 @@ def test_influence_matches_dense_oracle(rng):
 
 def test_influence_empty_jump_sets():
     # no events and no deaths by tau: every influence value is zero
-    arm = ArmDataset(1, [
-        SubjectHistory("a", 1.0, False),
-        SubjectHistory("b", 5.0, True, (4.0,)),
-        SubjectHistory("c", 2.0, False),
+    arm = make_arm(1, [
+        ("a", 1.0, False),
+        ("b", 5.0, True, (4.0,)),
+        ("c", 2.0, False),
     ])
     psi = influence_values(arm, 3.0).values
     assert psi.shape == (3,) and np.all(psi == 0.0)
@@ -115,9 +113,9 @@ def test_influence_reduces_without_deaths_or_censoring(rng):
     # psi_i = (tau - T_i) - theta
     tau = 4.0
     times = np.sort(rng.uniform(0.1, tau - 0.1, 12))
-    subs = [SubjectHistory(f"s{i}", tau, False, (float(t),))
+    subs = [(f"s{i}", tau, False, (float(t),))
             for i, t in enumerate(times)]
-    arm = ArmDataset(1, subs)
+    arm = make_arm(1, subs)
     theta = aumcf(arm, tau)
     psi = influence_values(arm, tau).values
     expected = (tau - times) - theta
@@ -125,8 +123,8 @@ def test_influence_reduces_without_deaths_or_censoring(rng):
 
 
 def test_influence_zero_for_identical_histories():
-    subs = [SubjectHistory(f"s{i}", 5.0, True, (1.0, 2.0)) for i in range(4)]
-    psi = influence_values(ArmDataset(1, subs), 5.0).values
+    subs = [(f"s{i}", 5.0, True, (1.0, 2.0)) for i in range(4)]
+    psi = influence_values(make_arm(1, subs), 5.0).values
     assert np.allclose(psi, 0.0, atol=1e-12)
 
 
@@ -157,10 +155,7 @@ def test_wald_degenerate_conventions():
 
 
 def test_contrast_identical_arms(toy_arm):
-    mirrored = ArmDataset(2, [
-        SubjectHistory(s.subject_id, s.follow_up, s.terminal, s.event_times)
-        for s in toy_arm.subjects
-    ])
+    mirrored = make_arm(2, subject_rows(toy_arm))
     study = StudyDataset(toy_arm, mirrored, tau=12.0)
     res = contrast_difference(study)
     assert res.point == 0.0 and res.p_value == 1.0
@@ -179,19 +174,17 @@ def test_contrast_difference_hand_value(toy_arm):
 def test_ratio_doubled_events(rng):
     # duplicating every event doubles theta with the same survival curve
     arm = random_arm(rng, n=25)
-    doubled = ArmDataset(2, [
-        SubjectHistory(s.subject_id, s.follow_up, s.terminal,
-                       tuple(sorted(s.event_times * 2)))
-        for s in arm.subjects
+    doubled = make_arm(1, [
+        (sid, x, d, tuple(sorted(times * 2))) for sid, x, d, times, *_ in subject_rows(arm)
     ])
-    study = StudyDataset(ArmDataset(1, doubled.subjects), ArmDataset(2, arm.subjects), tau=3.0)
+    study = StudyDataset(doubled, make_arm(2, subject_rows(arm)), tau=3.0)
     res = contrast_ratio(study)
     assert res.point == pytest.approx(2.0, rel=1e-12)
 
 
 def test_ratio_undefined_for_zero_theta():
-    a1 = ArmDataset(1, [SubjectHistory("a", 5.0, False, (1.0,))])
-    a2 = ArmDataset(2, [SubjectHistory("b", 5.0, False)])
+    a1 = make_arm(1, [("a", 5.0, False, (1.0,))])
+    a2 = make_arm(2, [("b", 5.0, False)])
     with pytest.raises(RatioUndefinedError):
         contrast_ratio(StudyDataset(a1, a2, tau=5.0))
 
@@ -213,15 +206,12 @@ def test_wald_ci_duality(rng, alpha):
 
 
 def test_ghosh_lin_identical_arms(toy_arm):
-    mirrored = ArmDataset(2, toy_arm.subjects)
+    mirrored = make_arm(2, subject_rows(toy_arm))
     assert ghosh_lin_Q(StudyDataset(toy_arm, mirrored, tau=12.0)) == 0.0
 
 
 def test_ghosh_lin_sign_and_hand_value(toy_arm):
-    empty2 = ArmDataset(2, [
-        SubjectHistory(s.subject_id, s.follow_up, s.terminal, ())
-        for s in toy_arm.subjects
-    ])
+    empty2 = make_arm(2, [(sid, x, d) for sid, x, d, *_ in subject_rows(toy_arm)])
     study = StudyDataset(toy_arm, empty2, tau=12.0)
     q = ghosh_lin_Q(study)
     d = contrast_difference(study).point
@@ -257,12 +247,9 @@ def test_weighted_contrast_linearity(rng):
     w2 = weighted_contrast(study, {0: 2.0, 1: 1e-12})
     # type-0-only study for comparison
     def only_type0(arm, label):
-        return ArmDataset(label, [
-            SubjectHistory(
-                s.subject_id, s.follow_up, s.terminal,
-                tuple(t for t, k in zip(s.event_times, s.event_types) if k == 0),
-            )
-            for s in arm.subjects
+        return make_arm(label, [
+            (sid, x, d, tuple(t for t, k in zip(times, types) if k == 0))
+            for sid, x, d, times, types, _ in subject_rows(arm)
         ])
     sub = StudyDataset(only_type0(study.arm1, 1), only_type0(study.arm2, 2), study.tau)
     base = contrast_difference(sub)
@@ -274,13 +261,9 @@ def test_weighted_contrast_death_as_extra_type(rng):
     # terminal event as an extra event type with weight 2
     study = random_study(rng, n=25)
     def with_death_type(arm, label):
-        return ArmDataset(label, [
-            SubjectHistory(
-                s.subject_id, s.follow_up, s.terminal,
-                s.event_times + ((s.follow_up,) if s.terminal else ()),
-                tuple([0] * len(s.event_times)) + ((9,) if s.terminal else ()),
-            )
-            for s in arm.subjects
+        return make_arm(label, [
+            (sid, x, d, times + ((x,) if d else ()), (0,) * len(times) + ((9,) if d else ()))
+            for sid, x, d, times, *_ in subject_rows(arm)
         ])
     aug = StudyDataset(with_death_type(study.arm1, 1), with_death_type(study.arm2, 2), study.tau)
     res = weighted_contrast(aug, {0: 1.0, 9: 2.0})

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -12,15 +13,14 @@ from aumcf import (
     contrast_difference,
     generate_dataset,
     run_operating_characteristics,
-    simulate_subject,
     survival_bias_sensitivity,
     true_value_oracle,
 )
-from aumcf.core import ArmDataset, SubjectHistory, StudyDataset
+from aumcf.core import StudyDataset
 from aumcf.estimation import aumcf
-from aumcf.simulation import _PURPOSE_BOOTSTRAP, _stream
+from aumcf.simulation import _PURPOSE_BOOTSTRAP, _stream, simulate_subject
 
-from conftest import random_study
+from conftest import make_arm, random_study, subject_rows
 
 # quadrature truths, frozen from an independent oracle
 THETA_ICR_TAU1 = 0.4682688269495465
@@ -52,9 +52,47 @@ def test_generate_dataset_deterministic():
     cfg = ScenarioConfig(n_per_arm=20, seed=4, replicates=1)
     a = generate_dataset(cfg, 0)
     b = generate_dataset(cfg, 0)
-    assert a.arm1.subjects == b.arm1.subjects
+    assert a == b
     c = generate_dataset(cfg, 1)
-    assert a.arm1.subjects != c.arm1.subjects
+    assert a.arm1 != c.arm1
+
+
+def _column_digest(study):
+    """SHA-256 over every column of both arms: name, dtype, shape and bytes
+    (subject ids as NUL-joined UTF-8)."""
+    h = hashlib.sha256()
+    for arm in study.arms():
+        for name in ("subject_ids", "follow_up", "terminal", "covariates",
+                     "event_times", "event_subjects", "event_type_labels"):
+            x = getattr(arm, name)
+            h.update(f"{name} {x.dtype} {x.shape}\n".encode())
+            h.update("\0".join(x.tolist()).encode() if x.dtype == object else x.tobytes())
+    return h.hexdigest()
+
+
+# generate_dataset at n=25, seed 7, recorded when arms were still built
+# from per-subject objects; the columnar build must draw the same numbers
+_PINNED = {
+    ("icr", "none", 0): "b9ca23568154d9087e46422f1e9e9ea470900e7f0982a9351f3b960b5de44b5a",
+    ("icr", "none", 1): "d169ef3ebbdce2b67556ed151fc784c5013ede1cbb945ce2f8ad63f2b13d4383",
+    ("icr", "informative", 0): "8fdfdf0942f677fbe0a2d5cbaac2e9ad0565dcc7a64a34c567711f99eaa56a1c",
+    ("icr", "informative", 1): "61c323c80346621f7319a8206eccd5aa4c057eb57a2d53bd59e493b5532e2d53",
+    ("frailty", "none", 0): "bb51ce1dd53e2c954e2c0eeb92d747f6a1b307e7764bac87d05d3e3dc4c1ab85",
+    ("frailty", "none", 1): "7910622bb6fc93bed7b99faa1abd2dd4d3fa4ff4ddca5156a48a3a258981cd28",
+    ("frailty", "informative", 0): "cd763f71357452e2aa11e61755986b37295b25d271749fcbb39b0368489cb08c",
+    ("frailty", "informative", 1): "dd10341907ff6dd127874e409c6cedae417cfc066ebde4cdd9960e09fc87d520",
+    ("time_varying", "none", 0): "933a1f7b9604040ebbf3daa338e22db2e8ce5f3fadb213cd9e4aea9fd72789e8",
+    ("time_varying", "none", 1): "d14db0e2e1540aef1bbd7a1ed3743da01e4829d569c3fa0dbde8514b21efb3f1",
+    ("time_varying", "informative", 0): "5da03d670b07ecf2902b898b8ab108e93f10356a34c55a4701fd6f408938e369",
+    ("time_varying", "informative", 1): "a1025d4631acc1af1c6b827a4d404a3201df94bddeb3b58e61e6189bd43f711c",
+}
+
+
+@pytest.mark.parametrize("kind,mode,replicate", list(_PINNED))
+def test_generate_dataset_pinned(kind, mode, replicate):
+    cfg = ScenarioConfig(kind=kind, covariate_mode=mode, n_per_arm=25, seed=7,
+                         change_point=0.5, rate_multipliers=(1.0, 2.0))
+    assert _column_digest(generate_dataset(cfg, replicate)) == _PINNED[kind, mode, replicate]
 
 
 def test_generated_dataset_valid():
@@ -64,9 +102,9 @@ def test_generated_dataset_valid():
     for arm in study.arms():
         assert arm.n == 200
         assert np.all(arm.follow_up >= 0)
-        for s in arm.subjects:
-            assert all(0 <= t <= s.follow_up for t in s.event_times)
-            assert len(s.covariates) == 1
+        assert np.all(arm.event_times >= 0)
+        assert np.all(arm.event_times <= arm.follow_up[arm.event_subjects])
+        assert arm.covariates.shape == (200, 1)
 
 
 def test_zero_event_rate():
@@ -187,23 +225,23 @@ def test_bootstrap_deterministic_and_degenerate():
     assert a == b
     with pytest.raises(ValidationError):
         bootstrap_se(study, B=10)
-    same = [SubjectHistory(f"s{i}", 2.0, True, (1.0,)) for i in range(20)]
-    degen = StudyDataset(ArmDataset(1, same),
-                         ArmDataset(2, list(same)), tau=2.0)
+    same = [(f"s{i}", 2.0, True, (1.0,)) for i in range(20)]
+    degen = StudyDataset(make_arm(1, same),
+                         make_arm(2, list(same)), tau=2.0)
     assert bootstrap_se(degen, B=100, seed=1) == 0.0
 
 
 def test_bootstrap_equals_resampling_subject_objects(rng):
     """Resampling on the columns gives bitwise the SE of rebuilding each
-    resampled arm from subject objects, draw for draw."""
+    resampled arm from per-subject rows, draw for draw."""
     study = random_study(rng, n=30, n_types=2)
     draws = _stream(11, _PURPOSE_BOOTSTRAP)
     deltas = []
     for _ in range(100):
         thetas = []
-        for arm in study.arms():
+        for arm, rows in zip(study.arms(), map(subject_rows, study.arms())):
             idx = draws.integers(0, arm.n, size=arm.n)
-            resampled = ArmDataset(arm.arm, [arm.subjects[i] for i in idx])
+            resampled = make_arm(arm.arm, [rows[i] for i in idx])
             thetas.append(aumcf(resampled, study.tau))
         deltas.append(thetas[0] - thetas[1])
     assert bootstrap_se(study, B=100, seed=11) == float(np.std(deltas, ddof=1))
@@ -219,8 +257,10 @@ def test_streams_are_distinct():
 
 def test_subject_draw_order_stable():
     cfg = ScenarioConfig(kind="frailty", covariate_mode="informative", seed=19)
-    rng = _stream(cfg.seed, 0, 0, 1, 0)
-    s1 = simulate_subject(cfg, 1, rng, "a")
-    rng = _stream(cfg.seed, 0, 0, 1, 0)
-    s2 = simulate_subject(cfg, 1, rng, "a")
-    assert s1 == s2
+    x, dead, events, w = simulate_subject(cfg, 1, _stream(cfg.seed, 0, 0, 1, 0))
+    assert simulate_subject(cfg, 1, _stream(cfg.seed, 0, 0, 1, 0)) == (x, dead, events, w)
+    # generate_dataset's first subject is that draw
+    arm = generate_dataset(cfg, 0, n_per_arm=3).arm1
+    first = arm.event_subjects == 0
+    assert (arm.follow_up[0], arm.terminal[0], arm.covariates[0, 0]) == (x, dead, w)
+    assert arm.event_times[first].tolist() == events
