@@ -10,7 +10,6 @@ from .core import (
     arm_truncation_message,
     read_arms_csv,
     read_study_csv,
-    validate_truncation,
     write_records_csv,
 )
 from .estimation import (
@@ -18,23 +17,19 @@ from .estimation import (
     StepFunction,
     area_under_step,
     aumcf,
-    event_rate_increments,
     fit_arm,
     km_survival,
     mcf,
-    nelson_aalen_terminal,
     rmst,
     time_lost_per_subject,
 )
 from .inference import (
     ContrastResult,
-    InfluenceSet,
     RatioUndefinedError,
     arm_variance,
     contrast_difference,
     contrast_ratio,
     fit_influence,
-    ghosh_lin_Q,
     influence_values,
     weighted_contrast,
 )
@@ -60,13 +55,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ArmDataset", "Status", "StudyDataset",
     "TruncationError", "ValidationError", "arm_truncation_message",
-    "read_arms_csv", "read_study_csv", "validate_truncation",
-    "write_records_csv",
-    "ArmFit", "StepFunction", "area_under_step", "aumcf", "event_rate_increments",
-    "fit_arm", "km_survival", "mcf", "nelson_aalen_terminal", "rmst",
-    "time_lost_per_subject",
-    "ContrastResult", "InfluenceSet", "RatioUndefinedError", "arm_variance",
-    "contrast_difference", "contrast_ratio", "fit_influence", "ghosh_lin_Q",
+    "read_arms_csv", "read_study_csv", "write_records_csv",
+    "ArmFit", "StepFunction", "area_under_step", "aumcf", "fit_arm",
+    "km_survival", "mcf", "rmst", "time_lost_per_subject",
+    "ContrastResult", "RatioUndefinedError", "arm_variance",
+    "contrast_difference", "contrast_ratio", "fit_influence",
     "influence_values", "weighted_contrast",
     "AugmentedResult", "SingularCovariateError", "augmentation_weights",
     "augmented_contrast",

@@ -18,7 +18,6 @@ import numpy as np
 from .core import StudyDataset, ValidationError
 from .inference import (
     ContrastResult,
-    InfluenceSet,
     _arm_estimates,
     _difference_result,
     _wald_result,
@@ -71,16 +70,13 @@ class AugmentedResult:
 
 
 def augmentation_weights(
-    study: StudyDataset,
-    inf1: InfluenceSet,
-    inf2: InfluenceSet,
-    ridge: float | None = None,
+    study: StudyDataset, psi1: np.ndarray, psi2: np.ndarray
 ) -> CovariateSummary:
     """Optimal augmentation weight beta solving Sigma_W beta = gamma.
 
-    ``ridge`` adds eps * trace(Sigma_W)/p to the diagonal for nearly
-    collinear covariates; without it a singular system raises
-    :class:`SingularCovariateError` naming the offending directions.
+    ``psi1`` and ``psi2`` are the arms' influence-value arrays. A singular
+    system raises :class:`SingularCovariateError` naming the offending
+    directions.
     """
     p = study.arm1.covariate_dim
     if p < 1:
@@ -89,7 +85,7 @@ def augmentation_weights(
     gamma = np.zeros(p)
     sigma_w = np.zeros((p, p))
     means = []
-    for arm, inf in zip(study.arms(), (inf1, inf2)):
+    for arm, psi in zip(study.arms(), (psi1, psi2)):
         if arm.n < p + 1:
             raise ValidationError(
                 f"arm {arm.arm}: need at least p+1={p + 1} subjects for augmentation"
@@ -99,11 +95,9 @@ def augmentation_weights(
         means.append(wbar)
         centered = w - wbar
         scale = n / arm.n**2
-        gamma += scale * centered.T @ inf.values
+        gamma += scale * centered.T @ psi
         sigma_w += scale * centered.T @ centered
     sigma_w = 0.5 * (sigma_w + sigma_w.T)
-    if ridge is not None:
-        sigma_w = sigma_w + ridge * np.trace(sigma_w) / p * np.eye(p)
     eigvals, eigvecs = np.linalg.eigh(sigma_w)
     if eigvals[-1] <= 0 or eigvals[0] <= 1e-10 * eigvals[-1]:
         bad = eigvals <= 1e-10 * max(eigvals[-1], 0.0)
@@ -127,7 +121,6 @@ def augmented_contrast(
     study: StudyDataset,
     alpha: float = 0.05,
     s_convention: str = "left",
-    ridge: float | None = None,
 ) -> AugmentedResult:
     """Covariate-adjusted difference in AUMCFs with both results reported.
 
@@ -136,7 +129,7 @@ def augmented_contrast(
     """
     estimates = _arm_estimates(study, s_convention)
     unadjusted = _difference_result(study, alpha, estimates)
-    (_, inf1), (_, inf2) = estimates
+    (_, psi1), (_, psi2) = estimates
 
     p = study.arm1.covariate_dim
     if p == 0:
@@ -150,11 +143,11 @@ def augmented_contrast(
             covariate_names=study.covariate_names, relative_efficiency=1.0,
         )
 
-    summary = augmentation_weights(study, inf1, inf2, ridge=ridge)
+    summary = augmentation_weights(study, psi1, psi2)
     point = unadjusted.point - float(summary.beta_hat @ (summary.mean1 - summary.mean2))
     n1, n2 = study.arm1.n, study.arm2.n
     n = n1 + n2
-    sigma_delta = n * (arm_variance(inf1) / n1 + arm_variance(inf2) / n2)
+    sigma_delta = n * (arm_variance(psi1) / n1 + arm_variance(psi2) / n2)
     sigma_adj = sigma_delta - float(summary.gamma_hat @ summary.beta_hat)
     clamped = False
     if sigma_adj < 0:
@@ -167,7 +160,7 @@ def augmented_contrast(
         clamped = True
     se_adj = math.sqrt(sigma_adj / n)
     adjusted = _wald_result(
-        "difference", study.tau, alpha, point, se_adj, 0.0,
+        "difference", study.tau, alpha, point, se_adj,
         unadjusted.theta1, unadjusted.se1, unadjusted.theta2, unadjusted.se2, n1, n2,
     )
     rel_eff = (unadjusted.se / se_adj) ** 2 if se_adj > 0 else math.inf

@@ -9,6 +9,7 @@ degeneracy, 4 config error.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -29,7 +30,6 @@ from .core import (
     arm_truncation_message,
     read_arms_csv,
     read_study_csv,
-    validate_truncation,
 )
 from .estimation import S_CONVENTIONS, _mcf_given_km, fit_arm, km_survival
 from .inference import (
@@ -113,10 +113,17 @@ def _read_csv_input(path: str, tau: float) -> tuple[io.TextIOWrapper, str]:
     return text, hashlib.sha256(raw).hexdigest()
 
 
+def _check_truncation(arms, tau: float, strict: bool) -> None:
+    """With ``--strict-tau``, fail when some arm has no subject followed to tau."""
+    msgs = [m for a in arms if (m := arm_truncation_message(a, tau))]
+    if msgs and strict:
+        raise TruncationError("; ".join(msgs))
+
+
 def _load_study(path: str, tau: float, strict: bool) -> tuple[StudyDataset, str]:
     text, digest = _read_csv_input(path, tau)
     study = read_study_csv(text, tau)
-    validate_truncation(study, strict=strict)
+    _check_truncation(study.arms(), tau, strict)
     return study, digest
 
 
@@ -124,10 +131,9 @@ def _load_arms(path: str, tau: float, strict: bool) -> tuple[list[ArmDataset], s
     """Arm-wise loader for the commands that accept single-arm input."""
     text, digest = _read_csv_input(path, tau)
     arms, _ = read_arms_csv(text)
-    msgs = [m for a in arms.values() if (m := arm_truncation_message(a, tau))]
-    if msgs and strict:
-        raise TruncationError("; ".join(msgs))
-    return [arms[k] for k in sorted(arms)], digest
+    arms = [arms[k] for k in sorted(arms)]
+    _check_truncation(arms, tau, strict)
+    return arms, digest
 
 
 def _provenance(command: str, digest: str, **extra) -> dict:
@@ -177,20 +183,22 @@ def _csv_cell(v) -> str:
 
 
 def _subset_covariates(study: StudyDataset, names: tuple[str, ...]) -> StudyDataset:
+    """The study with only the covariate columns ``names``, in that order;
+    the arms' other columns are shared, not checked and sorted again."""
+    if not names:
+        raise ConfigError("empty covariate list")
     try:
         idx = [study.covariate_names.index(n) for n in names]
     except ValueError as exc:
         raise ConfigError(
             f"unknown covariate column; available: {list(study.covariate_names)}"
         ) from exc
-    arms = [
-        ArmDataset(
-            arm.arm, arm.subject_ids, arm.follow_up, arm.terminal,
-            arm.covariates[:, idx], arm.event_times, arm.event_subjects,
-            arm.event_type_labels,
-        )
-        for arm in study.arms()
-    ]
+    arms = []
+    for arm in study.arms():
+        sub = copy.copy(arm)
+        sub.covariates = np.ascontiguousarray(arm.covariates[:, idx])
+        sub.covariates.flags.writeable = False
+        arms.append(sub)
     return StudyDataset(arms[0], arms[1], study.tau, covariate_names=names)
 
 

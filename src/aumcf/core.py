@@ -187,14 +187,6 @@ class StudyDataset:
         return (self.arm1, self.arm2)
 
 
-@dataclass(frozen=True)
-class TruncationReport:
-    """Outcome of the identifiability check P(X >= tau) > 0 per arm."""
-
-    ok: bool
-    messages: tuple[str, ...] = ()
-
-
 def _arms_from_rows(ids, time, status, arm, event_type, covariates):
     """Validate long-format rows given as columns and group them into arms.
 
@@ -277,21 +269,9 @@ def _arms_from_rows(ids, time, status, arm, event_type, covariates):
     return arms
 
 
-def validate_truncation(study: StudyDataset, strict: bool = False) -> TruncationReport:
-    """Check that each arm has at least one subject with X >= tau.
-
-    Without this the MCF is not identifiable up to tau; the default is a
-    warning-level report, strict mode raises :class:`TruncationError`.
-    """
-    msgs = [m for arm_data in study.arms()
-            if (m := arm_truncation_message(arm_data, study.tau))]
-    if msgs and strict:
-        raise TruncationError("; ".join(msgs))
-    return TruncationReport(ok=not msgs, messages=tuple(msgs))
-
-
 def arm_truncation_message(arm_data: ArmDataset, tau: float) -> Optional[str]:
-    """Identifiability message for one arm, or None when X_max >= tau."""
+    """Identifiability message for one arm, or None when X_max >= tau:
+    without a subject followed to tau the MCF is not identifiable up to tau."""
     if float(arm_data.follow_up.max()) < tau:
         return (
             f"arm {arm_data.arm}: max follow-up "
@@ -309,20 +289,6 @@ _FIXED_COLUMNS = ("id", "time", "status", "arm")
 # rows converted at a time: only this many rows are ever held as strings
 # beyond the id column
 _CHUNK_ROWS = 4096
-
-
-@dataclass(frozen=True)
-class _CsvColumns:
-    """Parsed CSV rows as columns; ``event_type`` is 0 where the field is
-    empty or absent."""
-
-    ids: list[str]
-    time: np.ndarray
-    status: np.ndarray
-    arm: np.ndarray
-    event_type: np.ndarray
-    covariates: np.ndarray
-    covariate_names: tuple[str, ...]
 
 
 def _floats(values) -> np.ndarray:
@@ -351,9 +317,13 @@ def _int64(v) -> int:
     return x
 
 
-def _read_columns(fh) -> _CsvColumns:
+def _read_columns(fh) -> tuple[tuple, tuple[str, ...]]:
     """Stream ``csv.reader`` rows into one array per column, converting a
     chunk of rows at a time with Python's own ``int`` and ``float``.
+
+    Returns the columns ``(ids, time, status, arm, event_type, covariates)``
+    that ``_arms_from_rows`` takes, ``event_type`` being 0 where the field
+    is empty or absent, and the covariate column names.
 
     Errors name the line: the header is line 1 and blank lines, which are
     skipped, still count.
@@ -403,15 +373,10 @@ def _read_columns(fh) -> _CsvColumns:
     n = len(ids)
     arrays = [np.concatenate(p) if p else np.empty(0) for p in parts]
     covs = arrays[1 + has_type:-2]
-    return _CsvColumns(
-        ids=ids,
-        time=arrays[-2],
-        status=arrays[0].astype(np.int64),
-        arm=arrays[-1].astype(np.int64),
-        event_type=arrays[1].astype(np.int64) if has_type else np.zeros(n, dtype=np.int64),
-        covariates=np.column_stack(covs) if covs else np.empty((n, 0)),
-        covariate_names=cov_names,
-    )
+    event_type = arrays[1].astype(np.int64) if has_type else np.zeros(n, dtype=np.int64)
+    covariates = np.column_stack(covs) if covs else np.empty((n, 0))
+    status, arm = arrays[0].astype(np.int64), arrays[-1].astype(np.int64)
+    return (ids, arrays[-2], status, arm, event_type, covariates), cov_names
 
 
 def _line(row: int, blanks: list[int]) -> int:
@@ -451,13 +416,13 @@ def _raise_bad_field(chunk, fields, offset, blanks):
 def read_arms_csv(source) -> tuple[dict[int, ArmDataset], tuple[str, ...]]:
     """Read per-arm datasets (one or both arms) from a CSV path or file
     object, plus the covariate column names."""
+    # the reader's chunk arrays are freed before the rows are grouped
     if hasattr(source, "read"):
-        c = _read_columns(source)
+        columns, cov_names = _read_columns(source)
     else:
         with open(source, newline="") as fh:
-            c = _read_columns(fh)
-    arms = _arms_from_rows(c.ids, c.time, c.status, c.arm, c.event_type, c.covariates)
-    return arms, c.covariate_names
+            columns, cov_names = _read_columns(fh)
+    return _arms_from_rows(*columns), cov_names
 
 
 def write_records_csv(study: StudyDataset, fh) -> None:

@@ -1,6 +1,7 @@
 """Step-function estimators: Kaplan-Meier survival of the terminal event,
-Nelson-Aalen increments, the mean cumulative function (MCF), and the area
-under the MCF (AUMCF) on [0, tau].
+the mean cumulative function (MCF), and the area under the MCF (AUMCF) on
+[0, tau], with the one arm fit (``ArmFit``) that the AUMCF and its
+influence values are sums over.
 
 All integrals are exact sums over jump points; there is no quadrature grid.
 The MCF integrand uses the left limit of the Kaplan-Meier curve by default
@@ -56,29 +57,16 @@ class StepFunction:
         full = np.concatenate(([self.initial_value], self.values))
         return full[idx] if t.ndim else float(full[idx])
 
-    def to_rows(self, tau: float | None = None):
-        """(time, value) pairs starting at t=0, optionally clipped at tau."""
+    def to_rows(self, tau: float):
+        """(time, value) pairs from t=0 up to tau, ending with the value at tau."""
         rows = [(0.0, float(self.initial_value))]
         for t, v in zip(self.jump_times, self.values):
-            if tau is not None and t > tau:
+            if t > tau:
                 break
             rows.append((float(t), float(v)))
-        if tau is not None and (not rows or rows[-1][0] < tau):
+        if rows[-1][0] < tau:
             rows.append((float(tau), float(self(tau))))
         return rows
-
-
-@dataclass(frozen=True)
-class JumpIncrements:
-    """Positive jump masses of an aggregated rate estimator.
-
-    ``increments[k]`` is the mass at ``times[k]`` (events at that time
-    divided by the at-risk count ``at_risk[k]``).
-    """
-
-    times: np.ndarray
-    increments: np.ndarray
-    at_risk: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -132,22 +120,6 @@ def km_survival(arm: ArmDataset) -> StepFunction:
     """Kaplan-Meier product-limit estimator of the terminal-event survival."""
     td, d, y = _death_jumps(arm)
     return StepFunction(td, np.cumprod(1.0 - d / y), 1.0)
-
-
-def nelson_aalen_terminal(arm: ArmDataset) -> StepFunction:
-    """Nelson-Aalen estimator of the terminal-event cumulative hazard."""
-    td, d, y = _death_jumps(arm)
-    return StepFunction(td, np.cumsum(d / y), 0.0)
-
-
-def event_rate_increments(arm: ArmDataset, event_type: int | None = None) -> JumpIncrements:
-    """Aggregated event-rate jumps dR(u) = (events at u) / (at risk at u).
-
-    With ``event_type`` given, only events of that type contribute mass;
-    the at-risk counts are unchanged.
-    """
-    te, counts, y = _event_jumps(arm, event_type=event_type)
-    return JumpIncrements(te, counts / y, y)
 
 
 def mcf(arm: ArmDataset, s_convention: str = "left") -> StepFunction:

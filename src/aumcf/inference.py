@@ -4,8 +4,9 @@ The per-subject influence value combines two martingale integrals: the
 event-process residual weighted by (tau - u) S_D(u) / (Ybar/n), minus the
 terminal-event residual weighted by the tail integral
 B(u) = sum over v in (u, tau] of (tau - v) dm(v).
-The arm variance is the sample mean of squared influence values; the
-two-sample standard error follows from independence of arms.
+Influence values are plain arrays in the arm's subject order. The arm
+variance is the sample mean of their squares; the two-sample standard
+error follows from independence of arms.
 """
 
 from __future__ import annotations
@@ -17,24 +18,11 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import ArmDataset, StudyDataset, ValidationError
-from .estimation import ArmFit, _survival_at, fit_arm, km_survival
+from .estimation import ArmFit, fit_arm
 
 
 class RatioUndefinedError(ValueError):
     """Raised when a ratio contrast is requested with a nonpositive AUMCF."""
-
-
-@dataclass(frozen=True)
-class InfluenceSet:
-    """Per-subject influence values for one arm at truncation tau.
-
-    Values align with the subject order of the originating ArmDataset and
-    sum to zero up to floating-point error.
-    """
-
-    arm: int
-    tau: float
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -74,8 +62,9 @@ class ContrastResult:
         return [getattr(self, f) for f in self.CSV_FIELDS]
 
 
-def fit_influence(fit: ArmFit) -> InfluenceSet:
-    """Per-subject influence values of the AUMCF from one arm fit.
+def fit_influence(fit: ArmFit) -> np.ndarray:
+    """Per-subject influence values of the AUMCF from one arm fit, in the
+    arm's subject order; they sum to zero up to floating-point error.
 
     psi_i = sum over event jumps u of w(u) dM_i(u), with w(u) = (tau - u)
     S_D(u) n / Y(u), minus the sum over death jumps v of B(v) n / Y(v)
@@ -102,8 +91,7 @@ def fit_influence(fit: ArmFit) -> InfluenceSet:
     obs_death[dead] = w_d[np.searchsorted(td, x[dead])]
     comp_death = _prefix_at(w_d * (fit.d / fit.y_d), td, x)
 
-    psi = (obs_event - comp_event) - (obs_death - comp_death)
-    return InfluenceSet(arm=arm.arm, tau=float(tau), values=psi)
+    return (obs_event - comp_event) - (obs_death - comp_death)
 
 
 def _prefix_at(mass: np.ndarray, knots: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -117,7 +105,7 @@ def influence_values(
     tau: float,
     s_convention: str = "left",
     event_type: int | None = None,
-) -> InfluenceSet:
+) -> np.ndarray:
     """Estimated per-subject influence values for the arm AUMCF at tau.
 
     With ``event_type`` given, the event process is restricted to that
@@ -127,26 +115,26 @@ def influence_values(
     return fit_influence(fit_arm(arm, tau, s_convention, event_type))
 
 
-def arm_variance(inf: InfluenceSet) -> float:
+def arm_variance(psi: np.ndarray) -> float:
     """Plug-in arm variance: mean of squared influence values."""
-    return float(np.mean(inf.values**2))
+    return float(np.mean(psi**2))
 
 
-def wald_pvalue(point: float, se: float, null_value: float = 0.0) -> float:
-    """Two-sided Wald p-value 2 * (1 - Phi(|point - null| / se)).
+def wald_pvalue(point: float, se: float) -> float:
+    """Two-sided Wald p-value 2 * (1 - Phi(|point| / se)) against a null of 0.
 
     A zero standard error yields 0 for a nonzero deviation and 1 otherwise
     (the degenerate convention used by the contrast operations).
     """
     if se < 0:
         raise ValueError("se must be nonnegative")
-    dev = abs(point - null_value)
+    dev = abs(point)
     if se == 0.0:
         return 1.0 if dev == 0.0 else 0.0
     return math.erfc(dev / se / math.sqrt(2.0))
 
 
-def _arm_estimates(study: StudyDataset, s_convention: str) -> list[tuple[float, InfluenceSet]]:
+def _arm_estimates(study: StudyDataset, s_convention: str) -> list[tuple[float, np.ndarray]]:
     """Theta and influence values of each arm, from one fit per arm."""
     fits = [fit_arm(arm, study.tau, s_convention) for arm in study.arms()]
     return [(fit.theta, fit_influence(fit)) for fit in fits]
@@ -158,7 +146,7 @@ def _difference_result(study: StudyDataset, alpha: float, estimates) -> Contrast
     n1, n2 = study.arm1.n, study.arm2.n
     s1, s2 = arm_variance(inf1), arm_variance(inf2)
     return _wald_result(
-        "difference", study.tau, alpha, t1 - t2, math.sqrt(s1 / n1 + s2 / n2), 0.0,
+        "difference", study.tau, alpha, t1 - t2, math.sqrt(s1 / n1 + s2 / n2),
         t1, math.sqrt(s1 / n1), t2, math.sqrt(s2 / n2), n1, n2,
     )
 
@@ -200,44 +188,10 @@ def contrast_ratio(
         se=point * se_log,
         ci_lower=ci_lower,
         ci_upper=ci_upper,
-        p_value=wald_pvalue(log_point, se_log, 0.0),
+        p_value=wald_pvalue(log_point, se_log),
         theta1=t1, se1=math.sqrt(s1 / n1), theta2=t2, se2=math.sqrt(s2 / n2),
         n1=n1, n2=n2, degenerate=se_log == 0.0,
     )
-
-
-def ghosh_lin_Q(study: StudyDataset, s_convention: str = "left") -> float:
-    """Log-rank-style diagnostic statistic for recurrent events.
-
-    Exposed without a p-value: its limit under general alternatives depends
-    on the arm censoring distributions, so it is not a basis for inference
-    here.
-    """
-    tau = study.tau
-    arms = study.arms()
-    jump_sets = [
-        arm.event_times[arm.event_times <= tau] for arm in arms
-    ]
-    u = np.unique(np.concatenate(jump_sets)) if any(j.size for j in jump_sets) else np.empty(0)
-    if u.size == 0:
-        return 0.0
-    n1, n2 = arms[0].n, arms[1].n
-    y1 = arms[0].at_risk(u).astype(np.float64)
-    y2 = arms[1].at_risk(u).astype(np.float64)
-    terms = []
-    for arm, y in zip(arms, (y1, y2)):
-        km = km_survival(arm)
-        s = _survival_at(km, u, s_convention)
-        counts = np.zeros(u.size)
-        ev = arm.event_times[arm.event_times <= tau]
-        np.add.at(counts, np.searchsorted(u, ev), 1.0)
-        terms.append(np.divide(s * counts, y, out=np.zeros_like(counts), where=y > 0))
-    n = n1 + n2
-    denom = (y1 + y2) / n
-    weight = np.divide(
-        y1 * y2 / (n1 * n2), denom, out=np.zeros(u.size), where=denom > 0
-    )
-    return float(np.sum(weight * (terms[0] - terms[1])))
 
 
 def weighted_contrast(
@@ -267,13 +221,12 @@ def weighted_contrast(
         for k, w in sorted(weights.items()):
             fit = fit_arm(arm, study.tau, s_convention, event_type=k)
             theta += w * fit.theta
-            psi += w * fit_influence(fit).values
-        estimates.append((theta, InfluenceSet(arm=arm.arm, tau=float(study.tau), values=psi)))
+            psi += w * fit_influence(fit)
+        estimates.append((theta, psi))
     return _difference_result(study, alpha, estimates)
 
 
-def _wald_result(kind, tau, alpha, point, se, null_value,
-                 t1, se1, t2, se2, n1, n2) -> ContrastResult:
+def _wald_result(kind, tau, alpha, point, se, t1, se1, t2, se2, n1, n2) -> ContrastResult:
     z = _z(alpha)
     return ContrastResult(
         kind=kind,
@@ -283,7 +236,7 @@ def _wald_result(kind, tau, alpha, point, se, null_value,
         se=se,
         ci_lower=point - z * se,
         ci_upper=point + z * se,
-        p_value=wald_pvalue(point, se, null_value),
+        p_value=wald_pvalue(point, se),
         theta1=t1, se1=se1, theta2=t2, se2=se2,
         n1=n1, n2=n2, degenerate=(se == 0.0),
     )

@@ -11,8 +11,8 @@ replicates are reproducible and independent of execution order.
 from __future__ import annotations
 
 import itertools
-import json
 import math
+import numbers
 from dataclasses import dataclass, replace, asdict
 
 import numpy as np
@@ -52,47 +52,58 @@ class ScenarioConfig:
     horizon_factor: float = 10.0
 
     def __post_init__(self):
+        # every number must be finite: a draw must not loop forever, and
+        # reports echo the config as strict JSON
         if self.kind not in SCENARIO_KINDS:
             raise ValidationError(f"unknown scenario kind {self.kind!r}")
         if self.covariate_mode not in COVARIATE_MODES:
             raise ValidationError(f"unknown covariate mode {self.covariate_mode!r}")
-        rates = (*self.lambda_event, *self.lambda_death, self.lambda_censor)
-        if any(not np.isfinite(r) or r < 0 for r in rates):
-            raise ValidationError("rates must be finite and nonnegative")
-        if self.frailty_variance < 0:
-            raise ValidationError("frailty variance must be nonnegative")
-        if not self.tau > 0:
-            raise ValidationError("tau must be positive")
+        for name in ("lambda_event", "lambda_death", "rate_multipliers"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(_is_finite, pair))):
+                raise ValidationError(f"{name} must be a pair of finite numbers")
+        for name in ("lambda_censor", "frailty_variance", "change_point", "death_log_effect",
+                     "event_log_effect", "tau", "horizon_factor"):
+            if not _is_finite(getattr(self, name)):
+                raise ValidationError(f"{name} must be a finite number")
+        for name in ("n_per_arm", "replicates", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer")
+        if min(*self.lambda_event, *self.lambda_death, self.lambda_censor,
+               *self.rate_multipliers) < 0:
+            raise ValidationError("rates and rate multipliers must be nonnegative")
+        # the Gamma frailty's shape is 1 / variance
+        v = self.frailty_variance
+        if v < 0 or (v > 0 and not math.isfinite(1.0 / v)):
+            raise ValidationError("frailty variance must be 0, or positive with a finite reciprocal")
+        for name in ("tau", "horizon_factor"):
+            if not getattr(self, name) > 0:
+                raise ValidationError(f"{name} must be positive")
         if self.kind == "time_varying" and not 0 < self.change_point < self.tau:
             raise ValidationError("change point must lie in (0, tau)")
         if self.n_per_arm < 1 or self.replicates < 1:
             raise ValidationError("n_per_arm and replicates must be positive")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        """The config of a parsed JSON object; lists become tuples."""
+        if not isinstance(data, dict):
+            raise ValidationError("config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
             raise ValidationError(f"unknown config field(s): {sorted(unknown)}")
         data = dict(data)
         for key in ("lambda_event", "lambda_death", "rate_multipliers"):
-            if key in data:
+            if isinstance(data.get(key), list):
                 data[key] = tuple(data[key])
         return cls(**data)
-
-    @classmethod
-    def from_json(cls, source) -> "ScenarioConfig":
-        if hasattr(source, "read"):
-            data = json.load(source)
-        else:
-            with open(source) as fh:
-                data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValidationError("config file must contain a JSON object")
-        return cls.from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -153,6 +164,11 @@ class OperatingCharacteristics:
             "alpha": self.alpha,
             "rows": [asdict(r) for r in self.rows],
         }
+
+
+def _is_finite(value) -> bool:
+    """A finite real number that is not a bool (JSON ``true`` is not a rate)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -272,7 +288,6 @@ def true_value_oracle(
     config: ScenarioConfig,
     n_per_arm: int = 10_000,
     replicates: int = 2_000,
-    s_convention: str = "left",
 ) -> TrueValues:
     """Monte Carlo truth: average AUMCF estimates under no censoring.
 
@@ -284,19 +299,19 @@ def true_value_oracle(
     for r in range(replicates):
         study = generate_dataset(no_censor, r, purpose=_PURPOSE_ORACLE, n_per_arm=n_per_arm)
         for k, arm in enumerate(study.arms()):
-            sums[k] += aumcf(arm, config.tau, s_convention)
+            sums[k] += aumcf(arm, config.tau)
     return TrueValues(theta1=sums[0] / replicates, theta2=sums[1] / replicates)
 
 
 def _replicate_worker(args):
-    config, rep, methods, alpha, s_convention = args
+    config, rep, methods, alpha = args
     study = generate_dataset(config, rep)
     out = {}
     if "unadjusted" in methods and "adjusted" not in methods:
-        res = contrast_difference(study, alpha=alpha, s_convention=s_convention)
+        res = contrast_difference(study, alpha=alpha)
         out["unadjusted"] = (res.point, res.se, res.ci_lower, res.ci_upper, res.p_value)
     if "adjusted" in methods:
-        aug = augmented_contrast(study, alpha=alpha, s_convention=s_convention)
+        aug = augmented_contrast(study, alpha=alpha)
         for name, res in (("unadjusted", aug.unadjusted), ("adjusted", aug.adjusted)):
             if name in methods:
                 out[name] = (res.point, res.se, res.ci_lower, res.ci_upper, res.p_value)
@@ -308,7 +323,6 @@ def run_operating_characteristics(
     methods: tuple[str, ...] = ("unadjusted",),
     truth: TrueValues | float | None = None,
     alpha: float = 0.05,
-    s_convention: str = "left",
     n_jobs: int = 1,
 ) -> OperatingCharacteristics:
     """Monte Carlo operating characteristics of the requested contrasts.
@@ -329,7 +343,7 @@ def run_operating_characteristics(
     true_delta = truth.delta if isinstance(truth, TrueValues) else float(truth)
 
     reps = config.replicates
-    tasks = [(config, r, methods, alpha, s_convention) for r in range(reps)]
+    tasks = [(config, r, methods, alpha) for r in range(reps)]
     if n_jobs > 1:
         # imported here: the pool machinery adds about 2 MB to every import
         from concurrent.futures import ProcessPoolExecutor
@@ -369,8 +383,6 @@ def survival_bias_sensitivity(
     config: ScenarioConfig,
     death_rates: tuple[float, ...],
     modified_arm: int = 1,
-    alpha: float = 0.05,
-    n_jobs: int = 1,
 ) -> list[tuple[float, OperatingCharacteristics]]:
     """Operating characteristics across a terminal-rate grid for one arm.
 
@@ -386,10 +398,7 @@ def survival_bias_sensitivity(
         rates = list(config.lambda_death)
         rates[modified_arm - 1] = rate
         cfg = replace(config, lambda_death=tuple(rates))
-        oc = run_operating_characteristics(
-            cfg, methods=("unadjusted",), truth=0.0, alpha=alpha, n_jobs=n_jobs
-        )
-        out.append((rate, oc))
+        out.append((rate, run_operating_characteristics(cfg, truth=0.0)))
     return out
 
 
@@ -397,7 +406,6 @@ def bootstrap_se(
     study: StudyDataset,
     B: int = 1000,
     seed: int = 0,
-    s_convention: str = "left",
 ) -> float:
     """Nonparametric bootstrap SE of the AUMCF difference.
 
@@ -412,6 +420,6 @@ def bootstrap_se(
         thetas = []
         for arm in study.arms():
             idx = rng.integers(0, arm.n, size=arm.n)
-            thetas.append(aumcf(arm.take(idx), study.tau, s_convention))
+            thetas.append(aumcf(arm.take(idx), study.tau))
         deltas[b] = thetas[0] - thetas[1]
     return float(np.std(deltas, ddof=1))

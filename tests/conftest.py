@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,3 +149,27 @@ def dense_influence(arm, tau, s_convention="left", event_type=None):
     b = (area[None, :] * (te[None, :] > td[:, None])).sum(axis=1)
     w_d = np.where(td <= tau, b * n / y_d, 0.0)
     return res.d_event @ w_e - res.d_terminal @ w_d
+
+
+# ScenarioConfig fields that must be rejected, with the message naming why;
+# the first case hung the simulator (Gamma shape 1 / v overflows to inf),
+# so it is only ever constructed, never simulated
+BAD_SCENARIO_FIELDS = [
+    ("frailty_variance", 1e-320, "frailty variance must be 0, or positive with a finite reciprocal"),
+    ("frailty_variance", math.inf, "frailty_variance must be a finite number"),
+    ("n_per_arm", 2.5, "n_per_arm must be an integer"),
+    ("n_per_arm", True, "n_per_arm must be an integer"),
+    ("replicates", 2.0, "replicates must be an integer"),
+    ("seed", -1, "seed must be nonnegative"),
+    ("seed", 1.5, "seed must be an integer"),
+    ("lambda_event", (1.0,), "lambda_event must be a pair of finite numbers"),
+    ("lambda_death", (0.2, 0.2, 0.2), "lambda_death must be a pair of finite numbers"),
+    ("rate_multipliers", (1.0, math.inf), "rate_multipliers must be a pair of finite numbers"),
+    ("rate_multipliers", (1.0, -0.5), "rates and rate multipliers must be nonnegative"),
+    ("lambda_censor", True, "lambda_censor must be a finite number"),
+    ("horizon_factor", -1.0, "horizon_factor must be positive"),
+    ("horizon_factor", math.nan, "horizon_factor must be a finite number"),
+    ("change_point", math.nan, "change_point must be a finite number"),
+    ("tau", math.inf, "tau must be a finite number"),
+    ("event_log_effect", math.nan, "event_log_effect must be a finite number"),
+]

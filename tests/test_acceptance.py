@@ -190,7 +190,7 @@ def test_criterion_7d_influence_sum_zero(rng, report):
     for _ in range(100):
         arm = random_arm(rng, n=int(rng.integers(2, 60)))
         tau = float(rng.uniform(0.5, 5.0))
-        psi = influence_values(arm, tau).values
+        psi = influence_values(arm, tau)
         scale = arm.n * max(float(np.abs(psi).max()), 1e-300)
         worst = max(worst, abs(float(psi.sum())) / scale)
     report("criterion 7d (sum of influence values == 0)", worst <= 1e-9,

@@ -13,7 +13,7 @@ import aumcf
 from aumcf import write_records_csv
 from aumcf.cli import main
 
-from conftest import make_arm, random_study, subject_rows
+from conftest import BAD_SCENARIO_FIELDS, make_arm, random_study, subject_rows
 
 TOY_CSV = """id,time,status,arm
 s1,2,1,1
@@ -164,6 +164,14 @@ def test_compare_unknown_covariate_config_error(runner, toy_csv):
     assert result.exit_code == 4
 
 
+@pytest.mark.parametrize("spec", [",", " , ,"])
+def test_compare_empty_covariate_list_exits_4(runner, toy_csv, spec):
+    result = runner.invoke(main, ["compare", toy_csv, "--tau", "12", "--covariates", spec])
+    assert result.exit_code == 4 and result.stdout == ""
+    assert json.loads(result.stderr) == {"error": {
+        "code": 4, "type": "ConfigError", "message": "empty covariate list"}}
+
+
 def test_curves_toy_rows(runner, toy_csv):
     result = runner.invoke(main, ["curves", toy_csv, "--tau", "12"])
     assert result.exit_code == 0
@@ -227,6 +235,35 @@ def test_simulate_writes_out_file(runner, tmp_path):
     assert text.startswith("#") and "rejection_rate" in text
 
 
+@pytest.mark.parametrize("field,value,message", [
+    case for case in BAD_SCENARIO_FIELDS if case[:2] != ("frailty_variance", 1e-320)
+])
+def test_bad_scenario_field_exits_4(runner, tmp_path, field, value, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "icr", "n_per_arm": 20, "replicates": 2,
+                               "seed": 7, "tau": 1.0, field: value}))
+    result = runner.invoke(main, ["simulate", str(cfg), "--truth", "0"])
+    assert result.exit_code == 4 and result.stdout == ""
+    assert json.loads(result.stderr) == {"error": {
+        "code": 4, "type": "ConfigError", "message": f"bad scenario config: {message}"}}
+
+
+@pytest.mark.parametrize("command", ["estimate", "compare"])
+@pytest.mark.parametrize("tau,code", [("12", 0), ("13", 2)])
+def test_strict_tau_boundary(runner, toy_csv, command, tau, code):
+    # max follow-up is 12 in both arms: identifiable at tau = 12, not past it
+    result = runner.invoke(main, [command, toy_csv, "--tau", tau, "--strict-tau"])
+    assert result.exit_code == code
+    if code:
+        assert result.stdout == "" and json.loads(result.stderr) == {"error": {
+            "code": 2, "type": "TruncationError",
+            "message": "arm 1: max follow-up 12 < tau=13; MCF is not identifiable up to tau; "
+                       "arm 2: max follow-up 12 < tau=13; MCF is not identifiable up to tau"}}
+    else:
+        assert json.loads(result.stdout) == json.loads(
+            runner.invoke(main, [command, toy_csv, "--tau", tau]).stdout)
+
+
 def test_error_paths_leave_no_partial_output(runner, toy_csv, tmp_path):
     out = tmp_path / "never.json"
     result = runner.invoke(main, ["estimate", toy_csv, "--tau", "99",
@@ -274,6 +311,8 @@ def test_covariate_subset_matches_object_path(runner, tmp_path, rng):
     ]
     ref = StudyDataset(arms[0], arms[1], study.tau, covariate_names=("w3", "w1"))
     assert sub == ref
+    for arm in sub.arms():
+        assert arm.covariates.flags.c_contiguous and not arm.covariates.flags.writeable
     assert augmented_contrast(sub).to_dict() == augmented_contrast(ref).to_dict()
 
 
@@ -430,3 +469,22 @@ def test_curves_build_each_km_once(runner, toy_csv, monkeypatch):
     result = runner.invoke(main, ["curves", toy_csv, "--tau", "12"])
     assert result.exit_code == 0
     assert calls == [1, 2]
+
+
+def test_compare_covariates_builds_no_extra_arm(runner, tmp_path, rng, monkeypatch):
+    import aumcf.core
+
+    path = tmp_path / "cov.csv"
+    with open(path, "w") as fh:
+        write_records_csv(random_study(rng, n=20, n_cov=2), fh)
+    built = []
+    real = aumcf.core.ArmDataset.__init__
+
+    def counted(self, arm, *args):
+        built.append(arm)
+        real(self, arm, *args)
+
+    monkeypatch.setattr(aumcf.core.ArmDataset, "__init__", counted)
+    result = runner.invoke(main, ["compare", str(path), "--tau", "2", "--covariates", "w2,w1"])
+    assert result.exit_code == 0
+    assert built == [1, 2]  # the CSV read's two arms; subsetting builds none

@@ -9,11 +9,10 @@ from aumcf import (
     ArmDataset,
     Status,
     StudyDataset,
-    TruncationError,
     ValidationError,
+    arm_truncation_message,
     read_arms_csv,
     read_study_csv,
-    validate_truncation,
     weighted_contrast,
     write_records_csv,
 )
@@ -76,13 +75,13 @@ def test_at_risk_closed_inequality():
 
 @pytest.mark.parametrize("max_x,tau,ok", [(12.0, 12.0, True), (10.0, 12.0, False)])
 def test_truncation_boundary(max_x, tau, ok):
-    arm = make_arm(1, [("a", max_x, False)])
-    study = StudyDataset(arm, make_arm(2, [("b", max_x, False)]), tau)
-    report = validate_truncation(study)
-    assert report.ok is ok
-    if not ok:
-        with pytest.raises(TruncationError):
-            validate_truncation(study, strict=True)
+    # identifiable when some subject is followed to tau (closed inequality)
+    arm = make_arm(2, [("a", 1.0, True), ("b", max_x, False)])
+    msg = arm_truncation_message(arm, tau)
+    if ok:
+        assert msg is None
+    else:
+        assert msg == "arm 2: max follow-up 10 < tau=12; MCF is not identifiable up to tau"
 
 
 def test_csv_round_trip(rng):
@@ -380,3 +379,24 @@ def test_subject_history_validation():
     # one subject's events get sorted
     arm = ArmDataset(**dict(ok, event_times=[1.5, 0.5], event_subjects=[0, 0]))
     assert arm.event_times.tolist() == [0.5, 1.5]
+
+
+def test_public_api_is_pinned():
+    # a new export has to be added here on purpose
+    import aumcf
+
+    assert sorted(aumcf.__all__) == sorted([
+        "ArmDataset", "ArmFit", "AugmentedResult", "ContrastResult",
+        "OperatingCharacteristics", "RatioUndefinedError", "ScenarioConfig",
+        "SingularCovariateError", "Status", "StepFunction", "StudyDataset",
+        "TrueValues", "TruncationError", "ValidationError", "area_under_step",
+        "arm_truncation_message", "arm_variance", "augmentation_weights",
+        "augmented_contrast", "aumcf", "bootstrap_se", "contrast_difference",
+        "contrast_ratio", "fit_arm", "fit_influence", "generate_dataset",
+        "influence_values", "km_survival", "mcf", "read_arms_csv",
+        "read_study_csv", "rmst", "run_operating_characteristics",
+        "survival_bias_sensitivity", "time_lost_per_subject", "true_value_oracle",
+        "weighted_contrast", "write_records_csv",
+    ])
+    for name in aumcf.__all__:
+        assert getattr(aumcf, name) is not None

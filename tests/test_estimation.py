@@ -6,10 +6,9 @@ from aumcf import (
     StepFunction,
     area_under_step,
     aumcf,
-    event_rate_increments,
+    fit_arm,
     km_survival,
     mcf,
-    nelson_aalen_terminal,
     rmst,
     time_lost_per_subject,
 )
@@ -50,30 +49,31 @@ def test_km_single_death():
 
 
 def test_nelson_aalen_hand_example():
-    arm = make_arm(1, [
+    # Nelson-Aalen jumps d / Y of the fit: one death of two at risk, then of one
+    fit = fit_arm(make_arm(1, [
         ("a", 10.0, True),
         ("b", 12.0, False),
-    ])
-    haz = nelson_aalen_terminal(arm)
-    assert haz(9.99) == 0.0 and haz(10.0) == 0.5
-    arm2 = make_arm(1, [("a", 5.0, True)])
-    assert nelson_aalen_terminal(arm2)(5.0) == 1.0
+    ]), 12.0)
+    assert fit.td.tolist() == [10.0] and (fit.d / fit.y_d).tolist() == [0.5]
+    fit = fit_arm(make_arm(1, [("a", 5.0, True)]), 5.0)
+    assert (fit.d / fit.y_d).tolist() == [1.0]
+    # a death after tau is not a jump of the fit
+    assert fit_arm(make_arm(1, [("a", 5.0, True)]), 4.0).td.size == 0
 
 
 def test_event_rate_increments_distinct_and_tied():
-    arm = make_arm(1, [
+    fit = fit_arm(make_arm(1, [
         ("a", 5.0, False, (2.0,)),
         ("b", 5.0, False, (3.0,)),
         ("c", 5.0, False, (5.0,)),
-    ])
-    inc = event_rate_increments(arm)
-    assert np.allclose(inc.increments, [1 / 3, 1 / 3, 1 / 3])
-    tied = make_arm(1, [
+    ]), 5.0)
+    assert fit.te.tolist() == [2.0, 3.0, 5.0] and fit.y_e.tolist() == [3.0, 3.0, 3.0]
+    assert np.allclose(fit.dr, [1 / 3, 1 / 3, 1 / 3])
+    fit = fit_arm(make_arm(1, [
         ("a", 5.0, False, (4.0,)),
         ("b", 5.0, False, (4.0,)),
-    ])
-    inc = event_rate_increments(tied)
-    assert inc.times.tolist() == [4.0] and inc.increments.tolist() == [1.0]
+    ]), 5.0)
+    assert fit.te.tolist() == [4.0] and fit.dr.tolist() == [1.0] and fit.y_e.tolist() == [2.0]
 
 
 def test_mcf_hand_example(toy_arm):

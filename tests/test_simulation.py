@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from aumcf.core import StudyDataset
 from aumcf.estimation import aumcf
 from aumcf.simulation import _PURPOSE_BOOTSTRAP, _stream, simulate_subject
 
-from conftest import make_arm, random_study, subject_rows
+from conftest import BAD_SCENARIO_FIELDS, make_arm, random_study, subject_rows
 
 # quadrature truths, frozen from an independent oracle
 THETA_ICR_TAU1 = 0.4682688269495465
@@ -39,13 +40,23 @@ def test_config_validation():
         ScenarioConfig(kind="time_varying", change_point=2.0, tau=1.0)
 
 
-def test_config_json_round_trip(tmp_path):
+@pytest.mark.parametrize("field,value,message", BAD_SCENARIO_FIELDS)
+def test_config_rejects_bad_field(field, value, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        ScenarioConfig(**{field: value})
+
+
+def test_config_json_round_trip():
     cfg = ScenarioConfig(kind="frailty", n_per_arm=50, seed=9)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg.to_dict()))
-    assert ScenarioConfig.from_json(str(path)) == cfg
+    assert ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
     with pytest.raises(ValidationError, match="unknown config field"):
         ScenarioConfig.from_dict({"kind": "icr", "lambda_events": [1, 1]})
+    for data in ([1], "icr", 5):
+        with pytest.raises(ValidationError, match="config must be a JSON object"):
+            ScenarioConfig.from_dict(data)
+    # a pair that is not a JSON list is the field check's to reject
+    with pytest.raises(ValidationError, match="lambda_event must be a pair"):
+        ScenarioConfig.from_dict({"lambda_event": 1})
 
 
 def test_generate_dataset_deterministic():
