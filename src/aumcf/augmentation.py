@@ -31,12 +31,12 @@ class SingularCovariateError(ValidationError):
 
 @dataclass(frozen=True)
 class CovariateSummary:
-    """Augmentation weight computation: arm means, covariances, and beta."""
+    """Augmentation weight computation: arm means, the covariate-influence
+    covariance gamma, and beta."""
 
     mean1: np.ndarray
     mean2: np.ndarray
     gamma_hat: np.ndarray
-    sigma_w_hat: np.ndarray
     beta_hat: np.ndarray
 
 
@@ -113,7 +113,7 @@ def augmentation_weights(
     beta = np.linalg.solve(sigma_w, gamma)
     return CovariateSummary(
         mean1=means[0], mean2=means[1],
-        gamma_hat=gamma, sigma_w_hat=sigma_w, beta_hat=beta,
+        gamma_hat=gamma, beta_hat=beta,
     )
 
 
@@ -135,8 +135,7 @@ def augmented_contrast(
     if p == 0:
         summary = CovariateSummary(
             mean1=np.empty(0), mean2=np.empty(0),
-            gamma_hat=np.empty(0), sigma_w_hat=np.empty((0, 0)),
-            beta_hat=np.empty(0),
+            gamma_hat=np.empty(0), beta_hat=np.empty(0),
         )
         return AugmentedResult(
             adjusted=unadjusted, unadjusted=unadjusted, summary=summary,

@@ -42,6 +42,7 @@ from .inference import (
     weighted_contrast,
 )
 from .simulation import (
+    STREAM_VERSION,
     ScenarioConfig,
     TrueValues,
     run_operating_characteristics,
@@ -395,18 +396,26 @@ def simulate(config_path, seed, reps, alpha, truth, oracle_reps, oracle_n,
         raise ConfigError(f"bad scenario config: {exc}") from exc
     methods = ("unadjusted", "adjusted") if config.covariate_mode != "none" else ("unadjusted",)
     truth_value: TrueValues | float
-    if truth is not None:
-        truth_value = truth
-    else:
-        truth_value = true_value_oracle(config, n_per_arm=oracle_n,
-                                        replicates=oracle_reps)
-    oc = run_operating_characteristics(
-        config, methods=methods, truth=truth_value, alpha=alpha, n_jobs=jobs
-    )
+    # the config fixes every draw, so data it cannot hold (say, too many
+    # events for one arm) is a config error; singular covariates stay exit 3
+    try:
+        if truth is not None:
+            truth_value = truth
+        else:
+            truth_value = true_value_oracle(config, n_per_arm=oracle_n,
+                                            replicates=oracle_reps)
+        oc = run_operating_characteristics(
+            config, methods=methods, truth=truth_value, alpha=alpha, n_jobs=jobs
+        )
+    except SingularCovariateError:
+        raise
+    except ValidationError as exc:
+        raise ConfigError(f"bad scenario config: {exc}") from exc
     prov = {
         "command": "simulate",
         "config_sha256": digest,
         "seed": config.seed,
+        "stream_version": STREAM_VERSION,
         "version": __version__,
     }
     if fmt == "json":

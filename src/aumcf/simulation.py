@@ -4,13 +4,15 @@ Three generative scenarios are supported: independent competing risks
 ("icr"), a shared Gamma frailty linking the event and terminal processes
 ("frailty"), and a piecewise-constant event rate with a change point
 ("time_varying"). All randomness flows through counter-based Philox
-streams keyed by (master seed, purpose, replicate, arm, subject), so
-replicates are reproducible and independent of execution order.
+streams keyed by (master seed, purpose, replicate[, arm]), so replicates
+are reproducible and independent of execution order. Each arm of a
+dataset is one stream drawn as vectors: Poisson event counts per subject
+from the cumulative event rate up to follow-up, then the event times by
+exact inversion of that rate. This layout is ``STREAM_VERSION`` 2.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace, asdict
@@ -24,6 +26,9 @@ from .inference import contrast_difference
 
 SCENARIO_KINDS = ("icr", "frailty", "time_varying")
 COVARIATE_MODES = ("none", "uninformative", "informative")
+# the layout of the draws in each stream: bumped whenever the same config
+# and seed start to give different datasets
+STREAM_VERSION = 2
 
 # stream purposes: keep dataset, oracle, and bootstrap draws disjoint
 _PURPOSE_DATA = 0
@@ -176,112 +181,87 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _next_event(rng, t: float, r1: float, r2: float, c: float) -> float:
-    """Next arrival for a rate that switches from r1 to r2 at time c.
-
-    Uses exact piecewise inversion: an exponential overshoot past c is
-    rescaled by r1/r2 via memorylessness, no thinning step.
-    """
-    if t < c:
-        if r1 > 0:
-            nxt = t + rng.exponential(1.0 / r1)
-            if nxt <= c:
-                return nxt
-            if r2 <= 0:
-                return math.inf
-            return c + (nxt - c) * (r1 / r2)
-        if r2 <= 0:
-            return math.inf
-        return c + rng.exponential(1.0 / r2)
-    if r2 <= 0:
-        return math.inf
-    return t + rng.exponential(1.0 / r2)
+# Every event of an arm is held at once: its uniform, owner, knot, time and
+# the arm's sorted columns peak at about 80 bytes an event, so 10^7 events
+# in one arm already take about 0.8 GB.
+_MAX_ARM_EVENTS = 10_000_000
 
 
-def simulate_subject(
-    config: ScenarioConfig,
-    arm: int,
-    rng: np.random.Generator,
-) -> tuple[float, bool, list[float], float | None]:
-    """Draw one subject's history for the given arm (1 or 2): follow-up X,
-    the terminal flag, the ascending event times on [0, X] and the
-    covariate (None when the scenario has none).
+def _draw_arm(config: ScenarioConfig, arm: int, rng: np.random.Generator) -> ArmDataset:
+    """One arm (1 or 2) of ``config.n_per_arm`` subjects, drawn as vectors.
 
     Draw order within the stream is fixed: frailty, covariate, terminal
-    time, censoring time, then event gaps. When both the terminal and
-    censoring rates are zero, follow-up is capped administratively at
-    ``horizon_factor * tau`` with no terminal event.
+    times, censoring times, event counts, then one uniform per event.
+    Subject i has N_i ~ Poisson(L_i(X_i)) events, where L_i is its
+    cumulative event rate (piecewise linear with one knot at the change
+    point for ``time_varying``), at times L_i^{-1}(U * L_i(X_i)). When both
+    the terminal and censoring rates are zero, follow-up is capped
+    administratively at ``horizon_factor * tau`` with no terminal event.
     """
     j = arm - 1
-    xi = 1.0
+    n = config.n_per_arm
+    xi = np.ones(n)
     if config.kind == "frailty" and config.frailty_variance > 0:
-        shape = 1.0 / config.frailty_variance
-        xi = rng.gamma(shape, config.frailty_variance)
-    w = None
-    death_scale = event_scale = 1.0
-    if config.covariate_mode != "none":
-        w = rng.standard_normal()
-        if config.covariate_mode == "informative":
-            death_scale = math.exp(w * config.death_log_effect)
-            event_scale = math.exp(w * config.event_log_effect)
-
-    rate_death = config.lambda_death[j] * xi * death_scale
-    death = rng.exponential(1.0 / rate_death) if rate_death > 0 else math.inf
-    censor = (
-        rng.exponential(1.0 / config.lambda_censor)
-        if config.lambda_censor > 0
-        else math.inf
-    )
-    x = min(death, censor)
-    if math.isinf(x):
-        x = config.horizon_factor * config.tau
-        terminal = False
-    else:
+        xi = rng.gamma(1.0 / config.frailty_variance, config.frailty_variance, n)
+    w = np.empty((n, 0))
+    death_scale = event_scale = xi
+    # a zero rate divides to an infinite time; a huge one overflows into
+    # the event-total check below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if config.covariate_mode != "none":
+            w = rng.standard_normal((n, 1))
+            if config.covariate_mode == "informative":
+                death_scale = xi * np.exp(w[:, 0] * config.death_log_effect)
+                event_scale = xi * np.exp(w[:, 0] * config.event_log_effect)
+        death = rng.standard_exponential(n) / (config.lambda_death[j] * death_scale)
+        censor = rng.standard_exponential(n) / config.lambda_censor
+        x = np.minimum(death, censor)
         terminal = death <= censor
+        capped = np.isinf(x)
+        x[capped] = config.horizon_factor * config.tau
+        terminal[capped] = False
 
-    r1 = config.lambda_event[j] * xi * event_scale
-    if config.kind == "time_varying":
-        r2 = config.rate_multipliers[j] * r1
-        c = config.change_point
-    else:
-        r2, c = r1, math.inf
-    events = []
-    t = 0.0
-    while True:
-        t = _next_event(rng, t, r1, r2, c)
-        if t > x:
-            break
-        events.append(t)
-    return x, terminal, events, w
+        r1 = config.lambda_event[j] * event_scale
+        if config.kind == "time_varying":
+            r2, c = config.rate_multipliers[j] * r1, config.change_point
+        else:
+            r2, c = r1, math.inf
+        rate_x = r1 * np.minimum(x, c) + r2 * np.maximum(x - c, 0.0)
+        total = rate_x.sum()
+        if not total <= _MAX_ARM_EVENTS:
+            raise ValidationError(
+                f"arm {arm}: {total:.3g} expected events, more than the "
+                f"{_MAX_ARM_EVENTS} one arm may hold"
+            )
+        counts = rng.poisson(rate_x)
+        owner = np.repeat(np.arange(n), counts)
+        target = rng.random(owner.size) * rate_x[owner]
+        knot = r1[owner] * c
+        times = np.where(target <= knot, target / r1[owner],
+                         c + (target - knot) / r2[owner])
+    return ArmDataset(
+        arm,
+        [f"a{arm}s{i:06d}" for i in range(n)],
+        x,
+        terminal,
+        w,
+        np.minimum(times, x[owner]),  # round-off may overshoot X
+        owner,
+        np.zeros(owner.size, dtype=np.int64),
+    )
 
 
 def generate_dataset(
     config: ScenarioConfig,
     replicate: int,
     purpose: int = _PURPOSE_DATA,
-    n_per_arm: int | None = None,
 ) -> StudyDataset:
-    """Deterministic dataset for one replicate of the scenario."""
-    n = n_per_arm if n_per_arm is not None else config.n_per_arm
+    """Deterministic dataset for one replicate of the scenario: each arm
+    is drawn from its own stream keyed by (seed, purpose, replicate, arm)."""
+    arm1, arm2 = (_draw_arm(config, arm, _stream(config.seed, purpose, replicate, arm))
+                  for arm in (1, 2))
     names = ("w1",) if config.covariate_mode != "none" else ()
-    arms = []
-    for arm in (1, 2):
-        follow_up, terminal, events, w = zip(*(
-            simulate_subject(config, arm, _stream(config.seed, purpose, replicate, arm, i))
-            for i in range(n)
-        ))
-        counts = [len(e) for e in events]
-        arms.append(ArmDataset(
-            arm,
-            [f"a{arm}s{i:06d}" for i in range(n)],
-            follow_up,
-            terminal,
-            np.reshape(w, (n, 1)) if names else np.empty((n, 0)),
-            np.fromiter(itertools.chain.from_iterable(events), np.float64),
-            np.repeat(np.arange(n), counts),
-            np.zeros(sum(counts), dtype=np.int64),
-        ))
-    return StudyDataset(arms[0], arms[1], tau=config.tau, covariate_names=names)
+    return StudyDataset(arm1, arm2, tau=config.tau, covariate_names=names)
 
 
 def true_value_oracle(
@@ -292,12 +272,14 @@ def true_value_oracle(
     """Monte Carlo truth: average AUMCF estimates under no censoring.
 
     Defaults match the reference procedure (2,000 datasets of 10,000 per
-    arm); pass smaller values for desk-scale use.
+    arm); pass smaller values for desk-scale use. Both sizes are checked
+    as config fields.
     """
-    no_censor = replace(config, lambda_censor=0.0)
+    no_censor = replace(config, lambda_censor=0.0, n_per_arm=n_per_arm,
+                        replicates=replicates)
     sums = np.zeros(2)
     for r in range(replicates):
-        study = generate_dataset(no_censor, r, purpose=_PURPOSE_ORACLE, n_per_arm=n_per_arm)
+        study = generate_dataset(no_censor, r, purpose=_PURPOSE_ORACLE)
         for k, arm in enumerate(study.arms()):
             sums[k] += aumcf(arm, config.tau)
     return TrueValues(theta1=sums[0] / replicates, theta2=sums[1] / replicates)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -214,6 +215,7 @@ def test_simulate_smoke_and_determinism(runner, tmp_path):
     report = json.loads(a.output)
     assert report["rows"][0]["replicates"] == 2
     assert report["provenance"]["config_sha256"]
+    assert report["provenance"]["stream_version"] == 2
 
 
 def test_simulate_unknown_kind_config_error(runner, tmp_path):
@@ -246,6 +248,32 @@ def test_bad_scenario_field_exits_4(runner, tmp_path, field, value, message):
     assert result.exit_code == 4 and result.stdout == ""
     assert json.loads(result.stderr) == {"error": {
         "code": 4, "type": "ConfigError", "message": f"bad scenario config: {message}"}}
+
+
+@pytest.mark.parametrize("rate", [1e9, 1e300])
+def test_too_many_events_exits_4(runner, tmp_path, rate):
+    # 1e9 used to loop event by event forever; 1e300 is past numpy's Poisson
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "icr", "n_per_arm": 2, "replicates": 1,
+                               "lambda_event": [rate, rate], "tau": 1.0}))
+    result = runner.invoke(main, ["simulate", str(cfg), "--truth", "0"])
+    assert result.exit_code == 4 and result.stdout == ""
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == "ConfigError"
+    assert re.fullmatch(r"bad scenario config: arm 1: \S+ expected events, "
+                        r"more than the 10000000 one arm may hold", error["message"])
+
+
+@pytest.mark.parametrize("flag", ["--oracle-n", "--oracle-reps"])
+def test_oracle_size_zero_exits_4(runner, tmp_path, flag):
+    # --oracle-n 0 used to exit 1 with a traceback, --oracle-reps 0 exit 3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "icr", "n_per_arm": 5, "replicates": 1}))
+    result = runner.invoke(main, ["simulate", str(cfg), "--oracle-n", "5",
+                                  "--oracle-reps", "1", flag, "0"])
+    assert result.exit_code == 4 and result.stdout == ""
+    assert json.loads(result.stderr)["error"]["message"] == (
+        "bad scenario config: n_per_arm and replicates must be positive")
 
 
 @pytest.mark.parametrize("command", ["estimate", "compare"])

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -19,7 +20,7 @@ from aumcf import (
 )
 from aumcf.core import StudyDataset
 from aumcf.estimation import aumcf
-from aumcf.simulation import _PURPOSE_BOOTSTRAP, _stream, simulate_subject
+from aumcf.simulation import _PURPOSE_BOOTSTRAP, _draw_arm, _stream
 
 from conftest import BAD_SCENARIO_FIELDS, make_arm, random_study, subject_rows
 
@@ -81,21 +82,22 @@ def _column_digest(study):
     return h.hexdigest()
 
 
-# generate_dataset at n=25, seed 7, recorded when arms were still built
-# from per-subject objects; the columnar build must draw the same numbers
+# generate_dataset at n=25, seed 7, recorded at STREAM_VERSION 2 (one
+# vector stream per arm); a change here changes the numbers drawn, so it
+# needs a new STREAM_VERSION
 _PINNED = {
-    ("icr", "none", 0): "b9ca23568154d9087e46422f1e9e9ea470900e7f0982a9351f3b960b5de44b5a",
-    ("icr", "none", 1): "d169ef3ebbdce2b67556ed151fc784c5013ede1cbb945ce2f8ad63f2b13d4383",
-    ("icr", "informative", 0): "8fdfdf0942f677fbe0a2d5cbaac2e9ad0565dcc7a64a34c567711f99eaa56a1c",
-    ("icr", "informative", 1): "61c323c80346621f7319a8206eccd5aa4c057eb57a2d53bd59e493b5532e2d53",
-    ("frailty", "none", 0): "bb51ce1dd53e2c954e2c0eeb92d747f6a1b307e7764bac87d05d3e3dc4c1ab85",
-    ("frailty", "none", 1): "7910622bb6fc93bed7b99faa1abd2dd4d3fa4ff4ddca5156a48a3a258981cd28",
-    ("frailty", "informative", 0): "cd763f71357452e2aa11e61755986b37295b25d271749fcbb39b0368489cb08c",
-    ("frailty", "informative", 1): "dd10341907ff6dd127874e409c6cedae417cfc066ebde4cdd9960e09fc87d520",
-    ("time_varying", "none", 0): "933a1f7b9604040ebbf3daa338e22db2e8ce5f3fadb213cd9e4aea9fd72789e8",
-    ("time_varying", "none", 1): "d14db0e2e1540aef1bbd7a1ed3743da01e4829d569c3fa0dbde8514b21efb3f1",
-    ("time_varying", "informative", 0): "5da03d670b07ecf2902b898b8ab108e93f10356a34c55a4701fd6f408938e369",
-    ("time_varying", "informative", 1): "a1025d4631acc1af1c6b827a4d404a3201df94bddeb3b58e61e6189bd43f711c",
+    ("icr", "none", 0): "527ae2c51f2115198c7d6144f748de1e601db849f90a745f260b70d8daa13e1e",
+    ("icr", "none", 1): "c91b01a515e809e17cfba0380cc3c8fc1bf11e72dd347b544393767c378d3857",
+    ("icr", "informative", 0): "00b9a3cd1f1134878faf9ed6ff932b084d92e03cee0c944513af970385d9cf0f",
+    ("icr", "informative", 1): "5f6d8132b244ef8c1b878bd8b9ea61b6fc7d179263780ed664ea8ec906eb2b0e",
+    ("frailty", "none", 0): "b928a4367d165aa53234b583680a7d4c92843e8cf24efa1a0cd2900111e6b35b",
+    ("frailty", "none", 1): "bda4cf3294faf71692be080380f41cf797ec7678bf298a254911886524a0da67",
+    ("frailty", "informative", 0): "6bef7400b931b356df047b75baf4fede673b02d2e48d5cf1e9b4557c30a39f80",
+    ("frailty", "informative", 1): "067e9ef7707f880fe0b78d580c3c9790cfaff5e876df3b97024d0cccc41e8be2",
+    ("time_varying", "none", 0): "c979b2f5ba93248b06413b5fe02ab2ca322c33507fe2aacf3f144e3c5cd44f6b",
+    ("time_varying", "none", 1): "367e27acac8b521adafcc2d277dda6323fe74ebcf074e418f7d0044f52c85477",
+    ("time_varying", "informative", 0): "b7fc65376613fc8aae73947852340c343824111f578f029cf0fc17571edc6813",
+    ("time_varying", "informative", 1): "09bde00445b50df8367bceeaa78ea25770b877d6d1ad94a267079094b285024b",
 }
 
 
@@ -259,19 +261,75 @@ def test_bootstrap_equals_resampling_subject_objects(rng):
 
 
 def test_streams_are_distinct():
-    g1 = _stream(0, 0, 0, 1, 0)
-    g2 = _stream(0, 0, 0, 1, 1)
-    g3 = _stream(0, 1, 0, 1, 0)
-    x1, x2, x3 = (g.standard_normal(4) for g in (g1, g2, g3))
-    assert not np.allclose(x1, x2) and not np.allclose(x1, x3)
+    keys = [(0, 0, 1), (0, 0, 2), (1, 0, 1), (0, 1, 1)]  # (purpose, replicate, arm)
+    draws = [_stream(0, *key).standard_normal(4) for key in keys]
+    assert not any(np.allclose(a, b) for a, b in itertools.combinations(draws, 2))
+    # each arm of a dataset is the draw from its own stream
+    cfg = ScenarioConfig(kind="frailty", covariate_mode="informative", n_per_arm=30, seed=3)
+    study = generate_dataset(cfg, 4)
+    for arm in (1, 2):
+        assert study.arms()[arm - 1] == _draw_arm(cfg, arm, _stream(3, 0, 4, arm))
+    assert not np.array_equal(study.arm1.follow_up, study.arm2.follow_up)
 
 
 def test_subject_draw_order_stable():
-    cfg = ScenarioConfig(kind="frailty", covariate_mode="informative", seed=19)
-    x, dead, events, w = simulate_subject(cfg, 1, _stream(cfg.seed, 0, 0, 1, 0))
-    assert simulate_subject(cfg, 1, _stream(cfg.seed, 0, 0, 1, 0)) == (x, dead, events, w)
-    # generate_dataset's first subject is that draw
-    arm = generate_dataset(cfg, 0, n_per_arm=3).arm1
-    first = arm.event_subjects == 0
-    assert (arm.follow_up[0], arm.terminal[0], arm.covariates[0, 0]) == (x, dead, w)
-    assert arm.event_times[first].tolist() == events
+    """Arm 1 replayed from its stream in the documented vector order:
+    frailty, covariate, terminal, censoring, counts, event uniforms."""
+    for kind in ("frailty", "time_varying"):
+        cfg = ScenarioConfig(kind=kind, covariate_mode="informative", n_per_arm=40,
+                             seed=19, change_point=0.5, rate_multipliers=(1.0, 3.0))
+        n, c = cfg.n_per_arm, cfg.change_point
+        rng = _stream(cfg.seed, 0, 2, 1)
+        xi = (rng.gamma(1 / cfg.frailty_variance, cfg.frailty_variance, n)
+              if kind == "frailty" else np.ones(n))
+        w = rng.standard_normal(n)
+        death = rng.standard_exponential(n) / (
+            cfg.lambda_death[0] * (xi * np.exp(w * cfg.death_log_effect)))
+        censor = rng.standard_exponential(n) / cfg.lambda_censor
+        x = np.minimum(death, censor)
+        r1 = cfg.lambda_event[0] * (xi * np.exp(w * cfg.event_log_effect))
+        if kind == "frailty":
+            rate_x = r1 * x
+        else:
+            r2 = cfg.rate_multipliers[0] * r1
+            rate_x = r1 * np.minimum(x, c) + r2 * np.maximum(x - c, 0.0)
+        counts = rng.poisson(rate_x)
+        u = iter(rng.random(counts.sum()))
+        events = []
+        for i in range(n):
+            for _ in range(counts[i]):
+                target = next(u) * rate_x[i]
+                if kind == "frailty" or target <= r1[i] * c:
+                    t = target / r1[i]
+                else:
+                    t = c + (target - r1[i] * c) / r2[i]
+                events.append((min(t, x[i]), i))
+        events.sort()
+
+        arm = generate_dataset(cfg, 2).arm1
+        assert np.array_equal(arm.follow_up, x)
+        assert np.array_equal(arm.terminal, death <= censor)
+        assert np.array_equal(arm.covariates[:, 0], w)
+        assert list(zip(arm.event_times, arm.event_subjects)) == events
+
+
+def test_event_counts_match_cumulative_rate():
+    # no deaths and no censoring: X = horizon_factor * tau = 2 for everyone
+    base = dict(lambda_event=(1.5, 1.5), lambda_death=(0.0, 0.0), lambda_censor=0.0,
+                tau=1.0, horizon_factor=2.0, n_per_arm=20_000, seed=23)
+    arm = generate_dataset(ScenarioConfig(**base), 0).arm1
+    assert np.all(arm.follow_up == 2.0)
+    counts = np.bincount(arm.event_subjects, minlength=arm.n)
+    # Poisson(lambda X = 3): mean = variance = 3, each within about 4 SE
+    assert counts.mean() == pytest.approx(3.0, rel=0.02)
+    assert counts.var(ddof=1) == pytest.approx(3.0, rel=0.05)
+
+    # rate 1.5 up to c = 0.4, then 0.75: r1 c + r2 (X - c) = 0.6 + 1.2
+    cfg = ScenarioConfig(kind="time_varying", change_point=0.4,
+                         rate_multipliers=(0.5, 0.5), **base)
+    arm = generate_dataset(cfg, 0).arm1
+    counts = np.bincount(arm.event_subjects, minlength=arm.n)
+    assert counts.mean() == pytest.approx(1.8, rel=0.025)
+    assert np.all((arm.event_times >= 0.0) & (arm.event_times <= 2.0))
+    # a third of the expected events fall before the change point
+    assert np.mean(arm.event_times <= 0.4) == pytest.approx(1 / 3, abs=0.01)
