@@ -99,14 +99,9 @@ class ArmDataset:
                 f"subject {subject_ids[event_subjects[np.argmax(outside)]]!r}: "
                 "event time outside [0, X]"
             )
-        self._set_columns(arm, subject_ids, follow_up, terminal, covariates,
-                          event_times, event_subjects, event_type_labels)
-
-    def _set_columns(self, arm, subject_ids, follow_up, terminal, covariates,
-                     event_times, event_subjects, event_type_labels) -> None:
         order = np.lexsort((event_subjects, event_times))
         self.arm = int(arm)
-        self.n = follow_up.size
+        self.n = n
         self.subject_ids = subject_ids
         self.follow_up = follow_up
         self.terminal = terminal
@@ -132,26 +127,6 @@ class ArmDataset:
         """Number of subjects with X >= t for each t (closed inequality)."""
         times = np.asarray(times, dtype=np.float64)
         return self.n - np.searchsorted(self._sorted_follow_up, times, side="left")
-
-    def take(self, idx) -> "ArmDataset":
-        """The arm of subjects ``idx`` (repeats allowed), in that order.
-
-        Each picked subject keeps its events; the columns are taken from a
-        checked arm, so they are not checked again.
-        """
-        idx = np.asarray(idx, dtype=np.int64)
-        by_subject, counts = self._events_by_subject()
-        starts = np.cumsum(counts) - counts
-        k = counts[idx]
-        # each picked subject's event rows, subject after subject, in time order
-        rows = by_subject[np.repeat(starts[idx] - (np.cumsum(k) - k), k) + np.arange(k.sum())]
-        out = ArmDataset.__new__(ArmDataset)
-        out._set_columns(
-            self.arm, self.subject_ids[idx], self.follow_up[idx], self.terminal[idx],
-            self.covariates[idx], self.event_times[rows],
-            np.repeat(np.arange(idx.size), k), self.event_type_labels[rows],
-        )
-        return out
 
     def __eq__(self, other):
         return (

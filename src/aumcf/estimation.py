@@ -116,6 +116,54 @@ def fit_arm(
     return ArmFit(arm, tau, event_type, te, y_e, dr, s, td, d, y_d, theta)
 
 
+class _ResampleFit:
+    """The jumps of one arm on [0, tau], set up to give the AUMCF of any
+    resample of its subjects from how often each subject was drawn.
+
+    ``thetas`` takes a ``(rows, n)`` count matrix and returns one AUMCF per
+    row: the sums of ``fit_arm`` (left-limit survival, every event type)
+    over the original arm's jumps, each subject weighted by its count.
+    At-risk counts are reverse cumulative sums of a row over the subjects
+    in follow-up order; event and death counts are row sums over the
+    subjects that own them. A jump whose risk set is empty in a resample
+    adds nothing to it.
+    """
+
+    def __init__(self, arm: ArmDataset, tau: float):
+        self.order = np.argsort(arm.follow_up)
+        x = arm.follow_up[self.order]
+        m = np.searchsorted(arm.event_times, tau, side="right")  # events <= tau
+        self.event_subjects = arm.event_subjects[:m]
+        te, self.event_first = np.unique(arm.event_times[:m], return_index=True)
+        self.death_rows = np.flatnonzero(arm.terminal[self.order] & (x <= tau))
+        td, self.death_first = np.unique(x[self.death_rows], return_index=True)
+        # the columns of y at the jumps, and of km just before each event
+        self.at_te = np.searchsorted(x, te, side="left")
+        self.at_td = np.searchsorted(x, td, side="left")
+        self.km_at_te = np.searchsorted(td, te, side="left")
+        self.lost = tau - te
+
+    def thetas(self, counts: np.ndarray) -> np.ndarray:
+        rows, n = counts.shape
+        if self.lost.size == 0:
+            return np.zeros(rows)
+        c = counts[:, self.order]
+        # y[:, k]: drawn subjects followed to at least the k-th follow-up
+        # time; the column past the last is 0
+        y = np.zeros((rows, n + 1), dtype=counts.dtype)
+        np.cumsum(c[:, ::-1], axis=1, out=y[:, -2::-1])
+        dn = np.add.reduceat(counts[:, self.event_subjects], self.event_first, axis=1)
+        y_e = y[:, self.at_te]
+        dr = np.divide(dn, y_e, out=np.zeros(dn.shape), where=y_e > 0)
+        km = np.ones((rows, self.at_td.size + 1))
+        if self.at_td.size:
+            d = np.add.reduceat(c[:, self.death_rows], self.death_first, axis=1)
+            y_d = y[:, self.at_td]
+            hazard = np.divide(d, y_d, out=np.zeros(d.shape), where=y_d > 0)
+            np.cumprod(1.0 - hazard, axis=1, out=km[:, 1:])
+        return np.sum(self.lost * km[:, self.km_at_te] * dr, axis=1)
+
+
 def km_survival(arm: ArmDataset) -> StepFunction:
     """Kaplan-Meier product-limit estimator of the terminal-event survival."""
     td, d, y = _death_jumps(arm)

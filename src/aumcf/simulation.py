@@ -21,7 +21,7 @@ import numpy as np
 
 from .augmentation import augmented_contrast
 from .core import ArmDataset, StudyDataset, ValidationError
-from .estimation import aumcf
+from .estimation import _ResampleFit, aumcf
 from .inference import contrast_difference
 
 SCENARIO_KINDS = ("icr", "frailty", "time_varying")
@@ -34,6 +34,9 @@ STREAM_VERSION = 2
 _PURPOSE_DATA = 0
 _PURPOSE_ORACLE = 1
 _PURPOSE_BOOTSTRAP = 2
+# the bootstrap weighs resamples a block at a time: a block's count matrix
+# and the arrays built from it hold about this many cells each
+_BOOTSTRAP_CELLS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -213,6 +216,13 @@ def _draw_arm(config: ScenarioConfig, arm: int, rng: np.random.Generator) -> Arm
             if config.covariate_mode == "informative":
                 death_scale = xi * np.exp(w[:, 0] * config.death_log_effect)
                 event_scale = xi * np.exp(w[:, 0] * config.event_log_effect)
+                for name, scale in (("death_log_effect", death_scale),
+                                    ("event_log_effect", event_scale)):
+                    if not np.isfinite(scale).all():
+                        raise ValidationError(
+                            f"arm {arm}: {name} {getattr(config, name):g} makes "
+                            "exp(w * effect) overflow for a drawn covariate w"
+                        )
         death = rng.standard_exponential(n) / (config.lambda_death[j] * death_scale)
         censor = rng.standard_exponential(n) / config.lambda_censor
         x = np.minimum(death, censor)
@@ -392,16 +402,28 @@ def bootstrap_se(
     """Nonparametric bootstrap SE of the AUMCF difference.
 
     Subject-level resampling with replacement within each arm; the SD of
-    the B resampled differences. Deterministic given the seed.
+    the B resampled differences. Deterministic given the seed. Each
+    resample is one ``rng.integers(0, n, size=n)`` draw per arm, arm 1
+    then arm 2 for each b, held as a count vector over the original arm's
+    subjects: its AUMCF is a sum over the original arm's jumps on
+    [0, tau] weighted by the counts, so no resampled arm is built. The SE
+    agrees with refitting each resampled arm to round-off.
     """
+    if isinstance(B, bool) or not isinstance(B, numbers.Integral):
+        raise ValidationError("B must be an integer")
     if B < 100:
         raise ValidationError("B must be at least 100")
     rng = _stream(seed, _PURPOSE_BOOTSTRAP)
+    arms = study.arms()
+    fits = [_ResampleFit(arm, study.tau) for arm in arms]
+    rows = max(1, _BOOTSTRAP_CELLS // max(arm.n + arm.event_times.size for arm in arms))
     deltas = np.empty(B)
-    for b in range(B):
-        thetas = []
-        for arm in study.arms():
-            idx = rng.integers(0, arm.n, size=arm.n)
-            thetas.append(aumcf(arm.take(idx), study.tau))
-        deltas[b] = thetas[0] - thetas[1]
+    for lo in range(0, B, rows):
+        size = min(rows, B - lo)
+        counts = [np.empty((size, arm.n), dtype=np.int64) for arm in arms]
+        for b in range(size):
+            for arm, c in zip(arms, counts):
+                c[b] = np.bincount(rng.integers(0, arm.n, size=arm.n), minlength=arm.n)
+        theta1, theta2 = (fit.thetas(c) for fit, c in zip(fits, counts))
+        deltas[lo:lo + size] = theta1 - theta2
     return float(np.std(deltas, ddof=1))

@@ -229,7 +229,6 @@ def test_criterion_7f_variance_reduction(rng, report):
     report("criterion 7f (se_adj <= se_unadj)", ok, f"{checked} datasets")
 
 
-@pytest.mark.slow
 def test_criterion_7g_bootstrap_agreement(report):
     hits = 0
     for r in range(50):

@@ -264,6 +264,23 @@ def test_too_many_events_exits_4(runner, tmp_path, rate):
                         r"more than the 10000000 one arm may hold", error["message"])
 
 
+@pytest.mark.parametrize("name,fields", [
+    ("event_log_effect", {"event_log_effect": 1000}),
+    ("death_log_effect", {"death_log_effect": 1000, "lambda_death": [0, 0]}),
+])
+def test_overflowing_log_effect_exits_4(runner, tmp_path, name, fields):
+    # both were reported as "nan expected events"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "icr", "n_per_arm": 20, "replicates": 1,
+                               "covariate_mode": "informative", **fields}))
+    result = runner.invoke(main, ["simulate", str(cfg), "--truth", "0"])
+    assert result.exit_code == 4 and result.stdout == ""
+    assert json.loads(result.stderr)["error"] == {
+        "code": 4, "type": "ConfigError",
+        "message": f"bad scenario config: arm 1: {name} 1000 makes exp(w * effect) "
+                   "overflow for a drawn covariate w"}
+
+
 @pytest.mark.parametrize("flag", ["--oracle-n", "--oracle-reps"])
 def test_oracle_size_zero_exits_4(runner, tmp_path, flag):
     # --oracle-n 0 used to exit 1 with a traceback, --oracle-reps 0 exit 3

@@ -331,18 +331,6 @@ def test_columnar_ingest_equals_object_path(data):
     assert back.covariate_names == study.covariate_names
 
 
-def test_take_equals_resampled_subjects(rng):
-    study = random_study(rng, n=15, n_cov=2, n_types=3)
-    buf = io.StringIO()
-    write_records_csv(study, buf)
-    buf.seek(0)
-    arm = read_study_csv(buf, study.tau).arm1
-    rows = subject_rows(arm)
-    for _ in range(5):
-        idx = rng.integers(0, arm.n, size=arm.n)
-        _assert_same_columns(arm.take(idx), make_arm(arm.arm, [rows[i] for i in idx]))
-
-
 _TWO_SUBJECTS = dict(arm=1, subject_ids=["a", "b"], follow_up=[2.0, 1.0],
                      terminal=[True, False], covariates=np.empty((2, 0)),
                      event_times=[1.5, 0.5], event_subjects=[0, 1],

@@ -18,8 +18,9 @@ from aumcf import (
     survival_bias_sensitivity,
     true_value_oracle,
 )
+from aumcf import simulation
 from aumcf.core import StudyDataset
-from aumcf.estimation import aumcf
+from aumcf.estimation import _ResampleFit, aumcf
 from aumcf.simulation import _PURPOSE_BOOTSTRAP, _draw_arm, _stream
 
 from conftest import BAD_SCENARIO_FIELDS, make_arm, random_study, subject_rows
@@ -236,6 +237,7 @@ def test_bootstrap_deterministic_and_degenerate():
     a = bootstrap_se(study, B=150, seed=5)
     b = bootstrap_se(study, B=150, seed=5)
     assert a == b
+    assert bootstrap_se(study, B=np.int64(150), seed=5) == a
     with pytest.raises(ValidationError):
         bootstrap_se(study, B=10)
     same = [(f"s{i}", 2.0, True, (1.0,)) for i in range(20)]
@@ -244,20 +246,75 @@ def test_bootstrap_deterministic_and_degenerate():
     assert bootstrap_se(degen, B=100, seed=1) == 0.0
 
 
-def test_bootstrap_equals_resampling_subject_objects(rng):
-    """Resampling on the columns gives bitwise the SE of rebuilding each
-    resampled arm from per-subject rows, draw for draw."""
-    study = random_study(rng, n=30, n_types=2)
-    draws = _stream(11, _PURPOSE_BOOTSTRAP)
-    deltas = []
-    for _ in range(100):
-        thetas = []
-        for arm, rows in zip(study.arms(), map(subject_rows, study.arms())):
+@pytest.mark.parametrize("B", [150.0, True, "150", None])
+def test_bootstrap_rejects_non_integer_b(B):
+    study = generate_dataset(ScenarioConfig(n_per_arm=10, seed=18), 0)
+    with pytest.raises(ValidationError, match="B must be an integer"):
+        bootstrap_se(study, B=B)
+
+
+def _check_against_refits(study, B=100, seed=11):
+    """Compare each resample's count-weighted AUMCF, and ``bootstrap_se``,
+    with refitting the resampled arm built from per-subject rows, draw for
+    draw. Returns the count matrices of the two arms."""
+    draws = _stream(seed, _PURPOSE_BOOTSTRAP)
+    rows = [subject_rows(arm) for arm in study.arms()]
+    counts = [np.zeros((B, arm.n), dtype=np.int64) for arm in study.arms()]
+    refits = np.empty((B, 2))
+    for b in range(B):
+        for k, arm in enumerate(study.arms()):
             idx = draws.integers(0, arm.n, size=arm.n)
-            resampled = make_arm(arm.arm, [rows[i] for i in idx])
-            thetas.append(aumcf(resampled, study.tau))
-        deltas.append(thetas[0] - thetas[1])
-    assert bootstrap_se(study, B=100, seed=11) == float(np.std(deltas, ddof=1))
+            refits[b, k] = aumcf(make_arm(arm.arm, [rows[k][i] for i in idx]), study.tau)
+            np.add.at(counts[k][b], idx, 1)
+    weighted = np.column_stack([_ResampleFit(arm, study.tau).thetas(c)
+                                for arm, c in zip(study.arms(), counts)])
+    # relative to each refit; with atol 0 a refit of 0 must be matched exactly
+    np.testing.assert_allclose(weighted, refits, rtol=1e-12, atol=0)
+    want = float(np.std(refits[:, 0] - refits[:, 1], ddof=1))
+    np.testing.assert_allclose(bootstrap_se(study, B=B, seed=seed), want, rtol=1e-12, atol=0)
+    return counts
+
+
+def test_bootstrap_equals_resampling_subject_objects(rng, monkeypatch):
+    """The resamples are the draws of a resample-and-refit loop, and the
+    count-weighted AUMCFs and the SE agree with that loop to round-off."""
+    study = random_study(rng, n=30, n_types=2)
+    se = bootstrap_se(study, B=100, seed=11)
+    _check_against_refits(study)
+    # blocks of 7 resamples, the last one short, give the same SE bitwise
+    widest = max(arm.n + arm.event_times.size for arm in study.arms())
+    monkeypatch.setattr(simulation, "_BOOTSTRAP_CELLS", 7 * widest)
+    assert bootstrap_se(study, B=100, seed=11) == se
+    # two event types and covariates: the bootstrap fits all events
+    _check_against_refits(random_study(rng, n=25, n_cov=2, n_types=2), seed=12)
+
+
+def test_bootstrap_event_tied_with_death():
+    arm1 = make_arm(1, [("a", 1.0, True, (1.0,)), ("b", 2.0, False, (1.0, 1.5)),
+                        ("c", 1.0, True, ()), ("d", 3.0, True, (0.5, 1.0, 2.5))])
+    arm2 = make_arm(2, [("e", 2.0, True, (2.0,)), ("f", 2.0, True, (0.5,)),
+                        ("g", 2.5, False, (1.0, 2.0))])
+    _check_against_refits(StudyDataset(arm1, arm2, tau=2.5))
+
+
+def test_bootstrap_arm_without_deaths_or_events_up_to_tau():
+    no_deaths = make_arm(1, [("a", 2.0, False, (0.5, 1.0)), ("b", 3.0, True, (1.5,)),
+                             ("c", 1.0, False, (0.2,)), ("d", 2.5, False, ())])
+    no_events = make_arm(2, [("e", 1.0, True, ()), ("f", 3.0, False, (2.5,)),
+                             ("g", 1.5, True, ())])
+    _check_against_refits(StudyDataset(no_deaths, no_events, tau=2.0))
+
+
+def test_bootstrap_event_with_empty_risk_set():
+    # only "d" and "e" are followed past 2: a resample without them has
+    # nobody at risk at the death at 2.2 or at the event at 2.6 after it
+    arm1 = make_arm(1, [("a", 1.0, True, (0.5,)), ("b", 2.0, False, (1.5,)),
+                        ("c", 1.5, True, (0.2, 1.0)), ("d", 3.0, False, (2.6,)),
+                        ("e", 2.2, True, ())])
+    arm2 = make_arm(2, [("f", 3.0, True, (1.0, 2.0)), ("g", 2.0, True, (0.5,))])
+    counts = _check_against_refits(StudyDataset(arm1, arm2, tau=3.0))
+    drawn = counts[0][:, 3:].sum(axis=1)
+    assert (drawn == 0).any() and (drawn > 0).any()
 
 
 def test_streams_are_distinct():
