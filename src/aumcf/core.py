@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import warnings
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
@@ -293,8 +294,12 @@ def _int64(v) -> int:
 
 
 def _read_columns(fh) -> tuple[tuple, tuple[str, ...]]:
-    """Stream ``csv.reader`` rows into one array per column, converting a
-    chunk of rows at a time with Python's own ``int`` and ``float``.
+    """Read the CSV into one array per column, a chunk of rows at a time.
+
+    Leading chunks of plain lines (see ``_parse_plain``) are parsed in C by
+    ``np.loadtxt``. From the first chunk that is not plain on, rows come
+    from ``csv.reader`` and are converted with Python's own ``int`` and
+    ``float``, which give the same numbers; only that path reports errors.
 
     Returns the columns ``(ids, time, status, arm, event_type, covariates)``
     that ``_arms_from_rows`` takes, ``event_type`` being 0 where the field
@@ -304,6 +309,7 @@ def _read_columns(fh) -> tuple[tuple, tuple[str, ...]]:
     skipped, still count.
     """
     reader = csv.reader(fh)
+    line0 = 0  # lines read before the current reader's first
     try:
         header = next(reader, None)
         if header is None:
@@ -329,6 +335,13 @@ def _read_columns(fh) -> tuple[tuple, tuple[str, ...]]:
         ids: list[str] = []
         parts: list[list[np.ndarray]] = [[] for _ in fields]
         blanks: list[int] = []  # rows read before each skipped blank line
+        # with the ids in the first column, leading plain chunks are parsed
+        # in C; csv.reader goes on from the first chunk that is not plain
+        # (nothing is left of fh when every chunk was plain)
+        rest = _read_plain_chunks(fh, fields, width, ids, parts) if col["id"] == 0 else []
+        if rest:
+            line0 = reader.line_num + len(ids)
+            reader = csv.reader(itertools.chain(rest, fh))
         while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
             if set(map(len, chunk)) != {width}:
                 chunk = _drop_blank_rows(chunk, width, len(ids), blanks)
@@ -343,7 +356,7 @@ def _read_columns(fh) -> tuple[tuple, tuple[str, ...]]:
                 raise
             ids.extend(cols[col["id"]])
     except csv.Error as exc:
-        raise ValidationError(f"line {reader.line_num}: {exc}") from exc
+        raise ValidationError(f"line {line0 + reader.line_num}: {exc}") from exc
 
     n = len(ids)
     arrays = [np.concatenate(p) if p else np.empty(0) for p in parts]
@@ -352,6 +365,63 @@ def _read_columns(fh) -> tuple[tuple, tuple[str, ...]]:
     covariates = np.column_stack(covs) if covs else np.empty((n, 0))
     status, arm = arrays[0].astype(np.int64), arrays[-1].astype(np.int64)
     return (ids, arrays[-2], status, arm, event_type, covariates), cov_names
+
+
+def _read_plain_chunks(fh, fields, width, ids, parts) -> list[str]:
+    """Append the ids and field arrays of ``fh``'s leading plain chunks to
+    ``ids`` and ``parts``; return the lines of the first chunk that is not
+    plain, or ``[]`` at the end of the stream."""
+    # one table field per column, so that loadtxt checks every row's width;
+    # the id column and a column shadowed by a duplicate name are never read
+    kinds = {k: np.float64 if convert is _floats else np.int64 for _, k, convert, _ in fields}
+    dtype = np.dtype([(f"c{k}", kinds.get(k, "U1")) for k in range(width)])
+    names = [f"c{k}" for _, k, _, _ in fields]
+    # an empty event_type is 0; loadtxt rejects a label outside int64
+    converters = {k: lambda v: int(v) if v else 0
+                  for label, k, _, _ in fields if label == "event_type"}
+    while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
+        table = _parse_plain(lines, dtype, converters, names[0])
+        if table is None:
+            return lines
+        for part, name in zip(parts, names):
+            part.append(table[name])
+        ids.extend([line.partition(",")[0] for line in lines])
+    return []
+
+
+def _parse_plain(lines, dtype, converters, status) -> Optional[np.ndarray]:
+    """The chunk as one ``np.loadtxt`` table with a row per line, or None
+    when the chunk is not plain.
+
+    Plain lines hold no quote, CR or NUL; none is blank or longer than the
+    csv module's field limit; each has as many fields as ``dtype``; every
+    field parses without a warning; and every ``status`` field is 0, 1 or
+    2. ``csv.reader`` splits such lines at the commas alone, and
+    ``loadtxt`` reads their numbers as Python's ``int`` and ``float`` do.
+    It rejects some that those take (``1_000``, non-ASCII digits): such a
+    chunk is not plain.
+    """
+    text = "".join(lines)
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 reads "1.0" as an int with a DeprecationWarning
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                lines, delimiter=",", dtype=dtype, converters=converters,
+                comments=None, quotechar=None, ndmin=1,
+            )
+    except (ValueError, OverflowError, Warning):
+        return None
+    if len(table) != len(lines):  # loadtxt skips blank lines
+        return None
+    code = table[status]
+    if ((code < Status.CENSOR) | (code > Status.DEATH)).any():
+        return None
+    return table
 
 
 def _line(row: int, blanks: list[int]) -> int:

@@ -470,6 +470,17 @@ TYPED_CSV = "id,time,status,arm,event_type\na,1,1,1,1\na,2,1,1,2\na,3,0,1,\n" \
             "b,1.5,1,2,1\nb,3,0,2,\n"
 
 
+def test_id_in_both_arms_is_two_subjects(runner, tmp_path):
+    # ids are scoped by arm: "a" of arm 1 and "a" of arm 2 are two subjects
+    path = tmp_path / "both.csv"
+    path.write_text("id,time,status,arm\na,1,1,1\na,2,2,1\nb,3,0,1\n"
+                    "a,0.5,1,2\na,3,0,2\n")
+    result = runner.invoke(main, ["estimate", str(path), "--tau", "3"])
+    assert result.exit_code == 0, result.output
+    arms = _strict_json(result.stdout)["arms"]
+    assert [(a["arm"], a["n"], a["theta"]) for a in arms] == [(1, 2, 1.0), (2, 1, 2.5)]
+
+
 @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "-1", "0"])
 def test_bad_weight_exits_4(runner, tmp_path, weight):
     path = tmp_path / "ty.csv"

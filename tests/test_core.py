@@ -16,6 +16,7 @@ from aumcf import (
     weighted_contrast,
     write_records_csv,
 )
+from aumcf import core
 
 from conftest import make_arm, random_study, subject_rows
 
@@ -180,7 +181,7 @@ def test_covariate_dim_mismatch_rejected():
 # CSV parse errors name the line
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("body,match", [
+_FIELD_ERRORS = [
     ("a,abc,0,1\n", "line 2: bad time 'abc'"),
     ("a,1.0,0,x\n", "line 2: bad arm 'x'"),
     ("a,1.0,x,1\n", "line 2: bad status 'x'"),
@@ -189,25 +190,34 @@ def test_covariate_dim_mismatch_rejected():
     ("a,1.0,0,1\n\n\nb,1.0,0,zz\n", "line 5: bad arm 'zz'"),
     ("a,1.0,0,1\n\nb,1.0\n", "line 4: expected 4 fields"),
     ("a,1.0,0,1\nb,1.0,0,99999999999999999999\n", "line 3: bad arm"),
-])
+]
+
+
+@pytest.mark.parametrize("body,match", _FIELD_ERRORS)
 def test_csv_field_errors_name_the_line(body, match):
     with pytest.raises(ValidationError, match=match):
         read_study_csv(io.StringIO("id,time,status,arm\n" + body), tau=1.0)
 
 
+_BAD_FIELD_ORDER = ("id,time,status,arm,event_type,w1\n"
+                    "a,1.0,1,1,2,0.5\n"
+                    "a,1.0,1,1,x,0.5\n"
+                    "a,nope,0,1,,0.5\n")
+
+
 def test_csv_first_bad_field_in_row_order():
-    text = ("id,time,status,arm,event_type,w1\n"
-            "a,1.0,1,1,2,0.5\n"
-            "a,1.0,1,1,x,0.5\n"
-            "a,nope,0,1,,0.5\n")
+    text = _BAD_FIELD_ORDER
     with pytest.raises(ValidationError, match="line 3: bad event_type 'x'"):
         read_study_csv(io.StringIO(text), tau=1.0)
     with pytest.raises(ValidationError, match="line 2: bad covariate value"):
         read_study_csv(io.StringIO(text.replace("2,0.5", "2,w")), tau=1.0)
 
 
+_PYTHON_NUMBERS = "id,time,status,arm\na, 1.5,1,1\na,1_0,0, 1\nb,2e0,2,2\n"
+
+
 def test_csv_numbers_parse_like_python():
-    text = "id,time,status,arm\na, 1.5,1,1\na,1_0,0, 1\nb,2e0,2,2\n"
+    text = _PYTHON_NUMBERS
     study = read_study_csv(io.StringIO(text), tau=1.0)
     assert study.arm1.event_times.tolist() == [1.5]
     assert study.arm1.follow_up.tolist() == [10.0]
@@ -280,7 +290,7 @@ _GRID = (0.0, 0.5, 1.0, 1.5, 2.0)  # a coarse grid makes ties (and ties with dea
 
 
 @st.composite
-def _long_format(draw):
+def _long_format(draw, lineterminator="\r\n"):
     p = draw(st.integers(0, 2))
     typed = draw(st.booleans())
     rows = []
@@ -300,7 +310,7 @@ def _long_format(draw):
     order = draw(st.permutations(range(len(rows))))
     rows = [rows[i] for i in order]
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator=lineterminator)
     writer.writerow(["id", "time", "status", "arm"] + ["event_type"] * typed
                     + [f"w{j + 1}" for j in range(p)])
     for sid, t, status, arm, etype, cov in rows:
@@ -367,6 +377,169 @@ def test_subject_history_validation():
     # one subject's events get sorted
     arm = ArmDataset(**dict(ok, event_times=[1.5, 0.5], event_subjects=[0, 0]))
     assert arm.event_times.tolist() == [0.5, 1.5]
+
+
+# ---------------------------------------------------------------------------
+# Plain chunks parsed in C read as csv.reader reads them
+# ---------------------------------------------------------------------------
+
+class _NoSeek(io.StringIO):
+    """A text stream that cannot be rewound."""
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+
+def _read(text):
+    """``_read_columns`` of ``text``: the ids, each array's dtype, shape and
+    bytes, and the covariate names; or the error's type and message."""
+    try:
+        (ids, *arrays), names = core._read_columns(_NoSeek(text))
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return ids, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays], names
+
+
+def _read_both_ways(text):
+    """``_read`` of ``text``, the same with every chunk given to
+    ``csv.reader``, and whether the first parsed some chunk in C."""
+    real = core._parse_plain
+    tables = []
+
+    def spy(*args):
+        tables.append(real(*args))
+        return tables[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(core, "_parse_plain", spy)
+        fast = _read(text)
+        m.setattr(core, "_parse_plain", lambda *args: None)
+        slow = _read(text)
+    return fast, slow, any(t is not None for t in tables)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_long_format("\n"))
+def test_plain_chunks_read_as_csv_reader(data):
+    _, text, _ = data
+    fast, slow, in_c = _read_both_ways(text)
+    assert fast == slow
+    assert in_c or "\0" in text  # only a NUL in an id keeps it from C
+
+
+@pytest.mark.parametrize("text", [
+    *("id,time,status,arm\n" + body for body, _ in _FIELD_ERRORS),
+    _BAD_FIELD_ORDER, _BAD_FIELD_ORDER.replace("2,0.5", "2,w"),
+    _PYTHON_NUMBERS, _PYTHON_NUMBERS.replace("2e0", "inf"),
+])
+def test_csv_test_inputs_read_as_csv_reader(text):
+    fast, slow, _ = _read_both_ways(text)
+    assert fast == slow
+
+
+_H = "id,time,status,arm,event_type,w1\n"
+_ROWS = "a,1.0,1,1,2,0.5\na,2.0,0,1,,0.5\n"
+
+
+# (text, whether its one chunk is parsed in C)
+@pytest.mark.parametrize("text,in_c", [
+    (_H + _ROWS + "b,nan,0,2,,-nan\n", True),
+    (_H + _ROWS + "b,inf,0,2,,-Infinity\n", True),
+    (_H + _ROWS + "b,1e400,0,2,,1e-400\n", True),
+    (_H + _ROWS + "b,-0.0,0,2,,-0\n", True),
+    (_H + _ROWS + "b, 1.5,0 , 2,  1 , 1.5 \n", True),
+    (_H + _ROWS + "b,\u30001.5,0,2,,0.5\n", True),
+    (_H + _ROWS + "b,1_000,0,2,1_0,0.5\n", False),
+    (_H + _ROWS + "b,\u0661.\u0665,\u0661,\u0662,\u0661,\u0660.\u0665\n", False),
+    (_H + _ROWS + "b,+1,+0,+2,+1,+0.5\n", True),
+    (_H + _ROWS + "b,01,00,02,01,00.5\n", True),
+    (_H + _ROWS + "b,1,1.0,2,,0.5\n", False),
+    (_H + _ROWS + "b,1,3,2,,0.5\n", False),
+    (_H + _ROWS + "b,1,-1,2,,0.5\n", False),
+    (_H + _ROWS + "b,1,1,2,1234567890123456789012345,0.5\n", False),
+    (_H + _ROWS + "b,1,1,2,9223372036854775807,0.5\n", True),
+    (_H + _ROWS + "b,1,1,2,9223372036854775808,0.5\n", False),
+    (_H + _ROWS + "b,1,1,2,-9223372036854775808,0.5\n", True),
+    (_H + _ROWS + "b,1,0,9223372036854775808,,0.5\n", False),
+    (_H + _ROWS + "b,1,1,2, ,0.5\n", False),
+    (_H + _ROWS + "b,1,,2,,0.5\n", False),
+    (_H + _ROWS + "b,0x1p3,0,2,,0.5\n", False),
+    (_H + _ROWS + "b\0,1,0,2,,0.5\n", False),
+    (_H + _ROWS + "#b,1,0,2,,0.5\n", True),
+    (_H + _ROWS + "b,1,0,2,,0.5,9\n", False),
+    (_H + _ROWS + "\nb,1,0,2,,0.5\n", False),
+    (_H + _ROWS + " \nb,1,0,2,,0.5\n", False),
+    (_H + _ROWS + '"b",1,0,2,,0.5\n', False),
+    ((_H + _ROWS).replace("\n", "\r\n"), False),
+    (_H + _ROWS + "b,1\r,0,2,,0.5\n", False),
+    pytest.param(_H + _ROWS + "b" * 131073 + ",1,0,2,,0.5\n", False,
+                 id="field over the csv limit"),
+    (_H + _ROWS + "b,1,0,2,,0.5", True),
+    # the first time column is shadowed by the second, so never read
+    ("id,time,status,arm,time,w1\na,x,1,1,1.0,0.5\na,,0,1,2.0,0.5\n", True),
+    ("id,time,status,arm,w1,w1\n" + _ROWS + "b,1,0,2,3,4\n", True),
+    ("id,id,time,status,arm,w1\n" + _ROWS + "b,1,0,2,9,0.5\n", False),
+    ("time,id,status,arm\n1,a,0,1\n", False),
+    (_H, False),
+    ("", False),
+])
+def test_edge_cases_read_as_csv_reader(text, in_c):
+    fast, slow, took_c = _read_both_ways(text)
+    assert fast == slow
+    assert took_c == in_c
+
+
+def _plain_study_csv(rng, n=1500):
+    """A plain two-arm CSV with event types and two covariates, at least
+    two chunks long."""
+    buf = io.StringIO()
+    write_records_csv(random_study(rng, n=n, n_cov=2, n_types=2), buf)
+    text = buf.getvalue().replace("\r\n", "\n")
+    assert text.count("\n") > core._CHUNK_ROWS + 1
+    return text
+
+
+def test_plain_csv_rows_never_reach_csv_reader(rng, monkeypatch):
+    text = _plain_study_csv(rng)
+    with monkeypatch.context() as m:
+        m.setattr(core, "_parse_plain", lambda *args: None)
+        study = read_study_csv(_NoSeek(text), 1.0)
+    real = csv.reader
+
+    def header_only(lines):
+        rows = real(lines)
+        yield next(rows)
+        for row in rows:
+            raise AssertionError(f"csv.reader read a data row: {row}")
+
+    monkeypatch.setattr(csv, "reader", header_only)
+    back = read_study_csv(_NoSeek(text), 1.0)
+    assert back.arm1 == study.arm1 and back.arm2 == study.arm2
+
+
+@pytest.mark.parametrize("edit,error", [
+    # a quoted id: csv.reader reads it as the bare id, with no error
+    (lambda row: '"' + row.replace(",", '",', 1), None),
+    (lambda row: row.split(",", 1)[0] + ",abc," + row.split(",", 2)[2],
+     "line 5001: bad time 'abc'"),
+    (lambda row: row.replace(",", ",\r", 1),
+     "line 5001: new-line character seen in unquoted field"),
+    (lambda row: "\n" + row.split(",", 1)[0] + ",1.0",
+     "line 5002: expected 7 fields, got 2"),
+], ids=["quoted id", "bad time", "CR in a field", "blank line and short row"])
+def test_late_switch_to_csv_reader(rng, edit, error):
+    # row 5000 is in the second chunk: the first is parsed in C, then
+    # csv.reader goes on from that chunk's own lines, without a seek
+    text = _plain_study_csv(rng)
+    assert 5000 > core._CHUNK_ROWS
+    lines = text.split("\n")
+    lines[5000] = edit(lines[5000])
+    fast, slow, in_c = _read_both_ways("\n".join(lines))
+    assert in_c and fast == slow
+    if error is None:
+        assert fast == _read(text)
+    else:
+        assert fast[0] is ValidationError and fast[1].startswith(error)
 
 
 def test_public_api_is_pinned():
