@@ -48,7 +48,9 @@ class ArmDataset:
     by time with ties broken by subject order: ``event_times``,
     ``event_subjects`` (the owning subject's row) and ``event_type_labels``
     (0 when unlabelled). Per-subject results (e.g. influence values) align
-    with subject order.
+    with subject order. ``_follow_up_order`` lists the subjects by
+    follow-up time, ties in subject order, and ``_sorted_follow_up`` is
+    ``follow_up`` in that order.
     """
 
     def __init__(
@@ -110,9 +112,12 @@ class ArmDataset:
         self.event_times = event_times[order]
         self.event_subjects = event_subjects[order]
         self.event_type_labels = event_type_labels[order]
-        for name in _COLUMNS:
+        # the subjects in follow-up order, ties in subject order: fits,
+        # influence values and the bootstrap read the arm through it
+        self._follow_up_order = np.argsort(follow_up, kind="stable")
+        self._sorted_follow_up = follow_up[self._follow_up_order]
+        for name in (*_COLUMNS, "_follow_up_order", "_sorted_follow_up"):
             getattr(self, name).flags.writeable = False
-        self._sorted_follow_up = np.sort(self.follow_up)
 
     def _events_by_subject(self) -> tuple[np.ndarray, np.ndarray]:
         """Event rows grouped by subject, each group in time order, and the
@@ -377,7 +382,7 @@ def _read_plain_chunks(fh, fields, width, ids, parts) -> list[str]:
     dtype = np.dtype([(f"c{k}", kinds.get(k, "U1")) for k in range(width)])
     names = [f"c{k}" for _, k, _, _ in fields]
     # an empty event_type is 0; loadtxt rejects a label outside int64
-    converters = {k: lambda v: int(v) if v else 0
+    converters = {k: _EventTypeLabels().__getitem__
                   for label, k, _, _ in fields if label == "event_type"}
     while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
         table = _parse_plain(lines, dtype, converters, names[0])
@@ -389,20 +394,32 @@ def _read_plain_chunks(fh, fields, width, ids, parts) -> list[str]:
     return []
 
 
+class _EventTypeLabels(dict):
+    """The label of each event_type field text read so far, 0 for an empty
+    field: each distinct text is converted once, and its ``__getitem__`` is
+    a ``loadtxt`` converter with no Python frame per field."""
+
+    def __missing__(self, text):
+        label = self[text] = int(text) if text else 0
+        return label
+
+
 def _parse_plain(lines, dtype, converters, status) -> Optional[np.ndarray]:
     """The chunk as one ``np.loadtxt`` table with a row per line, or None
     when the chunk is not plain.
 
-    Plain lines hold no quote, CR or NUL; none is blank or longer than the
-    csv module's field limit; each has as many fields as ``dtype``; every
-    field parses without a warning; and every ``status`` field is 0, 1 or
-    2. ``csv.reader`` splits such lines at the commas alone, and
-    ``loadtxt`` reads their numbers as Python's ``int`` and ``float`` do.
-    It rejects some that those take (``1_000``, non-ASCII digits): such a
-    chunk is not plain.
+    Plain lines hold no quote, NUL or CR other than in a CRLF line end;
+    none is blank or longer than the csv module's field limit; each has as
+    many fields as ``dtype``; every field parses without a warning; and
+    every ``status`` field is 0, 1 or 2. ``csv.reader`` splits such lines
+    at the commas alone, and ``loadtxt`` reads their numbers as Python's
+    ``int`` and ``float`` do. It rejects some that those take (``1_000``,
+    non-ASCII digits): such a chunk is not plain.
     """
     text = "".join(lines)
-    if '"' in text or "\r" in text or "\0" in text:
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text and text.count("\r") != text.count("\r\n"):
         return None
     if max(map(len, lines)) > csv.field_size_limit():
         return None

@@ -130,13 +130,15 @@ class _ResampleFit:
     """
 
     def __init__(self, arm: ArmDataset, tau: float):
-        self.order = np.argsort(arm.follow_up)
-        x = arm.follow_up[self.order]
-        m = np.searchsorted(arm.event_times, tau, side="right")  # events <= tau
-        self.event_subjects = arm.event_subjects[:m]
-        te, self.event_first = np.unique(arm.event_times[:m], return_index=True)
-        self.death_rows = np.flatnonzero(arm.terminal[self.order] & (x <= tau))
-        td, self.death_first = np.unique(x[self.death_rows], return_index=True)
+        self.order = arm._follow_up_order
+        x = arm._sorted_follow_up
+        times, self.event_subjects = _events(arm, tau)
+        self.event_first, _ = _runs(times)
+        te = times[self.event_first]
+        self.death_rows = _death_rows(arm, tau)
+        dead = x[self.death_rows]
+        self.death_first, _ = _runs(dead)
+        td = dead[self.death_first]
         # the columns of y at the jumps, and of km just before each event
         self.at_te = np.searchsorted(x, te, side="left")
         self.at_td = np.searchsorted(x, td, side="left")
@@ -222,18 +224,44 @@ def time_lost_per_subject(arm: ArmDataset, tau: float) -> np.ndarray:
 def _event_jumps(arm: ArmDataset, tau: float = np.inf, event_type: int | None = None):
     """Distinct event times <= tau (of ``event_type``, when given), event
     counts and integer at-risk counts."""
-    keep = arm.event_times <= tau
-    if event_type is not None:
-        keep &= arm.event_type_labels == event_type
-    te, counts = np.unique(arm.event_times[keep], return_counts=True)
+    times, _ = _events(arm, tau, event_type)
+    first, counts = _runs(times)
+    te = times[first]
     return te, counts, arm.at_risk(te)
+
+
+def _events(arm: ArmDataset, tau: float, event_type: int | None = None):
+    """Times and owning subjects of the events at or before tau (of
+    ``event_type``, when given), in time order."""
+    m = np.searchsorted(arm.event_times, tau, side="right")
+    times, owners = arm.event_times[:m], arm.event_subjects[:m]
+    if event_type is not None:
+        keep = arm.event_type_labels[:m] == event_type
+        times, owners = times[keep], owners[keep]
+    return times, owners
 
 
 def _death_jumps(arm: ArmDataset, tau: float = np.inf):
     """Distinct terminal-event times <= tau, death counts and at-risk counts."""
-    x = arm.follow_up
-    td, d = np.unique(x[arm.terminal & (x <= tau)], return_counts=True)
+    x = arm._sorted_follow_up[_death_rows(arm, tau)]
+    first, d = _runs(x)
+    td = x[first]
     return td, d, arm.at_risk(td).astype(np.float64)
+
+
+def _death_rows(arm: ArmDataset, tau: float) -> np.ndarray:
+    """Positions in follow-up order of the subjects who died at or before tau."""
+    m = np.searchsorted(arm._sorted_follow_up, tau, side="right")
+    return np.flatnonzero(arm.terminal[arm._follow_up_order[:m]])
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the first element and length of each run of equal values
+    in a sorted array."""
+    edge = np.ones(values.size + 1, dtype=bool)
+    edge[1:-1] = values[1:] != values[:-1]
+    bounds = np.flatnonzero(edge)
+    return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
 def _survival_at(km: StepFunction, times: np.ndarray, s_convention: str) -> np.ndarray:

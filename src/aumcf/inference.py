@@ -18,7 +18,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import ArmDataset, StudyDataset, ValidationError
-from .estimation import ArmFit, fit_arm
+from .estimation import ArmFit, _death_rows, _events, _runs, fit_arm
 
 
 class RatioUndefinedError(ValueError):
@@ -73,29 +73,31 @@ def fit_influence(fit: ArmFit) -> np.ndarray:
     while at risk) and B(v) = theta minus the AUMCF mass at jumps <= v.
     """
     arm, tau, n = fit.arm, fit.tau, fit.arm.n
-    x = arm.follow_up
+    order, x = arm._follow_up_order, arm._sorted_follow_up
     te, td = fit.te, fit.td
 
     w_e = (tau - te) * fit.s * (n / fit.y_e)
-    ev = arm.event_times <= tau
-    if fit.event_type is not None:
-        ev &= arm.event_type_labels == fit.event_type
-    obs_event = np.zeros(n)
-    np.add.at(obs_event, arm.event_subjects[ev], w_e[np.searchsorted(te, arm.event_times[ev])])
-    comp_event = _prefix_at(w_e * fit.dr, te, x)
+    # the events in time order come in runs, one per event jump, and each
+    # takes its jump's weight; likewise the deaths in follow-up order
+    times, owners = _events(arm, tau, fit.event_type)
+    obs_event = np.bincount(owners, weights=np.repeat(w_e, _runs(times)[1]), minlength=n)
 
+    # the other terms are per subject in follow-up order
+    comp_event = _prefix_at(w_e * fit.dr, te, x)
     b = fit.theta - _prefix_at((tau - te) * fit.s * fit.dr, te, td)
     w_d = b * (n / fit.y_d)
-    dead = arm.terminal & (x <= tau)
     obs_death = np.zeros(n)
-    obs_death[dead] = w_d[np.searchsorted(td, x[dead])]
+    obs_death[_death_rows(arm, tau)] = np.repeat(w_d, fit.d)
     comp_death = _prefix_at(w_d * (fit.d / fit.y_d), td, x)
 
-    return (obs_event - comp_event) - (obs_death - comp_death)
+    psi = np.empty(n)
+    psi[order] = (obs_event[order] - comp_event) - (obs_death - comp_death)
+    return psi
 
 
 def _prefix_at(mass: np.ndarray, knots: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Total mass at the knots <= t, for each t (closed inequality)."""
+    """Total mass at the knots <= t, for each t of an ascending ``t``
+    (closed inequality)."""
     cum = np.concatenate(([0.0], np.cumsum(mass)))
     return cum[np.searchsorted(knots, t, side="right")]
 

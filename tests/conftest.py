@@ -3,6 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from aumcf import ArmDataset, StudyDataset
 
@@ -149,6 +150,73 @@ def dense_influence(arm, tau, s_convention="left", event_type=None):
     b = (area[None, :] * (te[None, :] > td[:, None])).sum(axis=1)
     w_d = np.where(td <= tau, b * n / y_d, 0.0)
     return res.d_event @ w_e - res.d_terminal @ w_d
+
+
+# a coarse grid of times makes ties: events with events, deaths and
+# censorings, and all of them with time 0
+TIE_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+@st.composite
+def tied_arms(draw, arm=1):
+    """Arms of up to 12 subjects on ``TIE_GRID``, or on the grid without 0,
+    with event types 0-2; some have no deaths and some no events."""
+    grid = draw(st.sampled_from([TIE_GRID, TIE_GRID[1:]]))
+    deaths, events = draw(st.booleans()), draw(st.booleans())
+    subjects = []
+    for i in range(draw(st.integers(1, 12))):
+        x = draw(st.sampled_from(TIE_GRID))
+        dead = deaths and draw(st.booleans())
+        on_grid = [t for t in grid if t <= x and events]
+        times = draw(st.lists(st.sampled_from(on_grid), max_size=3)) if on_grid else []
+        types = [draw(st.integers(0, 2)) for _ in times]
+        subjects.append((f"s{i}", x, dead, sorted(times), types))
+    return make_arm(arm, subjects)
+
+
+def reference_fit(arm, tau, s_convention="left", event_type=None):
+    """The ``ArmFit`` jump arrays and theta as computed from the columns in
+    subject order: ``np.unique`` of masked times, at-risk counts from a
+    fresh sort of the follow-up times. Keys are the ``ArmFit`` fields."""
+    x = arm.follow_up
+    keep = arm.event_times <= tau
+    if event_type is not None:
+        keep &= arm.event_type_labels == event_type
+    te, counts = np.unique(arm.event_times[keep], return_counts=True)
+    y_e = (arm.n - np.searchsorted(np.sort(x), te, side="left")).astype(np.float64)
+    dr = counts / y_e
+    td, d = np.unique(x[arm.terminal & (x <= tau)], return_counts=True)
+    y_d = (arm.n - np.searchsorted(np.sort(x), td, side="left")).astype(np.float64)
+    km = np.concatenate(([1.0], np.cumprod(1.0 - d / y_d)))
+    s = km[np.searchsorted(td, te, side="left" if s_convention == "left" else "right")]
+    theta = float(np.sum((tau - te) * s * dr))
+    return dict(te=te, y_e=y_e, dr=dr, s=s, td=td, d=d, y_d=y_d, theta=theta)
+
+
+def reference_influence(fit):
+    """``fit_influence`` computed per subject in subject order: risk-set
+    lookups with unsorted queries and observed jumps by ``np.add.at``."""
+    arm, tau, n = fit.arm, fit.tau, fit.arm.n
+    x = arm.follow_up
+    te, td = fit.te, fit.td
+
+    def prefix_at(mass, knots, t):
+        return np.concatenate(([0.0], np.cumsum(mass)))[np.searchsorted(knots, t, side="right")]
+
+    w_e = (tau - te) * fit.s * (n / fit.y_e)
+    ev = arm.event_times <= tau
+    if fit.event_type is not None:
+        ev &= arm.event_type_labels == fit.event_type
+    obs_event = np.zeros(n)
+    np.add.at(obs_event, arm.event_subjects[ev], w_e[np.searchsorted(te, arm.event_times[ev])])
+    comp_event = prefix_at(w_e * fit.dr, te, x)
+    b = fit.theta - prefix_at((tau - te) * fit.s * fit.dr, te, td)
+    w_d = b * (n / fit.y_d)
+    dead = arm.terminal & (x <= tau)
+    obs_death = np.zeros(n)
+    obs_death[dead] = w_d[np.searchsorted(td, x[dead])]
+    comp_death = prefix_at(w_d * (fit.d / fit.y_d), td, x)
+    return (obs_event - comp_event) - (obs_death - comp_death)
 
 
 # ScenarioConfig fields that must be rejected, with the message naming why;

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import aumcf
 from aumcf import write_records_csv
@@ -544,3 +545,118 @@ def test_compare_covariates_builds_no_extra_arm(runner, tmp_path, rng, monkeypat
     result = runner.invoke(main, ["compare", str(path), "--tau", "2", "--covariates", "w2,w1"])
     assert result.exit_code == 0
     assert built == [1, 2]  # the CSV read's two arms; subsetting builds none
+
+
+# ---------------------------------------------------------------------------
+# The CLI contract on arbitrary input
+# ---------------------------------------------------------------------------
+
+_HEADERS = ("id,time,status,arm", "id,time,status,arm,event_type",
+            "id,time,status,arm,w1", "id,time,status,arm,event_type,w1,w2",
+            "time,id,arm,status,w2,w1")
+_GRID_TIMES = ("0", "0.5", "1", "1.5", "2", "3")
+# values that a field may be mutated to
+_ODD_VALUES = ("", "-1", "3", "nan", "inf", "-0", "1e308", "1e-320", "x", " 1",
+               "1_0", "0x1", "9223372036854775808", "\u0661", "a\0")
+
+
+@st.composite
+def _cli_input(draw):
+    """Bytes for the CLI: a valid two-arm study with a few fields mutated,
+    quoted or cut short; arbitrary text; or arbitrary bytes. Lines end
+    with LF, CRLF or CR, and a few bytes may be spliced in anywhere."""
+    kind = draw(st.sampled_from(["study"] * 6 + ["text", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=120))
+    if kind == "text":
+        text = draw(st.text(alphabet=st.sampled_from(list('ab01.,"\n\r\0 e-')), max_size=120))
+    else:
+        header = draw(st.sampled_from(_HEADERS))
+        rows = []
+        for arm in ("1", "2"):
+            for i in range(draw(st.sampled_from([0, 1, 2, 3, 4, 4]))):
+                x = draw(st.sampled_from(_GRID_TIMES[1:]))
+                row = {"id": draw(st.sampled_from(["s", "é", "a b"])) + str(i), "arm": arm,
+                       "w1": draw(st.sampled_from(["0.5", "-1", "2"])),
+                       "w2": draw(st.sampled_from(["0", "1.5"]))}
+                on_grid = [t for t in _GRID_TIMES if float(t) <= float(x)]
+                for t in draw(st.lists(st.sampled_from(on_grid), max_size=3)):
+                    rows.append(dict(row, time=t, status="1",
+                                     event_type=draw(st.sampled_from(["1", "2", ""]))))
+                rows.append(dict(row, time=x, status=draw(st.sampled_from(["0", "2"])),
+                                 event_type=""))
+        rows = [[r[c] for c in header.split(",")] for r in draw(st.permutations(rows))]
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            if not any(rows):
+                break
+            row = draw(st.sampled_from([r for r in rows if r]))
+            k = draw(st.integers(0, len(row) - 1))
+            edit = draw(st.sampled_from(["value", "value", "quote", "cut"]))
+            if edit == "value":
+                row[k] = draw(st.sampled_from(_ODD_VALUES))
+            elif edit == "quote":
+                row[k] = '"' + row[k] + '"'
+            else:
+                del row[k:]
+        text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(
+            [header] + [",".join(r) for r in rows])
+        text += draw(st.sampled_from(["", "\n", "\r\n"]))
+    raw = text.encode("utf-8")
+    if draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.binary(min_size=1, max_size=3)) + raw[at:]
+    return raw
+
+
+# the repeats make a tau that the inputs can support the likelier draw
+_TAUS = ("1", "2", "0.5", "2.5", "1", "2", "0.5", "2.5", "4", "1e-300", "1e308", "1.7e308",
+         "0", "-1", "nan", "inf")
+
+
+@st.composite
+def _cli_args(draw):
+    command = draw(st.sampled_from(["estimate", "compare", "curves"]))
+    args = [command, "-", "--tau", draw(st.sampled_from(_TAUS))]
+    if draw(st.integers(0, 3)) == 0:
+        args.append("--strict-tau")
+    if draw(st.booleans()):
+        args += ["--s-convention", "right"]
+    if command in ("estimate", "compare"):
+        if draw(st.integers(0, 5)) == 0:
+            args += ["--alpha", draw(st.sampled_from(["0.5", "0", "1", "nan", "1e-20"]))]
+        args += ["--format", draw(st.sampled_from(["json", "csv"]))]
+    if command == "compare":
+        args += draw(st.sampled_from([
+            [], [], ["--contrast", "ratio"], ["--contrast", "ratio"],
+            ["--covariates", "w1"], ["--covariates", "w1,w2"], ["--covariates", "w2,w1"],
+            ["--weights", "0=1,1=1,2=2"], ["--weights", "0=1,1=1,2=0.5,3=1"],
+            ["--covariates", "zz"], ["--covariates", ","], ["--weights", "1=0"],
+            ["--weights", "x"], ["--contrast", "ratio", "--covariates", "w1"],
+            ["--covariates", "w1", "--weights", "1=1"],
+        ]))
+    return args
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=_cli_input(), args=_cli_args())
+def test_cli_contract_holds_for_any_input(raw, args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a warning would reach stderr
+        result = CliRunner().invoke(main, args, input=raw)
+    assert result.exit_code in (0, 2, 3, 4), result.exception
+    assert caught == []
+    if result.exit_code == 0:
+        assert result.stderr == "" and result.stdout
+        if args[0] == "curves" or "csv" in args:
+            # every number in a CSV report's rows is finite
+            for line in result.stdout.splitlines():
+                if not line.startswith("#"):
+                    for cell in line.split(","):
+                        assert not re.fullmatch(r"[+-]?(nan|inf)", cell.strip(), re.I), line
+        else:
+            _strict_json(result.stdout)
+    else:
+        assert result.stdout == ""
+        assert result.stderr.endswith("\n") and result.stderr.count("\n") == 1
+        err = _strict_json(result.stderr)["error"]
+        assert err["code"] == result.exit_code and set(err) == {"code", "type", "message"}

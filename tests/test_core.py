@@ -18,7 +18,7 @@ from aumcf import (
 )
 from aumcf import core
 
-from conftest import make_arm, random_study, subject_rows
+from conftest import TIE_GRID, make_arm, random_study, subject_rows, tied_arms
 
 
 def _csv(*rows):
@@ -286,9 +286,6 @@ def _assert_same_columns(a, b):
         assert x.tolist() == y.tolist(), name
 
 
-_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)  # a coarse grid makes ties (and ties with deaths)
-
-
 @st.composite
 def _long_format(draw, lineterminator="\r\n"):
     p = draw(st.integers(0, 2))
@@ -298,9 +295,9 @@ def _long_format(draw, lineterminator="\r\n"):
         ids = draw(st.lists(st.text("ab\0é ", min_size=1, max_size=3),
                             min_size=1, max_size=6, unique=True))
         for sid in ids:
-            x = draw(st.sampled_from(_GRID))
+            x = draw(st.sampled_from(TIE_GRID))
             cov = tuple(draw(st.lists(st.floats(-5, 5), min_size=p, max_size=p))) or None
-            events = draw(st.lists(st.sampled_from([t for t in _GRID if t <= x]),
+            events = draw(st.lists(st.sampled_from([t for t in TIE_GRID if t <= x]),
                                    max_size=4))
             for t in events:
                 etype = draw(st.integers(0, 2)) if typed else None
@@ -365,6 +362,18 @@ def test_from_columns_checks_the_data_model():
                           event_subjects=[], event_type_labels=[]))
 
 
+@settings(max_examples=100, deadline=None)
+@given(arm=tied_arms())
+def test_follow_up_order_is_stable_and_read_only(arm):
+    order, x = arm._follow_up_order, arm._sorted_follow_up
+    assert sorted(order.tolist()) == list(range(arm.n))
+    assert arm.follow_up[order].tobytes() == x.tobytes()
+    assert (np.diff(x) >= 0).all()
+    tied = np.diff(x) == 0
+    assert (np.diff(order)[tied] > 0).all()  # ties stay in subject order
+    assert not order.flags.writeable and not x.flags.writeable
+
+
 def test_subject_history_validation():
     ok = _TWO_SUBJECTS
     for bad in (np.nan, np.inf, -1.0):
@@ -427,6 +436,16 @@ def test_plain_chunks_read_as_csv_reader(data):
     assert in_c or "\0" in text  # only a NUL in an id keeps it from C
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=_long_format("\r\n"))
+def test_crlf_chunks_read_as_csv_reader(data):
+    # the line ends that write_records_csv and Windows tools write
+    _, text, _ = data
+    fast, slow, in_c = _read_both_ways(text)
+    assert fast == slow
+    assert in_c or "\0" in text
+
+
 @pytest.mark.parametrize("text", [
     *("id,time,status,arm\n" + body for body, _ in _FIELD_ERRORS),
     _BAD_FIELD_ORDER, _BAD_FIELD_ORDER.replace("2,0.5", "2,w"),
@@ -470,7 +489,11 @@ _ROWS = "a,1.0,1,1,2,0.5\na,2.0,0,1,,0.5\n"
     (_H + _ROWS + "\nb,1,0,2,,0.5\n", False),
     (_H + _ROWS + " \nb,1,0,2,,0.5\n", False),
     (_H + _ROWS + '"b",1,0,2,,0.5\n', False),
-    ((_H + _ROWS).replace("\n", "\r\n"), False),
+    ((_H + _ROWS).replace("\n", "\r\n"), True),
+    (_H + _ROWS.replace("\n", "\r\n") + "b,1,0,2,,0.5\n", True),
+    ((_H + _ROWS).replace("\n", "\r"), False),
+    ((_H + _ROWS).replace("\n", "\r\r\n"), False),
+    ((_H + _ROWS + "\nb,1,0,2,,0.5\n").replace("\n", "\r\n"), False),
     (_H + _ROWS + "b,1\r,0,2,,0.5\n", False),
     pytest.param(_H + _ROWS + "b" * 131073 + ",1,0,2,,0.5\n", False,
                  id="field over the csv limit"),

@@ -3,6 +3,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from aumcf import (
     RatioUndefinedError,
@@ -12,13 +13,16 @@ from aumcf import (
     aumcf,
     contrast_difference,
     contrast_ratio,
+    fit_arm,
+    fit_influence,
     influence_values,
     weighted_contrast,
 )
 from aumcf.inference import wald_pvalue
 
 from conftest import (
-    dense_influence, make_arm, martingale_residuals, random_arm, random_study, subject_rows,
+    dense_influence, make_arm, martingale_residuals, random_arm, random_study,
+    reference_fit, reference_influence, subject_rows, tied_arms,
 )
 
 
@@ -268,3 +272,21 @@ def test_smallest_alpha_keeps_normal_quantile(rng):
     res = contrast_difference(random_study(rng, n=10), alpha=alpha)
     z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     assert res.ci_upper == res.point + z * res.se
+
+
+@settings(max_examples=150, deadline=None)
+@given(arm=tied_arms())
+def test_fit_and_influence_are_bitwise_the_subject_order_computation(arm):
+    # tau before the first jump (on the grid without 0), between grid
+    # points, on one, and beyond the last follow-up; type 2 may be absent
+    for tau in (0.25, 1.0, 1.75, 3.0):
+        for s_convention in ("left", "right"):
+            for event_type in (None, 0, 2):
+                fit = fit_arm(arm, tau, s_convention, event_type)
+                want = reference_fit(arm, tau, s_convention, event_type)
+                assert float(fit.theta).hex() == float(want.pop("theta")).hex()
+                for name, ref in want.items():
+                    got = getattr(fit, name)
+                    assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes()), name
+                psi, ref = fit_influence(fit), reference_influence(fit)
+                assert (psi.dtype, psi.tobytes()) == (ref.dtype, ref.tobytes())

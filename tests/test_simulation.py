@@ -23,7 +23,7 @@ from aumcf.core import StudyDataset
 from aumcf.estimation import _ResampleFit, aumcf
 from aumcf.simulation import _PURPOSE_BOOTSTRAP, _draw_arm, _stream
 
-from conftest import BAD_SCENARIO_FIELDS, make_arm, random_study, subject_rows
+from conftest import BAD_SCENARIO_FIELDS, TIE_GRID, make_arm, random_study, subject_rows
 
 # quadrature truths, frozen from an independent oracle
 THETA_ICR_TAU1 = 0.4682688269495465
@@ -315,6 +315,23 @@ def test_bootstrap_event_with_empty_risk_set():
     counts = _check_against_refits(StudyDataset(arm1, arm2, tau=3.0))
     drawn = counts[0][:, 3:].sum(axis=1)
     assert (drawn == 0).any() and (drawn > 0).any()
+
+
+def test_bootstrap_on_tied_study_is_pinned():
+    # the SE that the count-matrix bootstrap gave when it sorted each arm
+    # itself; reading the arm's stored follow-up order leaves it bitwise
+    rng = np.random.default_rng(20261018)
+
+    def tied_arm(arm, n=40):
+        subjects = []
+        for i in range(n):
+            x = float(rng.choice(TIE_GRID[1:]))
+            times = np.sort(rng.choice([t for t in TIE_GRID if t <= x], size=rng.integers(0, 4)))
+            subjects.append((f"s{i}", x, bool(rng.random() < 0.4), times.tolist()))
+        return make_arm(arm, subjects)
+
+    study = StudyDataset(tied_arm(1), tied_arm(2), tau=1.5)
+    assert bootstrap_se(study, B=200, seed=7).hex() == "0x1.3384305c4b4ecp-2"
 
 
 def test_streams_are_distinct():
