@@ -73,17 +73,17 @@ class StepFunction:
 class ArmFit:
     """The jumps on [0, tau] that the AUMCF and its influence values sum over.
 
-    One fit per (arm, tau, s_convention, event_type). Event jumps: distinct
+    One fit per (arm, tau, s_convention, weights). Event jumps: distinct
     event times ``te`` <= tau with at-risk counts ``y_e``, rate increments
-    ``dr`` = events / ``y_e`` and the survival ``s`` at ``te`` under the
-    convention. Death jumps: distinct terminal-event times ``td`` <= tau
-    with death counts ``d`` and at-risk counts ``y_d``. ``theta`` is the
-    AUMCF point estimate.
+    ``dr`` = event mass (see ``fit_arm``) / ``y_e`` and the survival ``s``
+    at ``te`` under the convention. Death jumps: distinct terminal-event
+    times ``td`` <= tau with death counts ``d`` and at-risk counts ``y_d``.
+    ``theta`` is the AUMCF point estimate.
     """
 
     arm: ArmDataset
     tau: float
-    event_type: int | None
+    weights: dict[int, float] | None
     te: np.ndarray
     y_e: np.ndarray
     dr: np.ndarray
@@ -98,22 +98,27 @@ def fit_arm(
     arm: ArmDataset,
     tau: float,
     s_convention: str = "left",
-    event_type: int | None = None,
+    weights: dict[int, float] | None = None,
 ) -> ArmFit:
     """Fit one arm on [0, tau]: its event and death jumps and its AUMCF.
 
-    With ``event_type`` given, only events of that type carry rate mass;
+    Each event carries rate mass 1, or with ``weights`` the weight of its
+    type (0 for a type not in the map, so ``{k: 1.0}`` fits type k alone);
     the survival curve and the risk sets are the arm's own.
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
-    te, counts, y = _event_jumps(arm, tau, event_type)
-    y_e = y.astype(np.float64)
-    dr = counts / y_e
+    if weights is not None:
+        weights = dict(weights)  # the fit's own copy, read again by fit_influence
+    times, _, w = _events(arm, tau, weights)
+    first, _ = _runs(times)
+    te = times[first]
+    y_e = arm.at_risk(te).astype(np.float64)
+    dr = np.add.reduceat(w, first) / y_e
     td, d, y_d = _death_jumps(arm, tau)
     s = _survival_at(StepFunction(td, np.cumprod(1.0 - d / y_d), 1.0), te, s_convention)
     theta = float(np.sum((tau - te) * s * dr))
-    return ArmFit(arm, tau, event_type, te, y_e, dr, s, td, d, y_d, theta)
+    return ArmFit(arm, tau, weights, te, y_e, dr, s, td, d, y_d, theta)
 
 
 class _ResampleFit:
@@ -121,8 +126,8 @@ class _ResampleFit:
     resample of its subjects from how often each subject was drawn.
 
     ``thetas`` takes a ``(rows, n)`` count matrix and returns one AUMCF per
-    row: the sums of ``fit_arm`` (left-limit survival, every event type)
-    over the original arm's jumps, each subject weighted by its count.
+    row: the sums of ``fit_arm`` (left-limit survival, no weights) over the
+    original arm's jumps, each subject weighted by its count.
     At-risk counts are reverse cumulative sums of a row over the subjects
     in follow-up order; event and death counts are row sums over the
     subjects that own them. A jump whose risk set is empty in a resample
@@ -132,7 +137,7 @@ class _ResampleFit:
     def __init__(self, arm: ArmDataset, tau: float):
         self.order = arm._follow_up_order
         x = arm._sorted_follow_up
-        times, self.event_subjects = _events(arm, tau)
+        times, self.event_subjects, _ = _events(arm, tau)
         self.event_first, _ = _runs(times)
         te = times[self.event_first]
         self.death_rows = _death_rows(arm, tau)
@@ -179,21 +184,22 @@ def mcf(arm: ArmDataset, s_convention: str = "left") -> StepFunction:
 
 def _mcf_given_km(arm: ArmDataset, km: StepFunction, s_convention: str) -> StepFunction:
     """The MCF of ``arm`` with its Kaplan-Meier curve ``km`` already built."""
-    te, counts, y = _event_jumps(arm)
-    if te.size == 0:
+    first, counts = _runs(arm.event_times)
+    if first.size == 0:
         return StepFunction(np.empty(0), np.empty(0), 0.0)
+    te = arm.event_times[first]
     s = _survival_at(km, te, s_convention)
-    return StepFunction(te, np.cumsum(s * (counts / y)), 0.0)
+    return StepFunction(te, np.cumsum(s * (counts / arm.at_risk(te))), 0.0)
 
 
 def aumcf(
     arm: ArmDataset,
     tau: float,
     s_convention: str = "left",
-    event_type: int | None = None,
+    weights: dict[int, float] | None = None,
 ) -> float:
     """AUMCF point estimate: sum of (tau - u) * S_D * dR over jumps u <= tau."""
-    return fit_arm(arm, tau, s_convention, event_type).theta
+    return fit_arm(arm, tau, s_convention, weights).theta
 
 
 def area_under_step(f: StepFunction, tau: float) -> float:
@@ -221,24 +227,20 @@ def time_lost_per_subject(arm: ArmDataset, tau: float) -> np.ndarray:
                        minlength=arm.n)
 
 
-def _event_jumps(arm: ArmDataset, tau: float = np.inf, event_type: int | None = None):
-    """Distinct event times <= tau (of ``event_type``, when given), event
-    counts and integer at-risk counts."""
-    times, _ = _events(arm, tau, event_type)
-    first, counts = _runs(times)
-    te = times[first]
-    return te, counts, arm.at_risk(te)
-
-
-def _events(arm: ArmDataset, tau: float, event_type: int | None = None):
-    """Times and owning subjects of the events at or before tau (of
-    ``event_type``, when given), in time order."""
+def _events(arm: ArmDataset, tau: float, weights: dict[int, float] | None = None):
+    """Times, owning subjects and weights of the events at or before tau,
+    in time order: each event weighs the ``weights`` entry of its type, 0
+    for a type not in the map, and events of weight 0 are dropped. With no
+    map every event weighs 1."""
     m = np.searchsorted(arm.event_times, tau, side="right")
     times, owners = arm.event_times[:m], arm.event_subjects[:m]
-    if event_type is not None:
-        keep = arm.event_type_labels[:m] == event_type
-        times, owners = times[keep], owners[keep]
-    return times, owners
+    if weights is None:
+        return times, owners, np.ones(m)
+    labels, w = arm.event_type_labels[:m], np.zeros(m)
+    for k, v in weights.items():
+        w[labels == k] = v
+    keep = w != 0
+    return times[keep], owners[keep], w[keep]
 
 
 def _death_jumps(arm: ArmDataset, tau: float = np.inf):

@@ -78,9 +78,10 @@ def fit_influence(fit: ArmFit) -> np.ndarray:
 
     w_e = (tau - te) * fit.s * (n / fit.y_e)
     # the events in time order come in runs, one per event jump, and each
-    # takes its jump's weight; likewise the deaths in follow-up order
-    times, owners = _events(arm, tau, fit.event_type)
-    obs_event = np.bincount(owners, weights=np.repeat(w_e, _runs(times)[1]), minlength=n)
+    # takes its jump's weight times its own; likewise the deaths in
+    # follow-up order
+    times, owners, w = _events(arm, tau, fit.weights)
+    obs_event = np.bincount(owners, weights=np.repeat(w_e, _runs(times)[1]) * w, minlength=n)
 
     # the other terms are per subject in follow-up order
     comp_event = _prefix_at(w_e * fit.dr, te, x)
@@ -106,15 +107,15 @@ def influence_values(
     arm: ArmDataset,
     tau: float,
     s_convention: str = "left",
-    event_type: int | None = None,
+    weights: dict[int, float] | None = None,
 ) -> np.ndarray:
     """Estimated per-subject influence values for the arm AUMCF at tau.
 
-    With ``event_type`` given, the event process is restricted to that
-    type (shared survival curve and risk sets), as used by the weighted
-    multi-type contrast.
+    With ``weights`` given, each event counts with the weight of its type
+    (shared survival curve and risk sets), as in the weighted multi-type
+    contrast.
     """
-    return fit_influence(fit_arm(arm, tau, s_convention, event_type))
+    return fit_influence(fit_arm(arm, tau, s_convention, weights))
 
 
 def arm_variance(psi: np.ndarray) -> float:
@@ -136,9 +137,11 @@ def wald_pvalue(point: float, se: float) -> float:
     return math.erfc(dev / se / math.sqrt(2.0))
 
 
-def _arm_estimates(study: StudyDataset, s_convention: str) -> list[tuple[float, np.ndarray]]:
+def _arm_estimates(
+    study: StudyDataset, s_convention: str, weights: dict[int, float] | None = None
+) -> list[tuple[float, np.ndarray]]:
     """Theta and influence values of each arm, from one fit per arm."""
-    fits = [fit_arm(arm, study.tau, s_convention) for arm in study.arms()]
+    fits = [fit_arm(arm, study.tau, s_convention, weights) for arm in study.arms()]
     return [(fit.theta, fit_influence(fit)) for fit in fits]
 
 
@@ -174,10 +177,14 @@ def contrast_ratio(
     point = t1 / t2
     z = _z(alpha)
     try:
-        se_log = math.sqrt(s1 / (n1 * t1**2) + s2 / (n2 * t2**2))
+        # from the relative influence values psi / theta, which neither
+        # underflow at a tiny tau nor overflow when squared at a huge one
+        se_log = math.sqrt(arm_variance(inf1 / t1) / n1 + arm_variance(inf2 / t2) / n2)
         log_point = math.log(point)
         ci_lower = math.exp(log_point - z * se_log)
         ci_upper = math.exp(log_point + z * se_log)
+        if not all(map(math.isfinite, (se_log, ci_lower, ci_upper))):
+            raise OverflowError("non-finite log-scale SE or CI")
     except OverflowError as exc:
         raise OverflowError(
             f"ratio CI overflows on the log scale: theta1={t1:g}, theta2={t2:g}"
@@ -202,30 +209,20 @@ def weighted_contrast(
     alpha: float = 0.05,
     s_convention: str = "left",
 ) -> ContrastResult:
-    """Difference in weighted multi-type AUMCFs.
+    """Difference in weighted multi-type AUMCFs, from one fit per arm in
+    which an event of type k has mass w_k; every observed type needs a w_k.
 
-    Each event type k contributes w_k times its type-specific AUMCF; the
-    per-subject influence is the matching weighted sum, by linearity of the
-    influence expansion (a construction of this artifact, not a published
-    variance formula).
+    Theta and the influence values are linear in the event mass, so they are
+    the weighted sums of the type-specific ones (a construction of this
+    artifact, not a published variance formula).
     """
     if not all(w > 0 and math.isfinite(w) for w in weights.values()):
         raise ValidationError("event-type weights must be positive and finite")
-    observed = set(np.concatenate([
-        study.arm1.event_type_labels, study.arm2.event_type_labels
-    ]).tolist())
-    missing = sorted(observed - set(weights))
+    labels = np.concatenate([arm.event_type_labels for arm in study.arms()])
+    missing = sorted(set(labels.tolist()) - set(weights))
     if missing:
         raise ValidationError(f"no weight supplied for event type(s): {missing}")
-    estimates = []
-    for arm in study.arms():
-        theta, psi = 0.0, np.zeros(arm.n)
-        for k, w in sorted(weights.items()):
-            fit = fit_arm(arm, study.tau, s_convention, event_type=k)
-            theta += w * fit.theta
-            psi += w * fit_influence(fit)
-        estimates.append((theta, psi))
-    return _difference_result(study, alpha, estimates)
+    return _difference_result(study, alpha, _arm_estimates(study, s_convention, weights))
 
 
 def _wald_result(kind, tau, alpha, point, se, t1, se1, t2, se2, n1, n2) -> ContrastResult:

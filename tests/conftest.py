@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from aumcf import ArmDataset, StudyDataset
+from aumcf import ArmDataset, StudyDataset, fit_arm, fit_influence
 
 
 def make_arm(arm, subjects):
@@ -105,23 +105,30 @@ class MartingaleResiduals:
     d_terminal: np.ndarray
 
 
-def martingale_residuals(arm, event_type=None):
+def event_weights(arm, weights=None):
+    """Each event's weight, in the arm's event order: ``weights`` of its
+    type, 0 for a type not in the map, 1 with no map."""
+    if weights is None:
+        return np.ones(arm.event_times.size)
+    return np.array([weights.get(int(k), 0.0) for k in arm.event_type_labels])
+
+
+def martingale_residuals(arm, weights=None):
     """Per-subject event and terminal-event residual increments.
 
     Built from the arm's columns with dense at-risk matrices, sharing no
-    estimator code with the package; with ``event_type`` only events of
-    that type count.
+    estimator code with the package; with ``weights`` each event counts
+    with the weight of its type, and events of weight 0 not at all.
     """
     x = arm.follow_up
-    times, subjects = arm.event_times, arm.event_subjects
-    if event_type is not None:
-        keep = arm.event_type_labels == event_type
-        times, subjects = times[keep], subjects[keep]
+    w = event_weights(arm, weights)
+    keep = w != 0
+    times, subjects, w = arm.event_times[keep], arm.event_subjects[keep], w[keep]
     te = np.unique(times)
     at_risk = x[:, None] >= te[None, :]
-    dr = (times[:, None] == te[None, :]).sum(axis=0) / at_risk.sum(axis=0)
+    dr = ((times[:, None] == te[None, :]) * w[:, None]).sum(axis=0) / at_risk.sum(axis=0)
     d_event = -(at_risk * dr[None, :])
-    np.add.at(d_event, (subjects, np.searchsorted(te, times)), 1.0)
+    np.add.at(d_event, (subjects, np.searchsorted(te, times)), w)
     td = np.unique(x[arm.terminal])
     at_risk = x[:, None] >= td[None, :]
     observed = arm.terminal[:, None] & (x[:, None] == td[None, :])
@@ -130,7 +137,7 @@ def martingale_residuals(arm, event_type=None):
     return MartingaleResiduals(te, dr, d_event, td, dlam, d_terminal)
 
 
-def dense_influence(arm, tau, s_convention="left", event_type=None):
+def dense_influence(arm, tau, s_convention="left", weights=None):
     """Influence values as dense martingale sums, for checking the package.
 
     psi = d_event @ w_e - d_terminal @ (B(td) n / Y(td)) with w_e =
@@ -138,7 +145,7 @@ def dense_influence(arm, tau, s_convention="left", event_type=None):
     (v, tau]; jumps past tau get zero weight. S is the Kaplan-Meier
     product over deaths before u (``"left"``) or up to u (``"right"``).
     """
-    res = martingale_residuals(arm, event_type)
+    res = martingale_residuals(arm, weights)
     n, x = arm.n, arm.follow_up
     te, td = res.event_times, res.death_times
     y_e = (x[:, None] >= te[None, :]).sum(axis=0)
@@ -174,17 +181,17 @@ def tied_arms(draw, arm=1):
     return make_arm(arm, subjects)
 
 
-def reference_fit(arm, tau, s_convention="left", event_type=None):
+def reference_fit(arm, tau, s_convention="left", weights=None):
     """The ``ArmFit`` jump arrays and theta as computed from the columns in
-    subject order: ``np.unique`` of masked times, at-risk counts from a
-    fresh sort of the follow-up times. Keys are the ``ArmFit`` fields."""
+    subject order: ``np.unique`` of masked times, event mass by
+    ``np.bincount``, at-risk counts from a fresh sort of the follow-up
+    times. Keys are the ``ArmFit`` fields."""
     x = arm.follow_up
-    keep = arm.event_times <= tau
-    if event_type is not None:
-        keep &= arm.event_type_labels == event_type
-    te, counts = np.unique(arm.event_times[keep], return_counts=True)
+    w = event_weights(arm, weights)
+    keep = (arm.event_times <= tau) & (w != 0)
+    te, at = np.unique(arm.event_times[keep], return_inverse=True)
     y_e = (arm.n - np.searchsorted(np.sort(x), te, side="left")).astype(np.float64)
-    dr = counts / y_e
+    dr = np.bincount(at, weights=w[keep], minlength=te.size) / y_e
     td, d = np.unique(x[arm.terminal & (x <= tau)], return_counts=True)
     y_d = (arm.n - np.searchsorted(np.sort(x), td, side="left")).astype(np.float64)
     km = np.concatenate(([1.0], np.cumprod(1.0 - d / y_d)))
@@ -204,11 +211,11 @@ def reference_influence(fit):
         return np.concatenate(([0.0], np.cumsum(mass)))[np.searchsorted(knots, t, side="right")]
 
     w_e = (tau - te) * fit.s * (n / fit.y_e)
-    ev = arm.event_times <= tau
-    if fit.event_type is not None:
-        ev &= arm.event_type_labels == fit.event_type
+    w = event_weights(arm, fit.weights)
+    ev = (arm.event_times <= tau) & (w != 0)
     obs_event = np.zeros(n)
-    np.add.at(obs_event, arm.event_subjects[ev], w_e[np.searchsorted(te, arm.event_times[ev])])
+    np.add.at(obs_event, arm.event_subjects[ev],
+              w_e[np.searchsorted(te, arm.event_times[ev])] * w[ev])
     comp_event = prefix_at(w_e * fit.dr, te, x)
     b = fit.theta - prefix_at((tau - te) * fit.s * fit.dr, te, td)
     w_d = b * (n / fit.y_d)
@@ -217,6 +224,18 @@ def reference_influence(fit):
     obs_death[dead] = w_d[np.searchsorted(td, x[dead])]
     comp_death = prefix_at(w_d * (fit.d / fit.y_d), td, x)
     return (obs_event - comp_event) - (obs_death - comp_death)
+
+
+def per_type_sum(arm, tau, s_convention, weights):
+    """Theta and influence values of a weighted fit as the sum over types
+    k of w_k times the fit of type k alone, ``{k: 1.0}``: the per-type
+    refit that one weighted fit replaces."""
+    theta, psi = 0.0, np.zeros(arm.n)
+    for k, w in sorted(weights.items()):
+        fit = fit_arm(arm, tau, s_convention, {k: 1.0})
+        theta += w * fit.theta
+        psi += w * fit_influence(fit)
+    return theta, psi
 
 
 # ScenarioConfig fields that must be rejected, with the message naming why;

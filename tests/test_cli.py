@@ -448,6 +448,17 @@ def test_huge_tau_stderr_is_one_error_record(toy_csv, args):
         assert err["type"] == "OverflowError" and "ratio CI" in err["message"]
 
 
+@pytest.mark.parametrize("tau", ["1e-300", "1e-160"])
+def test_ratio_at_tiny_tau(runner, tau):
+    # theta**2 underflows here; the log-scale SE comes from psi / theta
+    csv = "id,time,status,arm\na,0,1,1\na,2,0,1\nb,1,2,1\nc,0,1,2\nc,2,0,2\nd,1,2,2\n"
+    result = runner.invoke(main, ["compare", "-", "--tau", tau, "--contrast", "ratio"],
+                           input=csv)
+    assert result.exit_code == 0, result.stderr
+    res = _strict_json(result.stdout)["result"]
+    assert res["point"] == 1.0 and res["se"] == 1.0 and not res["degenerate"]
+
+
 def test_line_endings_read_alike(runner, tmp_path, rng):
     # LF, CRLF and bare CR files of one study: one report, as from a path
     buf = io.StringIO()
@@ -631,6 +642,8 @@ def _cli_args(draw):
             ["--covariates", "w1"], ["--covariates", "w1,w2"], ["--covariates", "w2,w1"],
             ["--weights", "0=1,1=1,2=2"], ["--weights", "0=1,1=1,2=0.5,3=1"],
             ["--covariates", "zz"], ["--covariates", ","], ["--weights", "1=0"],
+            ["--weights", "0=1,1=1e-300,2=1e300"], ["--weights", "0=1e300,1=1e300,2=1e300"],
+            ["--weights", "0=5e-324,1=1,2=1e-300"],
             ["--weights", "x"], ["--contrast", "ratio", "--covariates", "w1"],
             ["--covariates", "w1", "--weights", "1=1"],
         ]))

@@ -21,8 +21,8 @@ from aumcf import (
 from aumcf.inference import wald_pvalue
 
 from conftest import (
-    dense_influence, make_arm, martingale_residuals, random_arm, random_study,
-    reference_fit, reference_influence, subject_rows, tied_arms,
+    dense_influence, make_arm, martingale_residuals, per_type_sum, random_arm,
+    random_study, reference_fit, reference_influence, subject_rows, tied_arms,
 )
 
 
@@ -58,11 +58,17 @@ def _rounded(arm, step=0.5):
     ])
 
 
-def _assert_matches_oracle(arm, tau, s_convention="left", event_type=None):
-    got = influence_values(arm, tau, s_convention, event_type)
-    want = dense_influence(arm, tau, s_convention, event_type)
+def _assert_matches_oracle(arm, tau, s_convention="left", weights=None):
+    got = influence_values(arm, tau, s_convention, weights)
+    want = dense_influence(arm, tau, s_convention, weights)
     scale = np.max(np.abs(want), initial=0.0)
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+
+
+# one type alone; every type weighted; and a map with a type (7) that no
+# arm has and one (1) that it leaves out
+_ORACLE_WEIGHTS = (None, {0: 1.0}, {1: 1.0}, {2: 1.0}, {0: 0.5, 1: 2.0, 2: 3.0},
+                   {0: 1.5, 2: 0.25, 7: 4.0})
 
 
 def test_influence_matches_dense_oracle(rng):
@@ -76,6 +82,7 @@ def test_influence_matches_dense_oracle(rng):
     for tau in (0.5, 1.0, 2.0, 2.7, 3.5, 10.0):
         for conv in ("left", "right"):
             _assert_matches_oracle(tied, tau, conv)
+            _assert_matches_oracle(tied, tau, conv, {0: 2.5, 7: 1.0})
     for _ in range(30):
         arm = _rounded(random_arm(rng, n=int(rng.integers(2, 40)), n_types=3))
         x_max = float(arm.follow_up.max())
@@ -86,8 +93,8 @@ def test_influence_matches_dense_oracle(rng):
             taus.append(first / 2)  # before the first jump
         for tau in taus:
             for conv in ("left", "right"):
-                for k in (None, 0, 1, 2):
-                    _assert_matches_oracle(arm, tau, conv, k)
+                for weights in _ORACLE_WEIGHTS:
+                    _assert_matches_oracle(arm, tau, conv, weights)
 
 
 def test_influence_empty_jump_sets():
@@ -228,18 +235,68 @@ def test_weighted_contrast_linearity(rng):
     assert w2.point == pytest.approx(2 * base.point, rel=1e-6, abs=1e-9)
 
 
-def test_weighted_contrast_death_as_extra_type(rng):
-    # the double-weight-on-death sensitivity construction: encode the
-    # terminal event as an extra event type with weight 2
-    study = random_study(rng, n=25)
-    def with_death_type(arm, label):
-        return make_arm(label, [
+def _with_death_type(study):
+    """The double-weight-on-death sensitivity construction: the terminal
+    event encoded as an extra event type 9, to be given weight 2."""
+    def arm(a):
+        return make_arm(a.arm, [
             (sid, x, d, times + ((x,) if d else ()), (0,) * len(times) + ((9,) if d else ()))
-            for sid, x, d, times, *_ in subject_rows(arm)
+            for sid, x, d, times, *_ in subject_rows(a)
         ])
-    aug = StudyDataset(with_death_type(study.arm1, 1), with_death_type(study.arm2, 2), study.tau)
-    res = weighted_contrast(aug, {0: 1.0, 9: 2.0})
+    return StudyDataset(arm(study.arm1), arm(study.arm2), study.tau)
+
+
+_DEATH_WEIGHTS = {0: 1.0, 9: 2.0}
+
+
+def test_weighted_contrast_death_as_extra_type(rng):
+    res = weighted_contrast(_with_death_type(random_study(rng, n=25)), _DEATH_WEIGHTS)
     assert math.isfinite(res.point) and math.isfinite(res.se) and res.se >= 0
+
+
+def _assert_weighted_is_per_type_sum(study, weights, s_convention):
+    estimates = []
+    for arm in study.arms():
+        fit = fit_arm(arm, study.tau, s_convention, weights)
+        theta, psi = per_type_sum(arm, study.tau, s_convention, weights)
+        assert abs(fit.theta - theta) <= 1e-12 * abs(theta)
+        scale = np.max(np.abs(psi), initial=0.0)
+        assert np.max(np.abs(fit_influence(fit) - psi), initial=0.0) <= 1e-12 * scale
+        estimates.append((theta, psi))
+    res = weighted_contrast(study, weights, s_convention=s_convention)
+    (t1, psi1), (t2, psi2) = estimates
+    se = math.sqrt(arm_variance(psi1) / study.arm1.n + arm_variance(psi2) / study.arm2.n)
+    assert res.point == pytest.approx(t1 - t2, rel=1e-12, abs=1e-12 * max(t1, t2))
+    assert res.se == pytest.approx(se, rel=1e-12)
+
+
+@pytest.mark.parametrize("s_convention", ["left", "right"])
+def test_weighted_fit_is_the_per_type_sum(rng, s_convention):
+    for _ in range(10):
+        study = random_study(rng, n=int(rng.integers(2, 40)), n_types=3,
+                             tau=float(rng.uniform(0.5, 5.0)))
+        for weights in ({0: 1.0, 1: 2.0, 2: 0.5}, {0: 3.0, 1: 1e-3, 2: 1e3, 7: 2.0}):
+            _assert_weighted_is_per_type_sum(study, weights, s_convention)
+        _assert_weighted_is_per_type_sum(_with_death_type(study), _DEATH_WEIGHTS, s_convention)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arm1=tied_arms(arm=1), arm2=tied_arms(arm=2))
+def test_weighted_fit_is_the_per_type_sum_on_tied_grids(arm1, arm2):
+    weights = {0: 1.0, 1: 2.0, 2: 0.5}
+    for tau in (0.25, 1.0, 1.75, 3.0):
+        for s_convention in ("left", "right"):
+            _assert_weighted_is_per_type_sum(StudyDataset(arm1, arm2, tau), weights, s_convention)
+
+
+def test_fit_keeps_its_own_weights(rng):
+    # changing the caller's map after the fit must not change its influence
+    arm = random_arm(rng, n=30, n_types=3)
+    weights = {0: 1.0, 1: 2.0, 2: 0.5}
+    fit = fit_arm(arm, 2.0, weights=weights)
+    expected = fit_influence(fit_arm(arm, 2.0, weights=dict(weights)))
+    weights[1] = 0.0
+    assert np.array_equal(fit_influence(fit), expected)
 
 
 def test_weighted_contrast_validation(rng):
@@ -281,9 +338,9 @@ def test_fit_and_influence_are_bitwise_the_subject_order_computation(arm):
     # points, on one, and beyond the last follow-up; type 2 may be absent
     for tau in (0.25, 1.0, 1.75, 3.0):
         for s_convention in ("left", "right"):
-            for event_type in (None, 0, 2):
-                fit = fit_arm(arm, tau, s_convention, event_type)
-                want = reference_fit(arm, tau, s_convention, event_type)
+            for weights in (None, {0: 1.0}, {2: 1.0}):
+                fit = fit_arm(arm, tau, s_convention, weights)
+                want = reference_fit(arm, tau, s_convention, weights)
                 assert float(fit.theta).hex() == float(want.pop("theta")).hex()
                 for name, ref in want.items():
                     got = getattr(fit, name)
