@@ -34,20 +34,14 @@ from .core import (
 from .estimation import S_CONVENTIONS, _mcf_given_km, fit_arm, km_survival
 from .inference import (
     RatioUndefinedError,
+    _standard_errors,
     _z,
-    arm_variance,
     contrast_difference,
     contrast_ratio,
     fit_influence,
     weighted_contrast,
 )
-from .simulation import (
-    STREAM_VERSION,
-    ScenarioConfig,
-    TrueValues,
-    run_operating_characteristics,
-    true_value_oracle,
-)
+from .simulation import STREAM_VERSION, ScenarioConfig, run_operating_characteristics
 from . import __version__
 
 EXIT_VALIDATION = 2
@@ -255,7 +249,7 @@ def estimate(input_path, tau, alpha, strict_tau, s_convention, fmt, out):
     for arm in arm_data:
         fit = fit_arm(arm, tau, s_convention)
         theta = fit.theta
-        se = (arm_variance(fit_influence(fit)) / arm.n) ** 0.5
+        se = _standard_errors((fit_influence(fit), arm.n))[0]
         arms.append({
             "arm": arm.arm,
             "n": arm.n,
@@ -367,11 +361,7 @@ def curves(input_path, tau, strict_tau, s_convention, out):
 @click.option("--reps", type=int, default=None, help="Override replicate count.")
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--truth", type=float, default=None,
-              help="True AUMCF difference; skips the Monte Carlo oracle.")
-@click.option("--oracle-reps", type=int, default=50, show_default=True,
-              help="Oracle datasets when --truth is not given.")
-@click.option("--oracle-n", type=int, default=2000, show_default=True,
-              help="Oracle subjects per arm when --truth is not given.")
+              help="True AUMCF difference (default: the scenario's exact value).")
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Worker processes for the replicate loop.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
@@ -379,8 +369,7 @@ def curves(input_path, tau, strict_tau, s_convention, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Output file (default: stdout).")
 @_handle_errors
-def simulate(config_path, seed, reps, alpha, truth, oracle_reps, oracle_n,
-             jobs, fmt, out):
+def simulate(config_path, seed, reps, alpha, truth, jobs, fmt, out):
     """Run the Monte Carlo harness for a JSON scenario config and report
     operating characteristics (bias, ESE, ASE, rejection, coverage)."""
     _alpha_z(alpha)
@@ -395,17 +384,11 @@ def simulate(config_path, seed, reps, alpha, truth, oracle_reps, oracle_n,
     except (ValidationError, TypeError) as exc:
         raise ConfigError(f"bad scenario config: {exc}") from exc
     methods = ("unadjusted", "adjusted") if config.covariate_mode != "none" else ("unadjusted",)
-    truth_value: TrueValues | float
     # the config fixes every draw, so data it cannot hold (say, too many
     # events for one arm) is a config error; singular covariates stay exit 3
     try:
-        if truth is not None:
-            truth_value = truth
-        else:
-            truth_value = true_value_oracle(config, n_per_arm=oracle_n,
-                                            replicates=oracle_reps)
         oc = run_operating_characteristics(
-            config, methods=methods, truth=truth_value, alpha=alpha, n_jobs=jobs
+            config, methods=methods, truth=truth, alpha=alpha, n_jobs=jobs
         )
     except SingularCovariateError:
         raise
@@ -416,6 +399,7 @@ def simulate(config_path, seed, reps, alpha, truth, oracle_reps, oracle_n,
         "config_sha256": digest,
         "seed": config.seed,
         "stream_version": STREAM_VERSION,
+        "truth": "exact" if truth is None else "given",
         "version": __version__,
     }
     if fmt == "json":

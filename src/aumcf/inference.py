@@ -123,6 +123,16 @@ def arm_variance(psi: np.ndarray) -> float:
     return float(np.mean(psi**2))
 
 
+def _standard_errors(*arms: tuple[np.ndarray, int]) -> list[float]:
+    """The SE sqrt(arm_variance(psi) / n) of each arm's ``(psi, n)``, then
+    that of their difference. Every psi is scaled by one power of two
+    before squaring and the SEs back after, which is exact: an SE is
+    finite when it is representable, though psi**2 may overflow."""
+    e = math.frexp(max([float(np.abs(psi).max()) for psi, _ in arms]))[1]
+    v = [arm_variance(np.ldexp(psi, -e)) / n for psi, n in arms]
+    return [math.ldexp(math.sqrt(x), e) for x in (*v, sum(v))]
+
+
 def wald_pvalue(point: float, se: float) -> float:
     """Two-sided Wald p-value 2 * (1 - Phi(|point| / se)) against a null of 0.
 
@@ -149,11 +159,8 @@ def _difference_result(study: StudyDataset, alpha: float, estimates) -> Contrast
     """Wald difference contrast from the per-arm ``_arm_estimates``."""
     (t1, inf1), (t2, inf2) = estimates
     n1, n2 = study.arm1.n, study.arm2.n
-    s1, s2 = arm_variance(inf1), arm_variance(inf2)
-    return _wald_result(
-        "difference", study.tau, alpha, t1 - t2, math.sqrt(s1 / n1 + s2 / n2),
-        t1, math.sqrt(s1 / n1), t2, math.sqrt(s2 / n2), n1, n2,
-    )
+    se1, se2, se = _standard_errors((inf1, n1), (inf2, n2))
+    return _wald_result("difference", study.tau, alpha, t1 - t2, se, t1, se1, t2, se2, n1, n2)
 
 
 def contrast_difference(
@@ -173,7 +180,7 @@ def contrast_ratio(
             f"ratio undefined for nonpositive AUMCF: theta1={t1:g}, theta2={t2:g}"
         )
     n1, n2 = study.arm1.n, study.arm2.n
-    s1, s2 = arm_variance(inf1), arm_variance(inf2)
+    se1, se2, _ = _standard_errors((inf1, n1), (inf2, n2))
     point = t1 / t2
     z = _z(alpha)
     try:
@@ -198,7 +205,7 @@ def contrast_ratio(
         ci_lower=ci_lower,
         ci_upper=ci_upper,
         p_value=wald_pvalue(log_point, se_log),
-        theta1=t1, se1=math.sqrt(s1 / n1), theta2=t2, se2=math.sqrt(s2 / n2),
+        theta1=t1, se1=se1, theta2=t2, se2=se2,
         n1=n1, n2=n2, degenerate=se_log == 0.0,
     )
 

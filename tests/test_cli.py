@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import aumcf
 from aumcf import write_records_csv
 from aumcf.cli import main
+from aumcf.simulation import COVARIATE_MODES, SCENARIO_KINDS
 
 from conftest import BAD_SCENARIO_FIELDS, make_arm, random_study, subject_rows
 
@@ -238,6 +239,32 @@ def test_simulate_writes_out_file(runner, tmp_path):
     assert text.startswith("#") and "rejection_rate" in text
 
 
+def test_simulate_truth_is_exact_or_given(runner, tmp_path, monkeypatch):
+    fields = {"kind": "frailty", "covariate_mode": "informative", "n_per_arm": 20,
+              "replicates": 3, "seed": 7, "tau": 2.0, "lambda_event": [1.0, 1.5]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    calls = []
+    real = aumcf.simulation.generate_dataset
+
+    def counted(config, replicate):
+        calls.append(replicate)
+        return real(config, replicate)
+
+    monkeypatch.setattr(aumcf.simulation, "generate_dataset", counted)
+    result = runner.invoke(main, ["simulate", str(cfg)])
+    assert result.exit_code == 0, result.stderr
+    report = _strict_json(result.stdout)
+    want = aumcf.true_value_oracle(aumcf.ScenarioConfig.from_dict(fields)).delta
+    assert [r["true_value"] for r in report["rows"]] == [want, want]
+    assert report["provenance"]["truth"] == "exact"
+    assert calls == [0, 1, 2]  # the replicates' datasets and nothing else
+    result = runner.invoke(main, ["simulate", str(cfg), "--truth", "0.25"])
+    report = _strict_json(result.stdout)
+    assert [r["true_value"] for r in report["rows"]] == [0.25, 0.25]
+    assert report["provenance"]["truth"] == "given"
+
+
 @pytest.mark.parametrize("field,value,message", [
     case for case in BAD_SCENARIO_FIELDS if case[:2] != ("frailty_variance", 1e-320)
 ])
@@ -280,18 +307,6 @@ def test_overflowing_log_effect_exits_4(runner, tmp_path, name, fields):
         "code": 4, "type": "ConfigError",
         "message": f"bad scenario config: arm 1: {name} 1000 makes exp(w * effect) "
                    "overflow for a drawn covariate w"}
-
-
-@pytest.mark.parametrize("flag", ["--oracle-n", "--oracle-reps"])
-def test_oracle_size_zero_exits_4(runner, tmp_path, flag):
-    # --oracle-n 0 used to exit 1 with a traceback, --oracle-reps 0 exit 3
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kind": "icr", "n_per_arm": 5, "replicates": 1}))
-    result = runner.invoke(main, ["simulate", str(cfg), "--oracle-n", "5",
-                                  "--oracle-reps", "1", flag, "0"])
-    assert result.exit_code == 4 and result.stdout == ""
-    assert json.loads(result.stderr)["error"]["message"] == (
-        "bad scenario config: n_per_arm and replicates must be positive")
 
 
 @pytest.mark.parametrize("command", ["estimate", "compare"])
@@ -506,6 +521,36 @@ def test_bad_weight_exits_4(runner, tmp_path, weight):
                    "message": "event-type weights must be positive and finite"}
 
 
+# 6 subjects with events of types 0, 1 and 2 in both arms
+TYPES3_CSV = "id,time,status,arm,event_type\na,0.5,1,1,0\na,0.8,1,1,2\na,2,2,1,\n" \
+             "b,0.3,1,1,1\nb,1.5,0,1,\nc,1,0,1,\nd,0.2,1,2,1\nd,0.9,1,2,2\nd,1.2,2,2,\n" \
+             "e,0.6,1,2,0\ne,3,0,2,\nf,0.4,2,2,\n"
+
+
+def _result(runner, args):
+    result = runner.invoke(main, args, input=TYPES3_CSV)
+    assert result.exit_code == 0, result.stderr
+    return _strict_json(result.stdout)
+
+
+def test_huge_weights_keep_a_finite_se(runner):
+    # psi**2 overflows at 1e300 weights, the SEs (about 3e299) do not
+    unit = _result(runner, ["compare", "-", "--tau", "1", "--weights", "0=1,1=1,2=1"])["result"]
+    big = _result(runner, ["compare", "-", "--tau", "1", "--weights",
+                           "0=1e300,1=1e300,2=1e300"])["result"]
+    for key in ("se", "se1", "se2"):
+        assert big[key] == pytest.approx(1e300 * unit[key], rel=1e-12)
+
+
+def test_huge_tau_keeps_a_finite_arm_se(runner):
+    # every event and death is before tau, so psi is linear in tau and
+    # nearly proportional to it at these sizes
+    small = _result(runner, ["estimate", "-", "--tau", "1e100"])["arms"]
+    big = _result(runner, ["estimate", "-", "--tau", "1e200"])["arms"]
+    for a, b in zip(small, big):
+        assert b["se"] == pytest.approx(1e100 * a["se"], rel=1e-12)
+
+
 @pytest.mark.parametrize("alpha", ["1e-320", "1e-17", "0", "1", "nan"])
 @pytest.mark.parametrize("command", ["estimate", "compare"])
 def test_bad_alpha_exits_4(runner, toy_csv, command, alpha):
@@ -624,9 +669,29 @@ _TAUS = ("1", "2", "0.5", "2.5", "1", "2", "0.5", "2.5", "4", "1e-300", "1e308",
          "0", "-1", "nan", "inf")
 
 
+# simulate's configs: small valid scenarios of each kind and covariate
+# mode, some with a rejected field
+_SCENARIOS = [{"kind": kind, "covariate_mode": mode}
+              for kind in SCENARIO_KINDS for mode in COVARIATE_MODES]
+_BAD_FIELDS = [{field: value} for field, value, _ in BAD_SCENARIO_FIELDS]
+
+
+@st.composite
+def _scenario_config(draw):
+    """A scenario config's JSON bytes for ``simulate -``."""
+    config = dict(draw(st.sampled_from(_SCENARIOS)), n_per_arm=draw(st.integers(1, 20)),
+                  replicates=draw(st.integers(1, 2)), seed=draw(st.integers(0, 3)),
+                  tau=draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])))
+    if draw(st.integers(0, 3)) == 0:
+        config.update(draw(st.sampled_from(_BAD_FIELDS)))
+    return json.dumps(config).encode()
+
+
 @st.composite
 def _cli_args(draw):
-    command = draw(st.sampled_from(["estimate", "compare", "curves"]))
+    command = draw(st.sampled_from(["estimate", "compare", "curves", "simulate"]))
+    if command == "simulate":
+        return [command, "-", "--format", draw(st.sampled_from(["json", "csv"]))]
     args = [command, "-", "--tau", draw(st.sampled_from(_TAUS))]
     if draw(st.integers(0, 3)) == 0:
         args.append("--strict-tau")
@@ -651,12 +716,13 @@ def _cli_args(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(raw=_cli_input(), args=_cli_args())
-def test_cli_contract_holds_for_any_input(raw, args):
+@given(raw=_cli_input(), config=_scenario_config(), args=_cli_args())
+def test_cli_contract_holds_for_any_input(raw, config, args):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # a warning would reach stderr
-        result = CliRunner().invoke(main, args, input=raw)
-    assert result.exit_code in (0, 2, 3, 4), result.exception
+        result = CliRunner().invoke(main, args, input=config if args[0] == "simulate" else raw)
+    assert result.exit_code in ((0, 3, 4) if args[0] == "simulate" else (0, 2, 3, 4)), \
+        result.exception
     assert caught == []
     if result.exit_code == 0:
         assert result.stderr == "" and result.stdout

@@ -9,7 +9,6 @@ import pytest
 
 from aumcf import (
     ScenarioConfig,
-    TrueValues,
     ValidationError,
     bootstrap_se,
     contrast_difference,
@@ -21,9 +20,12 @@ from aumcf import (
 from aumcf import simulation
 from aumcf.core import StudyDataset
 from aumcf.estimation import _ResampleFit, aumcf
-from aumcf.simulation import _PURPOSE_BOOTSTRAP, _draw_arm, _stream
+from aumcf.simulation import (COVARIATE_MODES, SCENARIO_KINDS, _PURPOSE_BOOTSTRAP, _draw_arm,
+                              _stream)
 
-from conftest import BAD_SCENARIO_FIELDS, TIE_GRID, make_arm, random_study, subject_rows
+from conftest import (BAD_SCENARIO_FIELDS, TIE_GRID, make_arm, monte_carlo_truth, random_study,
+                      subject_rows)
+from test_acceptance import THETA_ICR_ALT1, THETA_TV_ALT1
 
 # quadrature truths, frozen from an independent oracle
 THETA_ICR_TAU1 = 0.4682688269495465
@@ -174,29 +176,49 @@ def test_frailty_increases_dispersion():
     assert counts(frail).var() > 1.5 * counts(base).var()
 
 
+@pytest.mark.parametrize("fields,theta1", [
+    ({"kind": "icr", "tau": 1.0}, THETA_ICR_TAU1),
+    ({"kind": "icr", "tau": 1.0, "lambda_event": (1.4, 1.0)}, THETA_ICR_ALT1),
+    ({"kind": "frailty", "tau": 4.0}, THETA_FRAILTY_TAU4),
+    ({"kind": "time_varying", "rate_multipliers": (0.5, 0.5), "tau": 4.0}, THETA_TV_NULL_TAU4),
+    ({"kind": "time_varying", "rate_multipliers": (1.0, 1.0), "tau": 4.0}, THETA_TV_ALT1),
+])
+def test_exact_truth_matches_frozen_constants(fields, theta1):
+    assert true_value_oracle(ScenarioConfig(**fields)).theta1 == pytest.approx(theta1, rel=1e-12)
+
+
+def test_exact_truth_limits():
+    # no deaths: theta = lambda_E * tau^2 / 2
+    assert true_value_oracle(ScenarioConfig(lambda_death=(0.0, 0.0), tau=1.0)).theta1 == 0.5
+    # ... and no events after the cap horizon_factor * tau = 1: int_0^1 (2 - u) du
+    capped = ScenarioConfig(lambda_death=(0.0, 0.0), horizon_factor=0.5, tau=2.0)
+    assert true_value_oracle(capped).theta1 == pytest.approx(1.5, rel=1e-12)
+    # a vanishing frailty variance is no frailty (a plain power gives 8.0 here)
+    icr = true_value_oracle(ScenarioConfig(kind="icr", tau=4.0))
+    frail = true_value_oracle(ScenarioConfig(kind="frailty", frailty_variance=1e-300, tau=4.0))
+    assert frail.theta1 == pytest.approx(icr.theta1, rel=1e-12)
+    for kind in SCENARIO_KINDS:
+        cfgs = {mode: ScenarioConfig(kind=kind, covariate_mode=mode, tau=4.0)
+                for mode in COVARIATE_MODES}
+        assert true_value_oracle(cfgs["uninformative"]) == true_value_oracle(cfgs["none"])
+        for cfg in cfgs.values():
+            assert true_value_oracle(cfg).delta == 0.0
+
+
 @pytest.mark.slow
-def test_oracle_matches_quadrature_truths():
-    cfg = ScenarioConfig(kind="icr", tau=1.0, seed=17)
-    tv = true_value_oracle(cfg, n_per_arm=2000, replicates=25)
-    assert tv.theta1 == pytest.approx(THETA_ICR_TAU1, abs=0.01)
-    assert tv.delta == pytest.approx(0.0, abs=0.01)
-
-    cfg = ScenarioConfig(kind="frailty", tau=4.0, seed=17)
-    tv = true_value_oracle(cfg, n_per_arm=2000, replicates=25)
-    assert tv.theta1 == pytest.approx(THETA_FRAILTY_TAU4, rel=0.02)
-
-    cfg = ScenarioConfig(kind="time_varying", rate_multipliers=(0.5, 0.5),
-                         change_point=1.0, tau=4.0, seed=17)
-    tv = true_value_oracle(cfg, n_per_arm=2000, replicates=25)
-    assert tv.theta1 == pytest.approx(THETA_TV_NULL_TAU4, rel=0.02)
-
-
-@pytest.mark.slow
-def test_oracle_no_deaths_closed_form():
-    # lambda_D = 0: theta = lambda_E * tau^2 / 2
-    cfg = ScenarioConfig(lambda_death=(0.0, 0.0), tau=1.0, seed=12)
-    tv = true_value_oracle(cfg, n_per_arm=2000, replicates=25)
-    assert tv.theta1 == pytest.approx(0.5, rel=0.01)
+@pytest.mark.parametrize("lambda_death", [(0.2, 0.5), (0.0, 0.5)])
+@pytest.mark.parametrize("mode", COVARIATE_MODES)
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_exact_truth_matches_monte_carlo(kind, mode, lambda_death):
+    # with no deaths in arm 1, follow-up stops at horizon_factor * tau = 1,
+    # past the change point
+    cfg = ScenarioConfig(kind=kind, covariate_mode=mode, lambda_event=(1.0, 1.4),
+                         lambda_death=lambda_death, rate_multipliers=(0.5, 2.0),
+                         change_point=0.5, horizon_factor=0.5, tau=2.0, seed=31)
+    tv = true_value_oracle(cfg)
+    mean, se = monte_carlo_truth(cfg)
+    z = (mean - (tv.theta1, tv.theta2)) / se
+    assert np.all(np.abs(z) < 4), z
 
 
 def test_harness_small_run_deterministic():
