@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .inference import (
     ContrastResult,
     _arm_estimates,
     _difference_result,
+    _scale_exponent,
     _wald_result,
     arm_variance,
 )
@@ -142,12 +143,18 @@ def augmented_contrast(
             covariate_names=study.covariate_names, relative_efficiency=1.0,
         )
 
-    summary = augmentation_weights(study, psi1, psi2)
+    # psi scaled as in the arm SEs, so that the variances do not overflow
+    # when the adjusted SE is representable; gamma and beta scale with psi
+    e = _scale_exponent(psi1, psi2)
+    psi1, psi2 = np.ldexp(psi1, -e), np.ldexp(psi2, -e)
+    scaled = augmentation_weights(study, psi1, psi2)
+    summary = replace(scaled, gamma_hat=np.ldexp(scaled.gamma_hat, e),
+                      beta_hat=np.ldexp(scaled.beta_hat, e))
     point = unadjusted.point - float(summary.beta_hat @ (summary.mean1 - summary.mean2))
     n1, n2 = study.arm1.n, study.arm2.n
     n = n1 + n2
     sigma_delta = n * (arm_variance(psi1) / n1 + arm_variance(psi2) / n2)
-    sigma_adj = sigma_delta - float(summary.gamma_hat @ summary.beta_hat)
+    sigma_adj = sigma_delta - float(scaled.gamma_hat @ scaled.beta_hat)
     clamped = False
     if sigma_adj < 0:
         warnings.warn(
@@ -157,7 +164,7 @@ def augmented_contrast(
         )
         sigma_adj = 0.0
         clamped = True
-    se_adj = math.sqrt(sigma_adj / n)
+    se_adj = math.ldexp(math.sqrt(sigma_adj / n), e)
     adjusted = _wald_result(
         "difference", study.tau, alpha, point, se_adj,
         unadjusted.theta1, unadjusted.se1, unadjusted.theta2, unadjusted.se2, n1, n2,

@@ -31,7 +31,7 @@ from .core import (
     read_arms_csv,
     read_study_csv,
 )
-from .estimation import S_CONVENTIONS, _mcf_given_km, fit_arm, km_survival
+from .estimation import S_CONVENTIONS, fit_arm, km_survival, mcf
 from .inference import (
     RatioUndefinedError,
     _standard_errors,
@@ -348,8 +348,7 @@ def curves(input_path, tau, strict_tau, s_convention, out):
     prov = _provenance("curves", digest, tau=tau, s_convention=s_convention)
     rows = []
     for arm in arm_data:
-        km = km_survival(arm)
-        for name, fn in (("mcf", _mcf_given_km(arm, km, s_convention)), ("km", km)):
+        for name, fn in (("mcf", mcf(arm, s_convention)), ("km", km_survival(arm))):
             for t, v in fn.to_rows(tau):
                 rows.append([arm.arm, name, t, v])
     _emit(_csv_report(prov, ["arm", "curve", "time", "value"], rows), out)

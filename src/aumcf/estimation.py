@@ -1,7 +1,7 @@
 """Step-function estimators: Kaplan-Meier survival of the terminal event,
 the mean cumulative function (MCF), and the area under the MCF (AUMCF) on
-[0, tau], with the one arm fit (``ArmFit``) that the AUMCF and its
-influence values are sums over.
+[0, tau], with the one arm fit (``ArmFit``) that the AUMCF, its influence
+values, its bootstrap resamples and the MCF are sums over.
 
 All integrals are exact sums over jump points; there is no quadrature grid.
 The MCF integrand uses the left limit of the Kaplan-Meier curve by default
@@ -50,13 +50,6 @@ class StepFunction:
         full = np.concatenate(([self.initial_value], self.values))
         return full[idx] if t.ndim else float(full[idx])
 
-    def left_limit(self, t) -> np.ndarray:
-        """Value just before t (equals the initial value at t = 0)."""
-        t = np.asarray(t, dtype=np.float64)
-        idx = np.searchsorted(self.jump_times, t, side="left")
-        full = np.concatenate(([self.initial_value], self.values))
-        return full[idx] if t.ndim else float(full[idx])
-
     def to_rows(self, tau: float):
         """(time, value) pairs from t=0 up to tau, ending with the value at tau."""
         rows = [(0.0, float(self.initial_value))]
@@ -71,14 +64,21 @@ class StepFunction:
 
 @dataclass(frozen=True)
 class ArmFit:
-    """The jumps on [0, tau] that the AUMCF and its influence values sum over.
+    """The jumps on [0, tau] that the AUMCF, its influence values, its
+    bootstrap resamples and the MCF are sums over.
 
-    One fit per (arm, tau, s_convention, weights). Event jumps: distinct
-    event times ``te`` <= tau with at-risk counts ``y_e``, rate increments
-    ``dr`` = event mass (see ``fit_arm``) / ``y_e`` and the survival ``s``
-    at ``te`` under the convention. Death jumps: distinct terminal-event
-    times ``td`` <= tau with death counts ``d`` and at-risk counts ``y_d``.
-    ``theta`` is the AUMCF point estimate.
+    One fit per (arm, tau, s_convention, weights); ``mcf`` fits with tau
+    inf. Event jumps: distinct event times ``te`` <= tau with at-risk
+    counts ``y_e``, rate increments ``dr`` = event mass (see ``fit_arm``) /
+    ``y_e`` and the survival ``s`` at ``te`` under the convention. Death
+    jumps: distinct terminal-event times ``td`` <= tau with death counts
+    ``d`` and at-risk counts ``y_d``. Behind them: the ``owners`` and
+    ``mass`` of the counted events in time order and ``event_first``, the
+    first event of each jump; ``death_rows``, the follow-up positions of
+    the counted deaths, and ``death_first``, the first of each jump;
+    ``at_te`` and ``at_td``, where the risk sets start in follow-up order
+    (``y = n - at``); and ``km_at``, the index of each ``s`` into the
+    Kaplan-Meier curve with 1 prepended.
     """
 
     arm: ArmDataset
@@ -91,7 +91,49 @@ class ArmFit:
     td: np.ndarray
     d: np.ndarray
     y_d: np.ndarray
-    theta: float
+    owners: np.ndarray
+    mass: np.ndarray
+    event_first: np.ndarray
+    death_rows: np.ndarray
+    death_first: np.ndarray
+    at_te: np.ndarray
+    at_td: np.ndarray
+    km_at: np.ndarray
+
+    @property
+    def theta(self) -> float:
+        """The AUMCF point estimate: sum of (tau - u) * S_D * dR over jumps u."""
+        return float(np.sum((self.tau - self.te) * self.s * self.dr))
+
+    def thetas(self, counts: np.ndarray) -> np.ndarray:
+        """The AUMCF of resamples of the arm's subjects, one per row of a
+        ``(rows, n)`` matrix of how often each subject was drawn: this fit's
+        sums with each subject weighted by its count. At-risk counts are
+        reverse cumulative sums of a row over the subjects in follow-up
+        order; event and death counts are row sums over the subjects that
+        own them. A jump whose risk set is empty in a resample adds nothing.
+        """
+        rows, n = counts.shape
+        if self.te.size == 0:
+            return np.zeros(rows)
+        c = counts[:, self.arm._follow_up_order]
+        # y[:, k]: drawn subjects followed to at least the k-th follow-up
+        # time; the column past the last is 0
+        y = np.zeros((rows, n + 1), dtype=counts.dtype)
+        np.cumsum(c[:, ::-1], axis=1, out=y[:, -2::-1])
+        drawn = counts[:, self.owners]
+        if self.weights is not None:  # with no weights every mass is 1
+            drawn = drawn * self.mass
+        dn = np.add.reduceat(drawn, self.event_first, axis=1)
+        y_e = y[:, self.at_te]
+        dr = np.divide(dn, y_e, out=np.zeros(dn.shape), where=y_e > 0)
+        km = np.ones((rows, self.td.size + 1))
+        if self.td.size:
+            d = np.add.reduceat(c[:, self.death_rows], self.death_first, axis=1)
+            y_d = y[:, self.at_td]
+            hazard = np.divide(d, y_d, out=np.zeros(d.shape), where=y_d > 0)
+            np.cumprod(1.0 - hazard, axis=1, out=km[:, 1:])
+        return np.sum((self.tau - self.te) * km[:, self.km_at] * dr, axis=1)
 
 
 def fit_arm(
@@ -108,88 +150,35 @@ def fit_arm(
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
+    if s_convention not in S_CONVENTIONS:
+        raise ValueError(f"s_convention must be one of {S_CONVENTIONS}")
     if weights is not None:
-        weights = dict(weights)  # the fit's own copy, read again by fit_influence
-    times, _, w = _events(arm, tau, weights)
-    first, _ = _runs(times)
-    te = times[first]
-    y_e = arm.at_risk(te).astype(np.float64)
-    dr = np.add.reduceat(w, first) / y_e
-    td, d, y_d = _death_jumps(arm, tau)
-    s = _survival_at(StepFunction(td, np.cumprod(1.0 - d / y_d), 1.0), te, s_convention)
-    theta = float(np.sum((tau - te) * s * dr))
-    return ArmFit(arm, tau, weights, te, y_e, dr, s, td, d, y_d, theta)
-
-
-class _ResampleFit:
-    """The jumps of one arm on [0, tau], set up to give the AUMCF of any
-    resample of its subjects from how often each subject was drawn.
-
-    ``thetas`` takes a ``(rows, n)`` count matrix and returns one AUMCF per
-    row: the sums of ``fit_arm`` (left-limit survival, no weights) over the
-    original arm's jumps, each subject weighted by its count.
-    At-risk counts are reverse cumulative sums of a row over the subjects
-    in follow-up order; event and death counts are row sums over the
-    subjects that own them. A jump whose risk set is empty in a resample
-    adds nothing to it.
-    """
-
-    def __init__(self, arm: ArmDataset, tau: float):
-        self.order = arm._follow_up_order
-        x = arm._sorted_follow_up
-        times, self.event_subjects, _ = _events(arm, tau)
-        self.event_first, _ = _runs(times)
-        te = times[self.event_first]
-        self.death_rows = _death_rows(arm, tau)
-        dead = x[self.death_rows]
-        self.death_first, _ = _runs(dead)
-        td = dead[self.death_first]
-        # the columns of y at the jumps, and of km just before each event
-        self.at_te = np.searchsorted(x, te, side="left")
-        self.at_td = np.searchsorted(x, td, side="left")
-        self.km_at_te = np.searchsorted(td, te, side="left")
-        self.lost = tau - te
-
-    def thetas(self, counts: np.ndarray) -> np.ndarray:
-        rows, n = counts.shape
-        if self.lost.size == 0:
-            return np.zeros(rows)
-        c = counts[:, self.order]
-        # y[:, k]: drawn subjects followed to at least the k-th follow-up
-        # time; the column past the last is 0
-        y = np.zeros((rows, n + 1), dtype=counts.dtype)
-        np.cumsum(c[:, ::-1], axis=1, out=y[:, -2::-1])
-        dn = np.add.reduceat(counts[:, self.event_subjects], self.event_first, axis=1)
-        y_e = y[:, self.at_te]
-        dr = np.divide(dn, y_e, out=np.zeros(dn.shape), where=y_e > 0)
-        km = np.ones((rows, self.at_td.size + 1))
-        if self.at_td.size:
-            d = np.add.reduceat(c[:, self.death_rows], self.death_first, axis=1)
-            y_d = y[:, self.at_td]
-            hazard = np.divide(d, y_d, out=np.zeros(d.shape), where=y_d > 0)
-            np.cumprod(1.0 - hazard, axis=1, out=km[:, 1:])
-        return np.sum(self.lost * km[:, self.km_at_te] * dr, axis=1)
+        weights = dict(weights)  # the fit's own copy of the map it was fitted with
+    times, owners, mass = _events(arm, tau, weights)
+    event_first, _ = _runs(times)
+    te = times[event_first]
+    at_te = np.searchsorted(arm._sorted_follow_up, te, side="left")
+    y_e = (arm.n - at_te).astype(np.float64)
+    death_rows, death_first, d, td, at_td = _death_jumps(arm, tau)
+    y_d = (arm.n - at_td).astype(np.float64)
+    # the left limit counts the deaths before te, the right one those up to it
+    km_at = np.searchsorted(td, te, side=s_convention)
+    s = np.concatenate(([1.0], np.cumprod(1.0 - d / y_d)))[km_at]
+    dr = np.add.reduceat(mass, event_first) / y_e
+    return ArmFit(arm, tau, weights, te, y_e, dr, s, td, d, y_d, owners, mass, event_first,
+                  death_rows, death_first, at_te, at_td, km_at)
 
 
 def km_survival(arm: ArmDataset) -> StepFunction:
     """Kaplan-Meier product-limit estimator of the terminal-event survival."""
-    td, d, y = _death_jumps(arm)
-    return StepFunction(td, np.cumprod(1.0 - d / y), 1.0)
+    *_, d, td, at_td = _death_jumps(arm, np.inf)
+    return StepFunction(td, np.cumprod(1.0 - d / (arm.n - at_td)), 1.0)
 
 
 def mcf(arm: ArmDataset, s_convention: str = "left") -> StepFunction:
     """Estimated mean cumulative function m(t) = sum of S_D * dR over jumps."""
-    return _mcf_given_km(arm, km_survival(arm), s_convention)
-
-
-def _mcf_given_km(arm: ArmDataset, km: StepFunction, s_convention: str) -> StepFunction:
-    """The MCF of ``arm`` with its Kaplan-Meier curve ``km`` already built."""
-    first, counts = _runs(arm.event_times)
-    if first.size == 0:
-        return StepFunction(np.empty(0), np.empty(0), 0.0)
-    te = arm.event_times[first]
-    s = _survival_at(km, te, s_convention)
-    return StepFunction(te, np.cumsum(s * (counts / arm.at_risk(te))), 0.0)
+    fit = fit_arm(arm, np.inf, s_convention)
+    return StepFunction(fit.te, np.cumsum(fit.s * fit.dr), 0.0)
 
 
 def aumcf(
@@ -243,18 +232,17 @@ def _events(arm: ArmDataset, tau: float, weights: dict[int, float] | None = None
     return times[keep], owners[keep], w[keep]
 
 
-def _death_jumps(arm: ArmDataset, tau: float = np.inf):
-    """Distinct terminal-event times <= tau, death counts and at-risk counts."""
-    x = arm._sorted_follow_up[_death_rows(arm, tau)]
-    first, d = _runs(x)
-    td = x[first]
-    return td, d, arm.at_risk(td).astype(np.float64)
-
-
-def _death_rows(arm: ArmDataset, tau: float) -> np.ndarray:
-    """Positions in follow-up order of the subjects who died at or before tau."""
-    m = np.searchsorted(arm._sorted_follow_up, tau, side="right")
-    return np.flatnonzero(arm.terminal[arm._follow_up_order[:m]])
+def _death_jumps(arm: ArmDataset, tau: float):
+    """The deaths at or before tau: their positions in follow-up order, the
+    first death of each run of tied ones, the run lengths (the death
+    counts), the distinct death times and the follow-up positions where
+    their risk sets start."""
+    x = arm._sorted_follow_up
+    m = np.searchsorted(x, tau, side="right")
+    rows = np.flatnonzero(arm.terminal[arm._follow_up_order[:m]])
+    first, d = _runs(x[rows])
+    td = x[rows[first]]
+    return rows, first, d, td, np.searchsorted(x, td, side="left")
 
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,9 +252,3 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     edge[1:-1] = values[1:] != values[:-1]
     bounds = np.flatnonzero(edge)
     return bounds[:-1], bounds[1:] - bounds[:-1]
-
-
-def _survival_at(km: StepFunction, times: np.ndarray, s_convention: str) -> np.ndarray:
-    if s_convention not in S_CONVENTIONS:
-        raise ValueError(f"s_convention must be one of {S_CONVENTIONS}")
-    return km.left_limit(times) if s_convention == "left" else km(times)

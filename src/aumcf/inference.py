@@ -18,7 +18,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import ArmDataset, StudyDataset, ValidationError
-from .estimation import ArmFit, _death_rows, _events, _runs, fit_arm
+from .estimation import ArmFit, fit_arm
 
 
 class RatioUndefinedError(ValueError):
@@ -77,18 +77,18 @@ def fit_influence(fit: ArmFit) -> np.ndarray:
     te, td = fit.te, fit.td
 
     w_e = (tau - te) * fit.s * (n / fit.y_e)
-    # the events in time order come in runs, one per event jump, and each
-    # takes its jump's weight times its own; likewise the deaths in
+    # the counted events come in runs, one per event jump, and each takes
+    # its jump's weight times its own mass; likewise the deaths in
     # follow-up order
-    times, owners, w = _events(arm, tau, fit.weights)
-    obs_event = np.bincount(owners, weights=np.repeat(w_e, _runs(times)[1]) * w, minlength=n)
+    runs = np.diff(fit.event_first, append=fit.owners.size)
+    obs_event = np.bincount(fit.owners, weights=np.repeat(w_e, runs) * fit.mass, minlength=n)
 
     # the other terms are per subject in follow-up order
     comp_event = _prefix_at(w_e * fit.dr, te, x)
     b = fit.theta - _prefix_at((tau - te) * fit.s * fit.dr, te, td)
     w_d = b * (n / fit.y_d)
     obs_death = np.zeros(n)
-    obs_death[_death_rows(arm, tau)] = np.repeat(w_d, fit.d)
+    obs_death[fit.death_rows] = np.repeat(w_d, fit.d)
     comp_death = _prefix_at(w_d * (fit.d / fit.y_d), td, x)
 
     psi = np.empty(n)
@@ -128,9 +128,14 @@ def _standard_errors(*arms: tuple[np.ndarray, int]) -> list[float]:
     that of their difference. Every psi is scaled by one power of two
     before squaring and the SEs back after, which is exact: an SE is
     finite when it is representable, though psi**2 may overflow."""
-    e = math.frexp(max([float(np.abs(psi).max()) for psi, _ in arms]))[1]
+    e = _scale_exponent(*(psi for psi, _ in arms))
     v = [arm_variance(np.ldexp(psi, -e)) / n for psi, n in arms]
     return [math.ldexp(math.sqrt(x), e) for x in (*v, sum(v))]
+
+
+def _scale_exponent(*psis: np.ndarray) -> int:
+    """The e with max |psi| in [2**(e-1), 2**e): psi * 2**-e squares finitely."""
+    return math.frexp(max(float(np.abs(psi).max()) for psi in psis))[1]
 
 
 def wald_pvalue(point: float, se: float) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .augmentation import augmented_contrast
 from .core import ArmDataset, StudyDataset, ValidationError
-from .estimation import _ResampleFit
+from .estimation import fit_arm
 from .inference import contrast_difference
 
 SCENARIO_KINDS = ("icr", "frailty", "time_varying")
@@ -34,10 +34,12 @@ STREAM_VERSION = 2
 # key every stream, so renumbering them would change every draw
 _PURPOSE_DATA = 0
 _PURPOSE_BOOTSTRAP = 2
-# Gauss rule orders of the exact truth: Hermite over the normal covariate,
-# Legendre over each constant piece of the event rate
+# Gauss rules of the exact truth: Hermite over the normal covariate, and
+# Legendre on each of _GRADED_PIECES subintervals of each constant piece of
+# the event rate, with edges at 0 and 2**-k of its length, k = 40, ..., 0
 _HERMITE_NODES = 64
-_LEGENDRE_NODES = 64
+_LEGENDRE_NODES = 16
+_GRADED_PIECES = 41
 # the bootstrap weighs resamples a block at a time: a block's count matrix
 # and the arrays built from it hold about this many cells each
 _BOOTSTRAP_CELLS = 2 ** 13
@@ -282,11 +284,12 @@ def true_value_oracle(config: ScenarioConfig) -> TrueValues:
     integrated over [0, tau]. The Gamma frailty xi (mean 1, variance v)
     gives E[xi e^{-a xi}] = (1 + a v)^{-(1/v + 1)}; w ~ N(0, 1) in the
     informative mode and 0 otherwise. U is tau, or the administrative cap
-    ``horizon_factor * tau`` if smaller when the arm has no deaths. The
-    Gauss rules over w and over each constant piece of lambda_j lose digits
-    when survival falls on a scale far below tau (4e-7 relative at a frailty
-    v * lambda_D * tau of 240, 5e-3 at 2,500) or an effect |b| is large
-    (1e-9 at 4).
+    ``horizon_factor * tau`` if smaller when the arm has no deaths. Each
+    constant piece of lambda_j is integrated on subintervals that halve in
+    length toward its start, so survival that falls on a scale far below
+    tau keeps the integral at round-off (4e-16 relative at a frailty
+    v * lambda_D * tau of 2,500); the Gauss-Hermite rule over w loses
+    digits when an effect |b| is large (4e-10 at 4).
     """
     # imported here: numpy.polynomial adds about 3 ms to every import
     from numpy.polynomial.hermite_e import hermegauss
@@ -300,6 +303,7 @@ def true_value_oracle(config: ScenarioConfig) -> TrueValues:
     event_scale = pw * np.exp(config.event_log_effect * w)
     death_scale = np.exp(config.death_log_effect * w)
     x, g = leggauss(_LEGENDRE_NODES)
+    grading = np.concatenate(([0.0], 0.5 ** np.arange(_GRADED_PIECES - 1, -1, -1.0)))
     thetas = []
     for j in range(2):
         lam_d = config.lambda_death[j]
@@ -307,14 +311,15 @@ def true_value_oracle(config: ScenarioConfig) -> TrueValues:
         knot = min(config.change_point, upper) if config.kind == "time_varying" else upper
         theta = 0.0
         for lo, hi, rate in ((0.0, knot, 1.0), (knot, upper, config.rate_multipliers[j])):
-            half = (hi - lo) / 2
-            u = lo + half * (x + 1)
+            edges = lo + (hi - lo) * grading
+            half = np.diff(edges)[:, None] / 2
+            u = (edges[:-1, None] + half * (x + 1)).ravel()
             a = lam_d * death_scale[:, None] * u
             if config.kind == "frailty" and v > 0:
                 alive = np.exp(-(1 / v + 1) * np.log1p(a * v))  # log1p: exact as v -> 0
             else:
                 alive = np.exp(-a)
-            theta += rate * half * (event_scale @ alive @ (g * (tau - u)))
+            theta += rate * (event_scale @ alive @ ((half * g).ravel() * (tau - u)))
         thetas.append(config.lambda_event[j] * float(theta))
     return TrueValues(theta1=thetas[0], theta2=thetas[1])
 
@@ -439,7 +444,7 @@ def bootstrap_se(
         raise ValidationError("B must be at least 100")
     rng = _stream(seed, _PURPOSE_BOOTSTRAP)
     arms = study.arms()
-    fits = [_ResampleFit(arm, study.tau) for arm in arms]
+    fits = [fit_arm(arm, study.tau) for arm in arms]
     rows = max(1, _BOOTSTRAP_CELLS // max(arm.n + arm.event_times.size for arm in arms))
     deltas = np.empty(B)
     for lo in range(0, B, rows):

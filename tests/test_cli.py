@@ -551,6 +551,23 @@ def test_huge_tau_keeps_a_finite_arm_se(runner):
         assert b["se"] == pytest.approx(1e100 * a["se"], rel=1e-12)
 
 
+def test_huge_tau_keeps_a_finite_adjusted_se(runner, tmp_path, rng):
+    # psi**2 overflows at tau 1e200, the adjusted SE (about 1e199) does not
+    path = tmp_path / "cov.csv"
+    with open(path, "w") as fh:
+        write_records_csv(random_study(rng, n=20, n_cov=2), fh)
+
+    def report(tau):
+        result = runner.invoke(main, ["compare", str(path), "--tau", tau, "--covariates", "w1,w2"])
+        assert result.exit_code == 0, result.stderr
+        return _strict_json(result.stdout)
+
+    small, big = report("1e100"), report("1e200")
+    assert big["adjusted"]["se"] == pytest.approx(1e100 * small["adjusted"]["se"], rel=1e-12)
+    assert big["beta_hat"] == pytest.approx([1e100 * b for b in small["beta_hat"]], rel=1e-12)
+    assert big["relative_efficiency"] == pytest.approx(small["relative_efficiency"], rel=1e-12)
+
+
 @pytest.mark.parametrize("alpha", ["1e-320", "1e-17", "0", "1", "nan"])
 @pytest.mark.parametrize("command", ["estimate", "compare"])
 def test_bad_alpha_exits_4(runner, toy_csv, command, alpha):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,13 +15,12 @@ from aumcf import (
     time_lost_per_subject,
 )
 
-from conftest import make_arm, random_arm
+from conftest import make_arm, random_arm, reference_fit
 
 
 def test_step_function_evaluation():
     f = StepFunction(np.array([2.0]), np.array([1.0]), 0.0)
     assert f(1.9) == 0.0 and f(2.0) == 1.0 and f(5.0) == 1.0
-    assert f.left_limit(2.0) == 0.0 and f.left_limit(2.1) == 1.0
     assert area_under_step(f, 5.0) == 3.0
     assert area_under_step(StepFunction(np.empty(0), np.empty(0), 1.0), 5.0) == 5.0
 
@@ -86,6 +87,35 @@ def test_mcf_single_subject_indicator():
     arm = make_arm(1, [("a", 2.0, False, (1.0,))])
     m = mcf(arm)
     assert m(0.5) == 0.0 and m(1.0) == 1.0 and m(2.0) == 1.0
+
+
+_CURVE_EDGE_ARMS = {
+    "all follow-up at 0": [("a", 0.0, True, (0.0,)), ("b", 0.0, False, (0.0, 0.0)),
+                           ("c", 0.0, True)],
+    "no events": [("a", 1.0, True), ("b", 2.0, False), ("c", 2.0, True)],
+    # everyone left at 2 dies there, so the right limit of S is 0 at 2
+    "deaths tied with events": [("a", 1.0, True, (0.5, 1.0)), ("b", 1.0, True, (1.0,)),
+                                ("c", 2.0, True, (1.0, 2.0)), ("d", 2.0, True, (2.0,))],
+}
+
+
+@pytest.mark.parametrize("subjects", _CURVE_EDGE_ARMS.values(), ids=_CURVE_EDGE_ARMS.keys())
+def test_curves_are_the_reference_fit_over_all_time(subjects):
+    arm = make_arm(1, subjects)
+    # no event or death is later than the last follow-up
+    tau = float(arm.follow_up.max())
+    for s_convention in ("left", "right"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the fit over all time computes no inf * 0
+            m = mcf(arm, s_convention)
+        ref = reference_fit(arm, tau, s_convention)
+        assert m.initial_value == 0.0
+        assert m.jump_times.tobytes() == ref["te"].tobytes()
+        assert m.values.tobytes() == np.cumsum(ref["s"] * ref["dr"]).tobytes()
+    km = km_survival(arm)
+    assert km.initial_value == 1.0
+    assert km.jump_times.tobytes() == ref["td"].tobytes()
+    assert km.values.tobytes() == np.cumprod(1.0 - ref["d"] / ref["y_d"]).tobytes()
 
 
 def test_aumcf_hand_example(toy_arm):

@@ -19,7 +19,7 @@ from aumcf import (
 )
 from aumcf import simulation
 from aumcf.core import StudyDataset
-from aumcf.estimation import _ResampleFit, aumcf
+from aumcf.estimation import aumcf, fit_arm
 from aumcf.simulation import (COVARIATE_MODES, SCENARIO_KINDS, _PURPOSE_BOOTSTRAP, _draw_arm,
                               _stream)
 
@@ -187,6 +187,24 @@ def test_exact_truth_matches_frozen_constants(fields, theta1):
     assert true_value_oracle(ScenarioConfig(**fields)).theta1 == pytest.approx(theta1, rel=1e-12)
 
 
+@pytest.mark.parametrize("fields", [
+    {"frailty_variance": 50.0, "lambda_death": (5.0, 5.0), "tau": 10.0},
+    {"frailty_variance": 3.0, "lambda_death": (5.0, 20.0), "tau": 4.0},
+])
+def test_exact_truth_matches_adaptive_quadrature(fields):
+    # survival falls on a scale far below tau: one Gauss rule over each
+    # piece of the rate was off by 5e-3 and 4e-7 here
+    from scipy.integrate import quad
+
+    cfg = ScenarioConfig(kind="frailty", **fields)
+    tau, v = cfg.tau, cfg.frailty_variance
+    tv = true_value_oracle(cfg)
+    for theta, lam_d in zip((tv.theta1, tv.theta2), cfg.lambda_death):
+        want, _ = quad(lambda u: (tau - u) * (1 + lam_d * v * u) ** -(1 / v + 1), 0, tau,
+                       epsabs=0, epsrel=1.2e-14, limit=500)
+        assert theta == pytest.approx(want, rel=1e-12)
+
+
 def test_exact_truth_limits():
     # no deaths: theta = lambda_E * tau^2 / 2
     assert true_value_oracle(ScenarioConfig(lambda_death=(0.0, 0.0), tau=1.0)).theta1 == 0.5
@@ -275,24 +293,36 @@ def test_bootstrap_rejects_non_integer_b(B):
         bootstrap_se(study, B=B)
 
 
+# the fits whose resamples are checked: the bootstrap's, a weighted one in
+# which type 0 weighs 0, and one with the right-continuous survival curve
+_RESAMPLED_FITS = (("left", None), ("left", {1: 1.0, 2: 2.5}), ("right", None))
+
+
 def _check_against_refits(study, B=100, seed=11):
-    """Compare each resample's count-weighted AUMCF, and ``bootstrap_se``,
-    with refitting the resampled arm built from per-subject rows, draw for
-    draw. Returns the count matrices of the two arms."""
+    """Compare each resample's count-weighted AUMCF under each of
+    ``_RESAMPLED_FITS``, and ``bootstrap_se``, with refitting the resampled
+    arm built from per-subject rows, draw for draw; a row of ones gives the
+    fit's own theta. Returns the count matrices of the two arms."""
     draws = _stream(seed, _PURPOSE_BOOTSTRAP)
     rows = [subject_rows(arm) for arm in study.arms()]
     counts = [np.zeros((B, arm.n), dtype=np.int64) for arm in study.arms()]
-    refits = np.empty((B, 2))
+    refits = np.empty((len(_RESAMPLED_FITS), B, 2))
     for b in range(B):
         for k, arm in enumerate(study.arms()):
             idx = draws.integers(0, arm.n, size=arm.n)
-            refits[b, k] = aumcf(make_arm(arm.arm, [rows[k][i] for i in idx]), study.tau)
+            resampled = make_arm(arm.arm, [rows[k][i] for i in idx])
+            for f, (s_convention, weights) in enumerate(_RESAMPLED_FITS):
+                refits[f, b, k] = aumcf(resampled, study.tau, s_convention, weights)
             np.add.at(counts[k][b], idx, 1)
-    weighted = np.column_stack([_ResampleFit(arm, study.tau).thetas(c)
-                                for arm, c in zip(study.arms(), counts)])
-    # relative to each refit; with atol 0 a refit of 0 must be matched exactly
-    np.testing.assert_allclose(weighted, refits, rtol=1e-12, atol=0)
-    want = float(np.std(refits[:, 0] - refits[:, 1], ddof=1))
+    for f, (s_convention, weights) in enumerate(_RESAMPLED_FITS):
+        fits = [fit_arm(arm, study.tau, s_convention, weights) for arm in study.arms()]
+        weighted = np.column_stack([fit.thetas(c) for fit, c in zip(fits, counts)])
+        # relative to each refit; with atol 0 a refit of 0 must be matched exactly
+        np.testing.assert_allclose(weighted, refits[f], rtol=1e-12, atol=0)
+        for fit in fits:
+            ones = np.ones((1, fit.arm.n), dtype=np.int64)
+            np.testing.assert_allclose(fit.thetas(ones), [fit.theta], rtol=1e-12, atol=0)
+    want = float(np.std(refits[0, :, 0] - refits[0, :, 1], ddof=1))
     np.testing.assert_allclose(bootstrap_se(study, B=B, seed=seed), want, rtol=1e-12, atol=0)
     return counts
 
@@ -309,6 +339,8 @@ def test_bootstrap_equals_resampling_subject_objects(rng, monkeypatch):
     assert bootstrap_se(study, B=100, seed=11) == se
     # two event types and covariates: the bootstrap fits all events
     _check_against_refits(random_study(rng, n=25, n_cov=2, n_types=2), seed=12)
+    # three types: the weighted fit drops type 0 and weighs type 2 by 2.5
+    _check_against_refits(random_study(rng, n=25, n_types=3), seed=13)
 
 
 def test_bootstrap_event_tied_with_death():
