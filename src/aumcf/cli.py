@@ -4,11 +4,12 @@ Input is the long-format CSV ``id,time,status,arm[,event_type][,w1,...]``.
 Every report carries a provenance block (input hash, tau, alpha, survival
 convention, version) and output is byte-identical across runs for the same
 inputs and seeds. Exit codes: 0 success, 2 validation error, 3 numerical
-degeneracy, 4 config error.
+degeneracy, 4 config error (a flag that click cannot parse included).
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import functools
@@ -83,6 +84,30 @@ def _handle_errors(fn):
             _error_exit(exc, EXIT_CONFIG)
 
     return wrapper
+
+
+@contextlib.contextmanager
+def _flag_errors():
+    """A flag or command that click cannot parse is a config error."""
+    try:
+        yield
+    except click.UsageError as exc:
+        _error_exit(ConfigError(exc.format_message()), EXIT_CONFIG)
+
+
+class _Cli(click.Group):
+    """The ``aumcf`` group: flag errors exit 4 with one JSON error record,
+    as every other failure does; a bare ``aumcf`` prints the help."""
+
+    def parse_args(self, ctx, args):
+        if not args:
+            return super().parse_args(ctx, args)
+        with _flag_errors():
+            return super().parse_args(ctx, args)
+
+    def invoke(self, ctx):
+        with _flag_errors():
+            return super().invoke(ctx)
 
 
 def _read_input_bytes(path: str) -> bytes:
@@ -206,6 +231,8 @@ def _alpha_z(alpha: float) -> float:
 
 
 def _parse_weights(text: str) -> dict[int, float]:
+    if not text.strip():
+        raise ConfigError("empty weight specification")
     weights = {}
     for part in text.split(","):
         if "=" not in part:
@@ -217,12 +244,10 @@ def _parse_weights(text: str) -> dict[int, float]:
             raise ConfigError(f"bad weight entry {part!r}") from exc
         if not (w > 0 and math.isfinite(w)):
             raise ConfigError("event-type weights must be positive and finite")
-    if not weights:
-        raise ConfigError("empty weight specification")
     return weights
 
 
-@click.group()
+@click.group(cls=_Cli)
 @click.version_option(__version__, prog_name="aumcf")
 def main():
     """Estimation and inference for the area under the mean cumulative
@@ -291,17 +316,17 @@ def compare(input_path, tau, alpha, contrast, covariates, weights, strict_tau,
     """Two-sample AUMCF contrast (difference or ratio), optionally
     covariate-adjusted or weighted across event types."""
     _alpha_z(alpha)
-    if covariates and weights:
+    if covariates is not None and weights is not None:
         raise ConfigError("--covariates and --weights are mutually exclusive")
-    if covariates and contrast == "ratio":
+    if covariates is not None and contrast == "ratio":
         raise ConfigError("augmentation supports the difference contrast only")
-    if weights and contrast == "ratio":
+    if weights is not None and contrast == "ratio":
         raise ConfigError("weighted contrasts support the difference contrast only")
     study, digest = _load_study(input_path, tau, strict_tau)
     prov = _provenance("compare", digest, tau=tau, alpha=alpha,
                        s_convention=s_convention, contrast=contrast)
 
-    if covariates:
+    if covariates is not None:
         names = tuple(c.strip() for c in covariates.split(",") if c.strip())
         sub = _subset_covariates(study, names)
         aug = augmented_contrast(sub, alpha=alpha, s_convention=s_convention)
@@ -319,7 +344,7 @@ def compare(input_path, tau, alpha, contrast, covariates, weights, strict_tau,
             _emit(_csv_report(prov, ["method"] + fields, rows), out)
         return
 
-    if weights:
+    if weights is not None:
         result = weighted_contrast(study, _parse_weights(weights), alpha=alpha,
                                    s_convention=s_convention)
     elif contrast == "ratio":
@@ -361,8 +386,8 @@ def curves(input_path, tau, strict_tau, s_convention, out):
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--truth", type=float, default=None,
               help="True AUMCF difference (default: the scenario's exact value).")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker processes for the replicate loop.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Worker processes for the replicate loop, at most one per replicate.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,

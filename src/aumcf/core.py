@@ -172,24 +172,18 @@ def _arms_from_rows(ids, time, status, arm, event_type, covariates):
     """Validate long-format rows given as columns and group them into arms.
 
     ``ids`` is a list of str; the other columns are arrays with one entry
-    per row, ``covariates`` of shape ``(rows, p)``. Each error names the
+    per row, ``covariates`` of shape ``(rows, p)``, and every ``status``
+    is 0, 1 or 2 (the CSV reader rejects any other). Each error names the
     first offending subject: rows are checked in input order, then
     subjects in (arm, id) order.
     """
     if not ids:
         raise ValidationError("no records supplied")
     bad_arm = (arm != 1) & (arm != 2)
-    bad_status = (status != Status.CENSOR) & (status != Status.EVENT) & (status != Status.DEATH)
-    bad_time = ~(np.isfinite(time) & (time >= 0))
-    bad = bad_arm | bad_status | bad_time
+    bad = bad_arm | ~(np.isfinite(time) & (time >= 0))
     if bad.any():
         k = int(np.argmax(bad))
-        if bad_arm[k]:
-            msg = "arm must be 1 or 2"
-        elif bad_status[k]:
-            msg = f"unknown status {status[k]}"
-        else:
-            msg = "negative or non-finite time"
+        msg = "arm must be 1 or 2" if bad_arm[k] else "negative or non-finite time"
         raise ValidationError(f"subject {ids[k]!r}: {msg}")
     arm = arm.astype(np.int64)
 
@@ -291,13 +285,6 @@ def _event_types(values) -> np.ndarray:
     return np.array([int(v) if v else 0 for v in values], dtype=np.int64)
 
 
-def _int64(v) -> int:
-    x = int(v)
-    if not -(2 ** 63) <= x < 2 ** 63:
-        raise OverflowError(f"{v!r} does not fit in 64 bits")
-    return x
-
-
 def _read_columns(fh) -> tuple[tuple, tuple[str, ...]]:
     """Read the CSV into one array per column, a chunk of rows at a time.
 
@@ -310,8 +297,9 @@ def _read_columns(fh) -> tuple[tuple, tuple[str, ...]]:
     that ``_arms_from_rows`` takes, ``event_type`` being 0 where the field
     is empty or absent, and the covariate column names.
 
-    Errors name the line: the header is line 1 and blank lines, which are
-    skipped, still count.
+    Errors name the first bad row in file order by its first line: the
+    header is line 1, and skipped blank lines and the line breaks inside
+    quoted fields count.
     """
     reader = csv.reader(fh)
     line0 = 0  # lines read before the current reader's first
@@ -327,19 +315,16 @@ def _read_columns(fh) -> tuple[tuple, tuple[str, ...]]:
         cov_names = tuple(
             c for c in header if c not in _FIXED_COLUMNS and c != "event_type"
         )
-        # (label, column, chunk converter, field check) in the order the
-        # fields of a row are checked
-        fields = [("status", col["status"], _statuses, lambda v: Status(int(v)))]
+        # (label, column, converter) in the order the fields of a row are
+        # checked; a converter takes a sequence of field texts
+        fields = [("status", col["status"], _statuses)]
         if has_type:
-            fields.append(("event_type", col["event_type"], _event_types,
-                           lambda v: _int64(v) if v else 0))
-        fields += [("covariate", col[c], _floats, float) for c in cov_names]
-        fields += [("time", col["time"], _floats, float),
-                   ("arm", col["arm"], _ints, _int64)]
+            fields.append(("event_type", col["event_type"], _event_types))
+        fields += [("covariate", col[c], _floats) for c in cov_names]
+        fields += [("time", col["time"], _floats), ("arm", col["arm"], _ints)]
         width = len(header)
         ids: list[str] = []
         parts: list[list[np.ndarray]] = [[] for _ in fields]
-        blanks: list[int] = []  # rows read before each skipped blank line
         # with the ids in the first column, leading plain chunks are parsed
         # in C; csv.reader goes on from the first chunk that is not plain
         # (nothing is left of fh when every chunk was plain)
@@ -348,16 +333,18 @@ def _read_columns(fh) -> tuple[tuple, tuple[str, ...]]:
             line0 = reader.line_num + len(ids)
             reader = csv.reader(itertools.chain(rest, fh))
         while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
-            if set(map(len, chunk)) != {width}:
-                chunk = _drop_blank_rows(chunk, width, len(ids), blanks)
-                if not chunk:
-                    continue
-            cols = list(zip(*chunk))
+            widths = set(map(len, chunk))
+            rows = [row for row in chunk if row] if 0 in widths else chunk  # skip blank lines
+            if not rows:
+                continue
             try:
-                for part, (_, k, convert, _) in zip(parts, fields):
+                if widths - {0, width}:
+                    raise ValueError("a row of another width")
+                cols = list(zip(*rows))
+                for part, (_, k, convert) in zip(parts, fields):
                     part.append(convert(cols[k]))
             except (ValueError, OverflowError):
-                _raise_bad_field(chunk, fields, len(ids), blanks)
+                _raise_first_bad_row(chunk, fields, width, line0 + reader.line_num)
                 raise
             ids.extend(cols[col["id"]])
     except csv.Error as exc:
@@ -378,12 +365,12 @@ def _read_plain_chunks(fh, fields, width, ids, parts) -> list[str]:
     plain, or ``[]`` at the end of the stream."""
     # one table field per column, so that loadtxt checks every row's width;
     # the id column and a column shadowed by a duplicate name are never read
-    kinds = {k: np.float64 if convert is _floats else np.int64 for _, k, convert, _ in fields}
+    kinds = {k: np.float64 if convert is _floats else np.int64 for _, k, convert in fields}
     dtype = np.dtype([(f"c{k}", kinds.get(k, "U1")) for k in range(width)])
-    names = [f"c{k}" for _, k, _, _ in fields]
+    names = [f"c{k}" for _, k, _ in fields]
     # an empty event_type is 0; loadtxt rejects a label outside int64
     converters = {k: _EventTypeLabels().__getitem__
-                  for label, k, _, _ in fields if label == "event_type"}
+                  for label, k, _ in fields if label == "event_type"}
     while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
         table = _parse_plain(lines, dtype, converters, names[0])
         if table is None:
@@ -441,38 +428,29 @@ def _parse_plain(lines, dtype, converters, status) -> Optional[np.ndarray]:
     return table
 
 
-def _line(row: int, blanks: list[int]) -> int:
-    """File line of data row ``row`` (0-based), counting skipped blank lines."""
-    return row + 2 + sum(1 for b in blanks if b <= row)
-
-
-def _drop_blank_rows(chunk, width, offset, blanks):
-    """The chunk without its blank rows; any other row must be ``width`` wide."""
-    kept = []
-    for row in chunk:
+def _raise_first_bad_row(rows, fields, width, last_line):
+    """Raise for the first bad row of ``rows``, the raw ``csv.reader`` rows
+    that end on file line ``last_line``: a row other than blank that is not
+    ``width`` fields wide, or one with a field that its converter rejects,
+    fields checked in ``fields`` order. A row is named by its first line;
+    it ends one line, plus the line breaks in its fields, after the row
+    before it."""
+    spans = [1 + (t := ",".join(row)).count("\n") + t.count("\r") - t.count("\r\n")
+             for row in rows]
+    line = last_line - sum(spans)
+    for row, span in zip(rows, spans):
+        first, line = line + 1, line + span
         if not row:
-            blanks.append(offset + len(kept))
-        elif len(row) != width:
-            raise ValidationError(
-                f"line {_line(offset + len(kept), blanks)}: "
-                f"expected {width} fields, got {len(row)}"
-            )
-        else:
-            kept.append(row)
-    return kept
-
-
-def _raise_bad_field(chunk, fields, offset, blanks):
-    """Raise for the chunk's first bad field, in row then field order."""
-    for i, row in enumerate(chunk):
-        for label, k, _, check in fields:
+            continue
+        if len(row) != width:
+            raise ValidationError(f"line {first}: expected {width} fields, got {len(row)}")
+        for label, k, convert in fields:
             try:
-                check(row[k])
+                convert([row[k]])
             except (ValueError, OverflowError):
-                line = _line(offset + i, blanks)
                 if label == "covariate":
-                    raise ValidationError(f"line {line}: bad covariate value") from None
-                raise ValidationError(f"line {line}: bad {label} {row[k]!r}") from None
+                    raise ValidationError(f"line {first}: bad covariate value") from None
+                raise ValidationError(f"line {first}: bad {label} {row[k]!r}") from None
 
 
 def read_arms_csv(source) -> tuple[dict[int, ArmDataset], tuple[str, ...]]:

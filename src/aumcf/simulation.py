@@ -336,7 +336,7 @@ def _replicate_worker(args):
         for name, res in (("unadjusted", aug.unadjusted), ("adjusted", aug.adjusted)):
             if name in methods:
                 out[name] = (res.point, res.se, res.ci_lower, res.ci_upper, res.p_value)
-    return rep, out
+    return out
 
 
 def run_operating_characteristics(
@@ -351,9 +351,12 @@ def run_operating_characteristics(
     ``truth`` supplies the true difference for bias and coverage (a
     :class:`TrueValues` or a plain float); when omitted it is the exact
     value from :func:`true_value_oracle`.
-    Replicates may run in worker processes (``n_jobs``); aggregation is
-    order-normalized by replicate index so parallel equals serial bitwise.
+    Replicates may run in up to ``n_jobs`` worker processes, never more
+    than there are replicates; results are aggregated in replicate order,
+    so parallel equals serial bitwise.
     """
+    if n_jobs < 1:
+        raise ValidationError("n_jobs must be at least 1")
     for m in methods:
         if m not in ("unadjusted", "adjusted"):
             raise ValidationError(f"unknown method {m!r}")
@@ -365,19 +368,21 @@ def run_operating_characteristics(
 
     reps = config.replicates
     tasks = [(config, r, methods, alpha) for r in range(reps)]
-    if n_jobs > 1:
+    workers = min(n_jobs, reps)
+    if workers > 1:
         # imported here: the pool machinery adds about 2 MB to every import
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_replicate_worker, tasks, chunksize=max(1, reps // (8 * n_jobs))))
+        # map yields the results in task order
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_replicate_worker, tasks,
+                                    chunksize=max(1, reps // (8 * workers))))
     else:
         results = [_replicate_worker(t) for t in tasks]
-    results.sort(key=lambda item: item[0])
 
     rows = []
     for method in methods:
-        rec = np.array([res[method] for _, res in results])  # point, se, lo, hi, p
+        rec = np.array([res[method] for res in results])  # point, se, lo, hi, p
         points, ses, lo, hi, pvals = rec.T
         ese = float(np.std(points, ddof=1)) if reps > 1 else 0.0
         rej = float(np.mean(pvals < alpha))

@@ -167,12 +167,50 @@ def test_compare_unknown_covariate_config_error(runner, toy_csv):
     assert result.exit_code == 4
 
 
-@pytest.mark.parametrize("spec", [",", " , ,"])
+@pytest.mark.parametrize("spec", [",", " , ,", ""])
 def test_compare_empty_covariate_list_exits_4(runner, toy_csv, spec):
     result = runner.invoke(main, ["compare", toy_csv, "--tau", "12", "--covariates", spec])
     assert result.exit_code == 4 and result.stdout == ""
     assert json.loads(result.stderr) == {"error": {
         "code": 4, "type": "ConfigError", "message": "empty covariate list"}}
+
+
+@pytest.mark.parametrize("spec", ["", " "])
+def test_compare_empty_weight_specification_exits_4(runner, toy_csv, spec):
+    result = runner.invoke(main, ["compare", toy_csv, "--tau", "12", "--weights", spec])
+    assert result.exit_code == 4 and result.stdout == ""
+    assert json.loads(result.stderr) == {"error": {
+        "code": 4, "type": "ConfigError", "message": "empty weight specification"}}
+
+
+@pytest.mark.parametrize("flag", ["--covariates", "--weights"])
+def test_compare_empty_flag_under_ratio_exits_4(runner, toy_csv, flag):
+    # an empty value is given, not absent: it never falls back to the plain ratio
+    result = runner.invoke(main, ["compare", toy_csv, "--tau", "12", "--contrast", "ratio",
+                                  flag, ""])
+    assert result.exit_code == 4 and result.stdout == ""
+    assert json.loads(result.stderr)["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["estimate", "-", "--tau", "abc"], "Invalid value for '--tau'"),
+    (["estimate", "-", "--tau", "1", "--format", "xml"], "Invalid value for '--format'"),
+    (["compare", "-", "--tau", "1", "--bogus"], "No such option"),
+    (["curves", "-"], "Missing option '--tau'"),
+], ids=["bad float", "bad choice", "unknown option", "missing option"])
+def test_flag_errors_exit_4_with_a_record(runner, args, message):
+    result = runner.invoke(main, args, input=TOY_CSV)
+    assert result.exit_code == 4 and result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    err = json.loads(result.stderr)["error"]
+    assert err["code"] == 4 and err["type"] == "ConfigError"
+    assert err["message"].startswith(message)
+
+
+@pytest.mark.parametrize("args", [["--help"], ["--version"], ["compare", "--help"]])
+def test_help_and_version_exit_0(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0 and result.stdout and result.stderr == ""
 
 
 def test_curves_toy_rows(runner, toy_csv):
@@ -400,6 +438,14 @@ def test_simulate_zero_reps_flag_is_config_error(runner, tmp_path):
     result = _zero_reps_result(runner, tmp_path, {"replicates": 2}, ["--reps", "0"])
     assert result.exit_code == 4
     assert json.loads(result.stderr)["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_simulate_jobs_below_1_is_config_error(runner, tmp_path, jobs):
+    result = _zero_reps_result(runner, tmp_path, {"replicates": 2}, ["--jobs", jobs])
+    assert result.exit_code == 4 and result.stdout == ""
+    err = json.loads(result.stderr)["error"]
+    assert err["type"] == "ConfigError" and "--jobs" in err["message"]
 
 
 def test_simulate_zero_reps_in_config_is_config_error(runner, tmp_path):
@@ -728,6 +774,8 @@ def _cli_args(draw):
             ["--weights", "0=5e-324,1=1,2=1e-300"],
             ["--weights", "x"], ["--contrast", "ratio", "--covariates", "w1"],
             ["--covariates", "w1", "--weights", "1=1"],
+            ["--covariates", ""], ["--weights", ""], ["--contrast", "ratio", "--weights", ""],
+            ["--contrast", "bogus"], ["--bogus"],
         ]))
     return args
 

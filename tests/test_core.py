@@ -190,6 +190,14 @@ _FIELD_ERRORS = [
     ("a,1.0,0,1\n\n\nb,1.0,0,zz\n", "line 5: bad arm 'zz'"),
     ("a,1.0,0,1\n\nb,1.0\n", "line 4: expected 4 fields"),
     ("a,1.0,0,1\nb,1.0,0,99999999999999999999\n", "line 3: bad arm"),
+    # a line break inside a quoted field counts, LF or CRLF
+    ('"a\nb",1.0,0,1\nc,x,0,1\n', "line 4: bad time 'x'"),
+    ('"a\nb",1.0,0,1\nc,1.0,0\n', "line 4: expected 4 fields, got 3"),
+    ('"a\r\nb",1.0,0,1\n\nc,1.0,0,x\n', "line 5: bad arm 'x'"),
+    # a row that spans lines is named by its first
+    ('a,1.0,0,1\n"b\nc",1.0,0,x\n', "line 3: bad arm 'x'"),
+    # the first bad row in file order, whatever is wrong with it
+    ("a,x,0,1\nb,1.0,0\n", "line 2: bad time 'x'"),
 ]
 
 
@@ -549,7 +557,13 @@ def test_plain_csv_rows_never_reach_csv_reader(rng, monkeypatch):
      "line 5001: new-line character seen in unquoted field"),
     (lambda row: "\n" + row.split(",", 1)[0] + ",1.0",
      "line 5002: expected 7 fields, got 2"),
-], ids=["quoted id", "bad time", "CR in a field", "blank line and short row"])
+    (lambda row: '"' + row.replace(",", '\n",', 1) + "\n"
+     + row.split(",", 1)[0] + ",abc," + row.split(",", 2)[2],
+     "line 5003: bad time 'abc'"),
+    (lambda row: '"' + row.replace(",", '\n",', 1) + "\n" + row.split(",", 1)[0] + ",1.0",
+     "line 5003: expected 7 fields, got 2"),
+], ids=["quoted id", "bad time", "CR in a field", "blank line and short row",
+        "quoted line break and bad time", "quoted line break and short row"])
 def test_late_switch_to_csv_reader(rng, edit, error):
     # row 5000 is in the second chunk: the first is parsed in C, then
     # csv.reader goes on from that chunk's own lines, without a seek

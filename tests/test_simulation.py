@@ -256,6 +256,44 @@ def test_harness_parallel_equals_serial():
     assert serial.rows == parallel.rows
 
 
+class _StubPool:
+    """A ProcessPoolExecutor stand-in that records its worker count and
+    runs the tasks in this process."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("n_jobs,workers", [(5000, [3]), (3, [3]), (2, [2]), (1, [])])
+def test_harness_workers_capped_at_replicates(monkeypatch, n_jobs, workers):
+    import concurrent.futures
+
+    monkeypatch.setattr(_StubPool, "max_workers", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _StubPool)
+    cfg = ScenarioConfig(n_per_arm=10, replicates=3, seed=14)
+    oc = run_operating_characteristics(cfg, truth=0.0, n_jobs=n_jobs)
+    assert _StubPool.max_workers == workers
+    assert oc.rows == run_operating_characteristics(cfg, truth=0.0).rows
+
+
+@pytest.mark.parametrize("n_jobs", [0, -1])
+def test_harness_rejects_jobs_below_1(n_jobs):
+    cfg = ScenarioConfig(n_per_arm=10, replicates=2, seed=14)
+    with pytest.raises(ValidationError, match="n_jobs must be at least 1"):
+        run_operating_characteristics(cfg, truth=0.0, n_jobs=n_jobs)
+
+
 def test_harness_adjusted_requires_covariates():
     cfg = ScenarioConfig(n_per_arm=20, replicates=2, seed=15)
     with pytest.raises(ValidationError, match="covariate mode"):
