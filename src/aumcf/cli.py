@@ -54,59 +54,47 @@ class ConfigError(Exception):
     """Request- or config-level problem (bad flag combination, bad file)."""
 
 
-def _error_exit(exc: BaseException, code: int) -> None:
-    record = {
-        "error": {
-            "code": code,
-            "type": type(exc).__name__,
-            "message": str(exc),
-        }
-    }
-    click.echo(json.dumps(record, sort_keys=True), err=True)
-    sys.exit(code)
-
-
-def _handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            # an overflow surfaces as a non-finite statistic (exit 3), not
-            # as numpy warnings on stderr
-            with np.errstate(over="ignore", invalid="ignore"):
-                return fn(*args, **kwargs)
-        except (SingularCovariateError, RatioUndefinedError, ArithmeticError) as exc:
-            _error_exit(exc, EXIT_DEGENERATE)
-        except (ConfigError, json.JSONDecodeError) as exc:
-            _error_exit(exc, EXIT_CONFIG)
-        except ValidationError as exc:
-            _error_exit(exc, EXIT_VALIDATION)
-        except OSError as exc:
-            _error_exit(exc, EXIT_CONFIG)
-
-    return wrapper
+# the exit code of each failure: the first entry that matches wins
+_EXIT_CODES = (
+    ((SingularCovariateError, RatioUndefinedError, ArithmeticError), EXIT_DEGENERATE),
+    ((ConfigError, json.JSONDecodeError, click.UsageError), EXIT_CONFIG),
+    (ValidationError, EXIT_VALIDATION),
+    (OSError, EXIT_CONFIG),
+)
 
 
 @contextlib.contextmanager
-def _flag_errors():
-    """A flag or command that click cannot parse is a config error."""
+def _exit_codes():
+    """A failure named in ``_EXIT_CODES`` exits with its code and one JSON
+    error record; an overflow surfaces as a non-finite statistic (exit 3),
+    not as numpy warnings on stderr."""
     try:
-        yield
-    except click.UsageError as exc:
-        _error_exit(ConfigError(exc.format_message()), EXIT_CONFIG)
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except Exception as exc:
+        for types, code in _EXIT_CODES:
+            if isinstance(exc, types):
+                if isinstance(exc, click.UsageError):
+                    exc = ConfigError(exc.format_message())
+                error = {"code": code, "type": type(exc).__name__, "message": str(exc)}
+                click.echo(json.dumps({"error": error}, sort_keys=True), err=True)
+                sys.exit(code)
+        raise
 
 
 class _Cli(click.Group):
-    """The ``aumcf`` group: flag errors exit 4 with one JSON error record,
-    as every other failure does; a bare ``aumcf`` prints the help."""
+    """The ``aumcf`` group: parsing and running a command both fail through
+    ``_exit_codes``; a bare ``aumcf`` prints the help and exits 0."""
 
     def parse_args(self, ctx, args):
-        if not args:
-            return super().parse_args(ctx, args)
-        with _flag_errors():
+        if not args and not ctx.resilient_parsing:
+            click.echo(ctx.get_help(), color=ctx.color)
+            ctx.exit()
+        with _exit_codes():
             return super().parse_args(ctx, args)
 
     def invoke(self, ctx):
-        with _flag_errors():
+        with _exit_codes():
             return super().invoke(ctx)
 
 
@@ -117,11 +105,9 @@ def _read_input_bytes(path: str) -> bytes:
         return fh.read()
 
 
-def _read_csv_input(path: str, tau: float) -> tuple[io.TextIOWrapper, str]:
+def _read_csv_input(path: str) -> tuple[io.TextIOWrapper, str]:
     """The input as a text stream, read as ``read_arms_csv(path)`` reads a
-    file, and its SHA-256, after checking tau."""
-    if not (tau > 0 and math.isfinite(tau)):
-        raise ValidationError("tau must be positive and finite")
+    file, and its SHA-256."""
     raw = _read_input_bytes(path)
     try:
         raw.decode("utf-8")
@@ -141,7 +127,7 @@ def _check_truncation(arms, tau: float, strict: bool) -> None:
 
 
 def _load_study(path: str, tau: float, strict: bool) -> tuple[StudyDataset, str]:
-    text, digest = _read_csv_input(path, tau)
+    text, digest = _read_csv_input(path)
     study = read_study_csv(text, tau)
     _check_truncation(study.arms(), tau, strict)
     return study, digest
@@ -149,7 +135,7 @@ def _load_study(path: str, tau: float, strict: bool) -> tuple[StudyDataset, str]
 
 def _load_arms(path: str, tau: float, strict: bool) -> tuple[list[ArmDataset], str]:
     """Arm-wise loader for the commands that accept single-arm input."""
-    text, digest = _read_csv_input(path, tau)
+    text, digest = _read_csv_input(path)
     arms, _ = read_arms_csv(text)
     arms = [arms[k] for k in sorted(arms)]
     _check_truncation(arms, tau, strict)
@@ -205,8 +191,6 @@ def _csv_cell(v) -> str:
 def _subset_covariates(study: StudyDataset, names: tuple[str, ...]) -> StudyDataset:
     """The study with only the covariate columns ``names``, in that order;
     the arms' other columns are shared, not checked and sorted again."""
-    if not names:
-        raise ConfigError("empty covariate list")
     try:
         idx = [study.covariate_names.index(n) for n in names]
     except ValueError as exc:
@@ -222,19 +206,41 @@ def _subset_covariates(study: StudyDataset, names: tuple[str, ...]) -> StudyData
     return StudyDataset(arms[0], arms[1], study.tau, covariate_names=names)
 
 
-def _alpha_z(alpha: float) -> float:
-    """The Wald z for ``alpha``; a bad alpha is a config error."""
+def _check_tau(ctx, param, tau: float) -> float:
+    if not (tau > 0 and math.isfinite(tau)):
+        raise ValidationError("tau must be positive and finite")
+    return tau
+
+
+def _check_alpha(ctx, param, alpha: float) -> float:
+    """``--alpha``, checked by the rule that the Wald z applies."""
     try:
-        return _z(alpha)
+        _z(alpha)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
+    return alpha
 
 
-def _parse_weights(text: str) -> dict[int, float]:
-    if not text.strip():
-        raise ConfigError("empty weight specification")
+def _comma_list(text: str, empty: str) -> list[str]:
+    """The entries of a comma-separated flag value, blank ones skipped; a
+    value with none left is a config error with message ``empty``."""
+    entries = [part for part in text.split(",") if part.strip()]
+    if not entries:
+        raise ConfigError(empty)
+    return entries
+
+
+def _parse_covariates(ctx, param, text: str | None) -> tuple[str, ...] | None:
+    if text is None:
+        return None
+    return tuple(name.strip() for name in _comma_list(text, "empty covariate list"))
+
+
+def _parse_weights(ctx, param, text: str | None) -> dict[int, float] | None:
+    if text is None:
+        return None
     weights = {}
-    for part in text.split(","):
+    for part in _comma_list(text, "empty weight specification"):
         if "=" not in part:
             raise ConfigError(f"bad weight entry {part!r}; expected type=weight")
         key, _, val = part.partition("=")
@@ -247,6 +253,26 @@ def _parse_weights(text: str) -> dict[int, float]:
     return weights
 
 
+# flags that several commands take, each declared once
+_INPUT = click.argument("input_path", metavar="INPUT")
+_TAU = click.option("--tau", type=float, required=True, callback=_check_tau,
+                    help="Truncation time.")
+_ALPHA = click.option("--alpha", type=float, default=0.05, show_default=True,
+                      callback=_check_alpha)
+_STRICT_TAU = click.option("--strict-tau", is_flag=True, help="Error when tau exceeds follow-up.")
+_S_CONVENTION = click.option("--s-convention", type=click.Choice(S_CONVENTIONS), default="left",
+                             show_default=True, help="Survival-curve continuity convention.")
+_FORMAT = click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
+                       show_default=True)
+_OUT = click.option("--out", type=click.Path(dir_okay=False), default=None,
+                    help="Output file (default: stdout).")
+
+
+def _flags(*decorators):
+    """The click parameter decorators applied as if stacked in this order."""
+    return lambda fn: functools.reduce(lambda f, d: d(f), reversed(decorators), fn)
+
+
 @click.group(cls=_Cli)
 @click.version_option(__version__, prog_name="aumcf")
 def main():
@@ -255,20 +281,10 @@ def main():
 
 
 @main.command()
-@click.argument("input_path", metavar="INPUT")
-@click.option("--tau", type=float, required=True, help="Truncation time.")
-@click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--strict-tau", is_flag=True, help="Error when tau exceeds follow-up.")
-@click.option("--s-convention", type=click.Choice(S_CONVENTIONS), default="left",
-              show_default=True, help="Survival-curve continuity convention.")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
-              show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Output file (default: stdout).")
-@_handle_errors
+@_flags(_INPUT, _TAU, _ALPHA, _STRICT_TAU, _S_CONVENTION, _FORMAT, _OUT)
 def estimate(input_path, tau, alpha, strict_tau, s_convention, fmt, out):
     """Per-arm AUMCF point estimates with influence-function CIs."""
-    z = _alpha_z(alpha)
+    z = _z(alpha)
     arm_data, digest = _load_arms(input_path, tau, strict_tau)
     arms = []
     for arm in arm_data:
@@ -294,28 +310,18 @@ def estimate(input_path, tau, alpha, strict_tau, s_convention, fmt, out):
 
 
 @main.command()
-@click.argument("input_path", metavar="INPUT")
-@click.option("--tau", type=float, required=True, help="Truncation time.")
-@click.option("--alpha", type=float, default=0.05, show_default=True)
+@_flags(_INPUT, _TAU, _ALPHA)
 @click.option("--contrast", type=click.Choice(["diff", "ratio"]), default="diff",
               show_default=True)
-@click.option("--covariates", default=None,
+@click.option("--covariates", default=None, callback=_parse_covariates,
               help="Comma-separated covariate columns for augmentation.")
-@click.option("--weights", default=None,
+@click.option("--weights", default=None, callback=_parse_weights,
               help="Event-type weights as type=w,... for a weighted contrast.")
-@click.option("--strict-tau", is_flag=True, help="Error when tau exceeds follow-up.")
-@click.option("--s-convention", type=click.Choice(S_CONVENTIONS), default="left",
-              show_default=True, help="Survival-curve continuity convention.")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
-              show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Output file (default: stdout).")
-@_handle_errors
+@_flags(_STRICT_TAU, _S_CONVENTION, _FORMAT, _OUT)
 def compare(input_path, tau, alpha, contrast, covariates, weights, strict_tau,
             s_convention, fmt, out):
     """Two-sample AUMCF contrast (difference or ratio), optionally
     covariate-adjusted or weighted across event types."""
-    _alpha_z(alpha)
     if covariates is not None and weights is not None:
         raise ConfigError("--covariates and --weights are mutually exclusive")
     if covariates is not None and contrast == "ratio":
@@ -327,8 +333,7 @@ def compare(input_path, tau, alpha, contrast, covariates, weights, strict_tau,
                        s_convention=s_convention, contrast=contrast)
 
     if covariates is not None:
-        names = tuple(c.strip() for c in covariates.split(",") if c.strip())
-        sub = _subset_covariates(study, names)
+        sub = _subset_covariates(study, covariates)
         aug = augmented_contrast(sub, alpha=alpha, s_convention=s_convention)
         if fmt == "json":
             payload = {"provenance": prov}
@@ -345,8 +350,7 @@ def compare(input_path, tau, alpha, contrast, covariates, weights, strict_tau,
         return
 
     if weights is not None:
-        result = weighted_contrast(study, _parse_weights(weights), alpha=alpha,
-                                   s_convention=s_convention)
+        result = weighted_contrast(study, weights, alpha=alpha, s_convention=s_convention)
     elif contrast == "ratio":
         result = contrast_ratio(study, alpha=alpha, s_convention=s_convention)
     else:
@@ -358,14 +362,7 @@ def compare(input_path, tau, alpha, contrast, covariates, weights, strict_tau,
 
 
 @main.command()
-@click.argument("input_path", metavar="INPUT")
-@click.option("--tau", type=float, required=True, help="Truncation time.")
-@click.option("--strict-tau", is_flag=True, help="Error when tau exceeds follow-up.")
-@click.option("--s-convention", type=click.Choice(S_CONVENTIONS), default="left",
-              show_default=True, help="Survival-curve continuity convention.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Output file (default: stdout).")
-@_handle_errors
+@_flags(_INPUT, _TAU, _STRICT_TAU, _S_CONVENTION, _OUT)
 def curves(input_path, tau, strict_tau, s_convention, out):
     """Export per-arm MCF and Kaplan-Meier step functions as long CSV
     (arm,curve,time,value), clipped at tau."""
@@ -383,20 +380,15 @@ def curves(input_path, tau, strict_tau, s_convention, out):
 @click.argument("config_path", metavar="CONFIG")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--reps", type=int, default=None, help="Override replicate count.")
-@click.option("--alpha", type=float, default=0.05, show_default=True)
+@_ALPHA
 @click.option("--truth", type=float, default=None,
               help="True AUMCF difference (default: the scenario's exact value).")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker processes for the replicate loop, at most one per replicate.")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
-              show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Output file (default: stdout).")
-@_handle_errors
+@_flags(_FORMAT, _OUT)
 def simulate(config_path, seed, reps, alpha, truth, jobs, fmt, out):
     """Run the Monte Carlo harness for a JSON scenario config and report
     operating characteristics (bias, ESE, ASE, rejection, coverage)."""
-    _alpha_z(alpha)
     raw = _read_input_bytes(config_path)
     digest = hashlib.sha256(raw).hexdigest()
     try:

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -211,6 +212,12 @@ def test_flag_errors_exit_4_with_a_record(runner, args, message):
 def test_help_and_version_exit_0(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 0 and result.stdout and result.stderr == ""
+
+
+def test_bare_aumcf_prints_the_help_and_exits_0(runner):
+    result = runner.invoke(main, [])
+    assert result.exit_code == 0 and result.stdout.startswith("Usage:")
+    assert result.stderr == ""
 
 
 def test_curves_toy_rows(runner, toy_csv):
@@ -579,6 +586,31 @@ def _result(runner, args):
     return _strict_json(result.stdout)
 
 
+@pytest.mark.parametrize("spec", [",", " , ", "trailing comma"])
+@pytest.mark.parametrize("flag,entries,empty", [
+    ("--covariates", "w2,w1", "empty covariate list"),
+    ("--weights", "0=1,1=2,2=1", "empty weight specification"),
+])
+def test_blank_comma_list_entries_are_skipped(runner, tmp_path, rng, flag, entries, empty, spec):
+    # one rule for both flags: a blank entry is skipped; a list with none left is an error
+    path = tmp_path / "in.csv"
+    if flag == "--covariates":
+        with open(path, "w") as fh:
+            write_records_csv(random_study(rng, n=20, n_cov=2), fh)
+    else:
+        path.write_text(TYPES3_CSV)
+    args = ["compare", str(path), "--tau", "1", flag]
+    if spec == "trailing comma":
+        result = runner.invoke(main, args + [entries + ","])
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout == runner.invoke(main, args + [entries]).stdout
+    else:
+        result = runner.invoke(main, args + [spec])
+        assert result.exit_code == 4 and result.stdout == ""
+        assert json.loads(result.stderr) == {"error": {
+            "code": 4, "type": "ConfigError", "message": empty}}
+
+
 def test_huge_weights_keep_a_finite_se(runner):
     # psi**2 overflows at 1e300 weights, the SEs (about 3e299) do not
     unit = _result(runner, ["compare", "-", "--tau", "1", "--weights", "0=1,1=1,2=1"])["result"]
@@ -614,7 +646,11 @@ def test_huge_tau_keeps_a_finite_adjusted_se(runner, tmp_path, rng):
     assert big["relative_efficiency"] == pytest.approx(small["relative_efficiency"], rel=1e-12)
 
 
-@pytest.mark.parametrize("alpha", ["1e-320", "1e-17", "0", "1", "nan"])
+# 2**-53 is the first alpha at which 1 - alpha/2 rounds to 1
+_BAD_ALPHAS = ["1e-320", "1e-17", "0", "1", "nan", repr(2**-53)]
+
+
+@pytest.mark.parametrize("alpha", _BAD_ALPHAS)
 @pytest.mark.parametrize("command", ["estimate", "compare"])
 def test_bad_alpha_exits_4(runner, toy_csv, command, alpha):
     result = runner.invoke(main, [command, toy_csv, "--tau", "12", "--alpha", alpha])
@@ -623,10 +659,21 @@ def test_bad_alpha_exits_4(runner, toy_csv, command, alpha):
     assert err["type"] == "ConfigError" and "alpha must be in" in err["message"]
 
 
-def test_simulate_bad_alpha_exits_4(runner, tmp_path):
-    result = _zero_reps_result(runner, tmp_path, {"replicates": 2}, ["--alpha", "1e-320"])
+@pytest.mark.parametrize("alpha", _BAD_ALPHAS)
+def test_simulate_bad_alpha_exits_4(runner, tmp_path, alpha):
+    result = _zero_reps_result(runner, tmp_path, {"replicates": 2}, ["--alpha", alpha])
     assert result.exit_code == 4
     assert json.loads(result.stderr)["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("command", ["estimate", "compare", "simulate"])
+def test_alpha_just_above_2_to_the_minus_53_exits_0(runner, toy_csv, tmp_path, command):
+    flags = ["--alpha", repr(math.nextafter(2**-53, 1))]
+    if command == "simulate":
+        result = _zero_reps_result(runner, tmp_path, {"replicates": 2}, flags)
+    else:
+        result = runner.invoke(main, [command, toy_csv, "--tau", "12"] + flags)
+    assert result.exit_code == 0, result.stderr
 
 
 def test_curves_build_each_km_once(runner, toy_csv, monkeypatch):
@@ -762,7 +809,9 @@ def _cli_args(draw):
         args += ["--s-convention", "right"]
     if command in ("estimate", "compare"):
         if draw(st.integers(0, 5)) == 0:
-            args += ["--alpha", draw(st.sampled_from(["0.5", "0", "1", "nan", "1e-20"]))]
+            args += ["--alpha", draw(st.sampled_from(["0.5", "0", "1", "nan", "1e-20",
+                                                      repr(2**-53),
+                                                      repr(math.nextafter(2**-53, 1))]))]
         args += ["--format", draw(st.sampled_from(["json", "csv"]))]
     if command == "compare":
         args += draw(st.sampled_from([
@@ -772,7 +821,8 @@ def _cli_args(draw):
             ["--covariates", "zz"], ["--covariates", ","], ["--weights", "1=0"],
             ["--weights", "0=1,1=1e-300,2=1e300"], ["--weights", "0=1e300,1=1e300,2=1e300"],
             ["--weights", "0=5e-324,1=1,2=1e-300"],
-            ["--weights", "x"], ["--contrast", "ratio", "--covariates", "w1"],
+            ["--weights", "x"], ["--weights", "0=1,1=1,2=2,"], ["--weights", ","],
+            ["--contrast", "ratio", "--covariates", "w1"],
             ["--covariates", "w1", "--weights", "1=1"],
             ["--covariates", ""], ["--weights", ""], ["--contrast", "ratio", "--weights", ""],
             ["--contrast", "bogus"], ["--bogus"],
