@@ -392,7 +392,19 @@ def simulate(config_path, seed, reps, alpha, truth, jobs, fmt, out):
     raw = _read_input_bytes(config_path)
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        config = ScenarioConfig.from_dict(json.loads(raw.decode("utf-8")))
+        data = json.loads(raw.decode("utf-8"))
+    except json.JSONDecodeError:
+        raise  # malformed JSON keeps its own record
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"bad scenario config: not UTF-8: byte 0x{raw[exc.start]:02x} at offset {exc.start}"
+        ) from exc
+    except (RecursionError, ValueError) as exc:
+        # nesting deeper than the recursion limit, or an integer with more
+        # digits than Python converts
+        raise ConfigError(f"bad scenario config: {exc}") from exc
+    try:
+        config = ScenarioConfig.from_dict(data)
         if seed is not None:
             config = dataclasses.replace(config, seed=seed)
         if reps is not None:

@@ -310,6 +310,12 @@ def _read_columns(fh) -> tuple[tuple, tuple[str, ...]]:
         missing = [c for c in _FIXED_COLUMNS if c not in header]
         if missing:
             raise ValidationError(f"CSV missing required columns: {missing}")
+        if "" in header:
+            # an unnamed column is neither dropped nor read as a covariate
+            raise ValidationError(
+                f"CSV header field {header.index('') + 1} is empty; R's write.csv "
+                "writes its row names there unless called with row.names = FALSE"
+            )
         col = {name: k for k, name in enumerate(header)}  # last duplicate wins
         has_type = "event_type" in col
         cov_names = tuple(

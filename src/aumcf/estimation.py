@@ -68,23 +68,24 @@ class ArmFit:
     bootstrap resamples and the MCF are sums over.
 
     One fit per (arm, tau, s_convention, weights); ``mcf`` fits with tau
-    inf. Event jumps: distinct event times ``te`` <= tau with at-risk
-    counts ``y_e``, rate increments ``dr`` = event mass (see ``fit_arm``) /
-    ``y_e`` and the survival ``s`` at ``te`` under the convention. Death
-    jumps: distinct terminal-event times ``td`` <= tau with death counts
-    ``d`` and at-risk counts ``y_d``. Behind them: the ``owners`` and
-    ``mass`` of the counted events in time order and ``event_first``, the
-    first event of each jump; ``death_rows``, the follow-up positions of
-    the counted deaths, and ``death_first``, the first of each jump;
-    ``at_te`` and ``at_td``, where the risk sets start in follow-up order
-    (``y = n - at``); and ``km_at``, the index of each ``s`` into the
-    Kaplan-Meier curve with 1 prepended.
+    inf. Event jumps: distinct event times ``te`` <= tau with event counts
+    ``e`` (the number of counted events at each), at-risk counts ``y_e``,
+    rate increments ``dr`` = event mass (see ``fit_arm``) / ``y_e`` and the
+    survival ``s`` at ``te`` under the convention. Death jumps: distinct
+    terminal-event times ``td`` <= tau with death counts ``d`` and at-risk
+    counts ``y_d``. Behind them: the ``owners`` and ``mass`` of the counted
+    events in time order and ``event_first``, the first event of each jump;
+    ``death_rows``, the follow-up positions of the counted deaths, and
+    ``death_first``, the first of each jump; ``at_te`` and ``at_td``, where
+    the risk sets start in follow-up order (``y = n - at``); and ``km_at``,
+    the index of each ``s`` into the Kaplan-Meier curve with 1 prepended.
     """
 
     arm: ArmDataset
     tau: float
     weights: dict[int, float] | None
     te: np.ndarray
+    e: np.ndarray
     y_e: np.ndarray
     dr: np.ndarray
     s: np.ndarray
@@ -155,7 +156,7 @@ def fit_arm(
     if weights is not None:
         weights = dict(weights)  # the fit's own copy of the map it was fitted with
     times, owners, mass = _events(arm, tau, weights)
-    event_first, _ = _runs(times)
+    event_first, e = _runs(times)
     te = times[event_first]
     at_te = np.searchsorted(arm._sorted_follow_up, te, side="left")
     y_e = (arm.n - at_te).astype(np.float64)
@@ -165,7 +166,7 @@ def fit_arm(
     km_at = np.searchsorted(td, te, side=s_convention)
     s = np.concatenate(([1.0], np.cumprod(1.0 - d / y_d)))[km_at]
     dr = np.add.reduceat(mass, event_first) / y_e
-    return ArmFit(arm, tau, weights, te, y_e, dr, s, td, d, y_d, owners, mass, event_first,
+    return ArmFit(arm, tau, weights, te, e, y_e, dr, s, td, d, y_d, owners, mass, event_first,
                   death_rows, death_first, at_te, at_td, km_at)
 
 

@@ -80,8 +80,7 @@ def fit_influence(fit: ArmFit) -> np.ndarray:
     # the counted events come in runs, one per event jump, and each takes
     # its jump's weight times its own mass; likewise the deaths in
     # follow-up order
-    runs = np.diff(fit.event_first, append=fit.owners.size)
-    obs_event = np.bincount(fit.owners, weights=np.repeat(w_e, runs) * fit.mass, minlength=n)
+    obs_event = np.bincount(fit.owners, weights=np.repeat(w_e, fit.e) * fit.mass, minlength=n)
 
     # the other terms are per subject in follow-up order
     comp_event = _prefix_at(w_e * fit.dr, te, x)

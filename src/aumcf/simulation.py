@@ -13,6 +13,7 @@ exact inversion of that rate. This layout is ``STREAM_VERSION`` 2.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, replace, asdict
@@ -181,8 +182,14 @@ class OperatingCharacteristics:
 
 
 def _is_finite(value) -> bool:
-    """A finite real number that is not a bool (JSON ``true`` is not a rate)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite real number that is not a bool (JSON ``true`` is not a rate);
+    an integer too large for a float is not finite."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -194,6 +201,16 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 # the arm's sorted columns peak at about 80 bytes an event, so 10^7 events
 # in one arm already take about 0.8 GB.
 _MAX_ARM_EVENTS = 10_000_000
+
+
+@functools.lru_cache(maxsize=4)
+def _subject_ids(arm: int, n: int) -> np.ndarray:
+    """The ids ``a{arm}s{i:06d}`` of a simulated arm of n subjects, built
+    once per (arm, n) and process: every replicate shares this read-only
+    array, which ``ArmDataset`` copies."""
+    ids = np.array([f"a{arm}s{i:06d}" for i in range(n)], dtype=object)
+    ids.flags.writeable = False
+    return ids
 
 
 def _draw_arm(config: ScenarioConfig, arm: int, rng: np.random.Generator) -> ArmDataset:
@@ -257,7 +274,7 @@ def _draw_arm(config: ScenarioConfig, arm: int, rng: np.random.Generator) -> Arm
                          c + (target - knot) / r2[owner])
     return ArmDataset(
         arm,
-        [f"a{arm}s{i:06d}" for i in range(n)],
+        _subject_ids(arm, n),
         x,
         terminal,
         w,

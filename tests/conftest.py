@@ -189,7 +189,7 @@ def reference_fit(arm, tau, s_convention="left", weights=None):
     x = arm.follow_up
     w = event_weights(arm, weights)
     keep = (arm.event_times <= tau) & (w != 0)
-    te, at = np.unique(arm.event_times[keep], return_inverse=True)
+    te, at, e = np.unique(arm.event_times[keep], return_inverse=True, return_counts=True)
     y_e = (arm.n - np.searchsorted(np.sort(x), te, side="left")).astype(np.float64)
     dr = np.bincount(at, weights=w[keep], minlength=te.size) / y_e
     td, d = np.unique(x[arm.terminal & (x <= tau)], return_counts=True)
@@ -197,7 +197,7 @@ def reference_fit(arm, tau, s_convention="left", weights=None):
     km = np.concatenate(([1.0], np.cumprod(1.0 - d / y_d)))
     s = km[np.searchsorted(td, te, side="left" if s_convention == "left" else "right")]
     theta = float(np.sum((tau - te) * s * dr))
-    return dict(te=te, y_e=y_e, dr=dr, s=s, td=td, d=d, y_d=y_d, theta=theta)
+    return dict(te=te, e=e, y_e=y_e, dr=dr, s=s, td=td, d=d, y_d=y_d, theta=theta)
 
 
 def reference_influence(fit):
@@ -270,4 +270,7 @@ BAD_SCENARIO_FIELDS = [
     ("change_point", math.nan, "change_point must be a finite number"),
     ("tau", math.inf, "tau must be a finite number"),
     ("event_log_effect", math.nan, "event_log_effect must be a finite number"),
+    # integers too large for a float, as JSON may give
+    ("lambda_event", (1.0, -10 ** 400), "lambda_event must be a pair of finite numbers"),
+    ("lambda_death", (10 ** 400, 0.2), "lambda_death must be a pair of finite numbers"),
 ]

@@ -461,6 +461,38 @@ def test_simulate_zero_reps_in_config_is_config_error(runner, tmp_path):
     assert json.loads(result.stderr)["error"]["type"] == "ConfigError"
 
 
+# config files that json cannot parse but that are not malformed JSON
+_UNREADABLE_CONFIGS = {
+    "not-utf8": (b"\xff{}", "bad scenario config: not UTF-8: byte 0xff at offset 0"),
+    "nested-100000-deep": (b"[" * 100_000, "bad scenario config: maximum recursion depth"),
+    "5000-digit-int": (b'{"replicates": 1, "seed": ' + b"9" * 5000 + b"}",
+                       "bad scenario config: Exceeds the limit (4300 digits)"),
+}
+
+
+@pytest.mark.parametrize("raw,message", _UNREADABLE_CONFIGS.values(),
+                         ids=_UNREADABLE_CONFIGS.keys())
+def test_simulate_unreadable_config_is_one_config_error(runner, tmp_path, raw, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(raw)
+    result = runner.invoke(main, ["simulate", str(cfg)])
+    assert result.exit_code == 4 and result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    err = json.loads(result.stderr)["error"]
+    assert err["type"] == "ConfigError" and err["message"].startswith(message)
+
+
+def test_simulate_malformed_json_keeps_its_record(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 1,}')
+    result = runner.invoke(main, ["simulate", str(cfg)])
+    assert result.exit_code == 4 and result.stdout == ""
+    assert result.stderr == (
+        '{"error": {"code": 4, "message": "Expecting property name enclosed in double quotes: '
+        'line 1 column 12 (char 11)", "type": "JSONDecodeError"}}\n'
+    )
+
+
 def _strict_json(text):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
@@ -784,17 +816,61 @@ _TAUS = ("1", "2", "0.5", "2.5", "1", "2", "0.5", "2.5", "4", "1e-300", "1e308",
 _SCENARIOS = [{"kind": kind, "covariate_mode": mode}
               for kind in SCENARIO_KINDS for mode in COVARIATE_MODES]
 _BAD_FIELDS = [{field: value} for field, value, _ in BAD_SCENARIO_FIELDS]
+_FIELDS = sorted(aumcf.ScenarioConfig.__dataclass_fields__)
 
 
 @st.composite
-def _scenario_config(draw):
-    """A scenario config's JSON bytes for ``simulate -``."""
+def _valid_json_config(draw):
+    """A scenario config as a JSON object, some with a bad field."""
     config = dict(draw(st.sampled_from(_SCENARIOS)), n_per_arm=draw(st.integers(1, 20)),
                   replicates=draw(st.integers(1, 2)), seed=draw(st.integers(0, 3)),
                   tau=draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])))
     if draw(st.integers(0, 3)) == 0:
         config.update(draw(st.sampled_from(_BAD_FIELDS)))
-    return json.dumps(config).encode()
+    return config
+
+
+@st.composite
+def _flipped_bytes(draw):
+    """A config's JSON with one to three bytes XORed with a nonzero byte."""
+    raw = bytearray(json.dumps(draw(_valid_json_config())).encode())
+    for _ in range(draw(st.integers(1, 3))):
+        raw[draw(st.integers(0, len(raw) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(raw)
+
+
+@st.composite
+def _deep_nesting(draw):
+    """A config nested in, or with a field holding, arrays or objects up to
+    100,000 deep (past Python's recursion limit from about 1,000)."""
+    depth = draw(st.sampled_from([1, 500, 999, 1000, 1001, 5000, 100_000]))
+    opener, closer = draw(st.sampled_from([("[", "]"), ('{"a": ', "}")]))
+    nested = opener * depth + draw(st.sampled_from(["1", ""])) + closer * draw(
+        st.sampled_from([0, depth]))
+    if draw(st.booleans()):
+        return nested.encode()
+    config = json.dumps(draw(_valid_json_config()))
+    return (config[:-1] + f', "{draw(st.sampled_from(_FIELDS))}": {nested}}}').encode()
+
+
+@st.composite
+def _long_integer(draw):
+    """A config with a field set to an integer longer than the 4,300 digits
+    that Python converts from a string."""
+    config = json.dumps(draw(_valid_json_config()))
+    value = draw(st.sampled_from(["-", ""])) + "9" * draw(st.sampled_from([4301, 5000, 20_000]))
+    return (config[:-1] + f', "{draw(st.sampled_from(_FIELDS))}": {value}}}').encode()
+
+
+@st.composite
+def _scenario_config(draw):
+    """A scenario config's bytes for ``simulate -``: half of them valid
+    JSON, the others arbitrary bytes, JSON with flipped bytes, deep
+    nesting or a long integer."""
+    if draw(st.booleans()):
+        return json.dumps(draw(_valid_json_config())).encode()
+    return draw(st.one_of(st.binary(max_size=64), _flipped_bytes(), _deep_nesting(),
+                          _long_integer()))
 
 
 @st.composite

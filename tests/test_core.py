@@ -120,6 +120,18 @@ def test_csv_missing_columns():
         read_study_csv(io.StringIO("id,time\n"), tau=1.0)
 
 
+@pytest.mark.parametrize("text,position", [
+    # R's write.csv with its default row.names = TRUE
+    ('"","id","time","status","arm"\n"1","a",1,2,1\n"2","b",1.5,1,2\n"3","b",2,0,2\n', 1),
+    ("id,time,status,arm,\na,1,2,1,\nb,1.5,1,2,\nb,2,0,2,\n", 5),
+], ids=["r-row-names", "trailing-comma"])
+def test_csv_empty_header_field_is_named(text, position):
+    with pytest.raises(ValidationError) as info:
+        read_study_csv(io.StringIO(text), tau=1.0)
+    assert str(info.value) == (f"CSV header field {position} is empty; R's write.csv writes "
+                               "its row names there unless called with row.names = FALSE")
+
+
 def test_csv_bad_status():
     text = "id,time,status,arm\ns1,1.0,7,1\n"
     with pytest.raises(ValidationError, match="bad status"):

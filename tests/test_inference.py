@@ -335,10 +335,11 @@ def test_smallest_alpha_keeps_normal_quantile(rng):
 @given(arm=tied_arms())
 def test_fit_and_influence_are_bitwise_the_subject_order_computation(arm):
     # tau before the first jump (on the grid without 0), between grid
-    # points, on one, and beyond the last follow-up; type 2 may be absent
+    # points, on one, and beyond the last follow-up; type 2 may be absent;
+    # a type missing from the weights or weighted 0 is dropped
     for tau in (0.25, 1.0, 1.75, 3.0):
         for s_convention in ("left", "right"):
-            for weights in (None, {0: 1.0}, {2: 1.0}):
+            for weights in (None, {0: 1.0}, {2: 1.0}, {0: 0.0, 1: 2.0, 2: 1.0}):
                 fit = fit_arm(arm, tau, s_convention, weights)
                 want = reference_fit(arm, tau, s_convention, weights)
                 assert float(fit.theta).hex() == float(want.pop("theta")).hex()

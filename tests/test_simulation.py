@@ -72,6 +72,23 @@ def test_generate_dataset_deterministic():
     assert a.arm1 != c.arm1
 
 
+@pytest.mark.parametrize("n", [7, 25])
+def test_subject_ids_are_built_once_and_shared_read_only(n):
+    cfg = ScenarioConfig(n_per_arm=n, seed=3)
+    for replicate in (0, 1):
+        for arm in generate_dataset(cfg, replicate).arms():
+            assert arm.subject_ids.tolist() == [f"a{arm.arm}s{i:06d}" for i in range(n)]
+            assert not arm.subject_ids.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arm.subject_ids[0] = "x"
+    for a in (1, 2):
+        cached = simulation._subject_ids(a, n)
+        assert cached is simulation._subject_ids(a, n)
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = "x"
+        assert cached[0] == f"a{a}s000000"
+
+
 def _column_digest(study):
     """SHA-256 over every column of both arms: name, dtype, shape and bytes
     (subject ids as NUL-joined UTF-8)."""
