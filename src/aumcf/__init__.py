@@ -27,6 +27,7 @@ from .inference import (
     ContrastResult,
     RatioUndefinedError,
     arm_variance,
+    augmented_contrast,
     contrast_difference,
     contrast_ratio,
     fit_influence,
@@ -37,7 +38,6 @@ from .augmentation import (
     AugmentedResult,
     SingularCovariateError,
     augmentation_weights,
-    augmented_contrast,
 )
 from .simulation import (
     OperatingCharacteristics,

@@ -1,29 +1,26 @@
-"""Covariate-adjusted (augmented) two-sample contrast.
+"""The covariate algebra of an augmented (covariate-adjusted) contrast.
 
-The unadjusted difference is shifted by beta' (Wbar1 - Wbar2), with beta
-chosen to minimize the asymptotic variance: the solution of the pooled
-covariate-covariance system against the covariate/influence covariances.
-Under randomization the shift has mean zero, so the point estimate stays
-consistent while the variance can only shrink.
+A contrast on its working scale is shifted by beta' (Wbar1 - Wbar2), with
+beta chosen to minimize the asymptotic variance: the solution of the
+pooled covariate-covariance system against the covariate/influence
+covariances. Under randomization the shift has mean zero, so the point
+estimate stays consistent while the variance can only shrink. The
+contrast itself, ``augmented_contrast`` included, is built in
+:mod:`aumcf.inference`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import StudyDataset, ValidationError
-from .inference import (
-    ContrastResult,
-    _arm_estimates,
-    _difference_result,
-    _scale_exponent,
-    _wald_result,
-    arm_variance,
-)
+
+if TYPE_CHECKING:
+    from .inference import ContrastResult
 
 
 class SingularCovariateError(ValidationError):
@@ -45,9 +42,9 @@ class CovariateSummary:
 class AugmentedResult:
     """Adjusted and unadjusted contrasts plus the augmentation diagnostics.
 
-    ``relative_efficiency`` is (se_unadjusted / se_adjusted)^2;
-    ``variance_clamped`` flags a negative plug-in adjusted variance that was
-    clamped to zero.
+    ``relative_efficiency`` is (se_unadjusted / se_adjusted)^2 on the
+    working scale (the log scale for a ratio); ``variance_clamped`` flags a
+    negative plug-in adjusted variance that was clamped to zero.
     """
 
     adjusted: ContrastResult
@@ -75,7 +72,8 @@ def augmentation_weights(
 ) -> CovariateSummary:
     """Optimal augmentation weight beta solving Sigma_W beta = gamma.
 
-    ``psi1`` and ``psi2`` are the arms' influence-value arrays. A singular
+    ``psi1`` and ``psi2`` are the arms' influence values on the contrast's
+    working scale, and beta is on that scale too. A singular
     system raises :class:`SingularCovariateError` naming the offending
     directions.
     """
@@ -115,66 +113,4 @@ def augmentation_weights(
     return CovariateSummary(
         mean1=means[0], mean2=means[1],
         gamma_hat=gamma, beta_hat=beta,
-    )
-
-
-def augmented_contrast(
-    study: StudyDataset,
-    alpha: float = 0.05,
-    s_convention: str = "left",
-) -> AugmentedResult:
-    """Covariate-adjusted difference in AUMCFs with both results reported.
-
-    With zero covariates the adjusted result equals the unadjusted one. A
-    negative plug-in adjusted variance is clamped to zero with a warning.
-    """
-    estimates = _arm_estimates(study, s_convention)
-    unadjusted = _difference_result(study, alpha, estimates)
-    (_, psi1), (_, psi2) = estimates
-
-    p = study.arm1.covariate_dim
-    if p == 0:
-        summary = CovariateSummary(
-            mean1=np.empty(0), mean2=np.empty(0),
-            gamma_hat=np.empty(0), beta_hat=np.empty(0),
-        )
-        return AugmentedResult(
-            adjusted=unadjusted, unadjusted=unadjusted, summary=summary,
-            covariate_names=study.covariate_names, relative_efficiency=1.0,
-        )
-
-    # psi scaled as in the arm SEs, so that the variances do not overflow
-    # when the adjusted SE is representable; gamma and beta scale with psi
-    e = _scale_exponent(psi1, psi2)
-    psi1, psi2 = np.ldexp(psi1, -e), np.ldexp(psi2, -e)
-    scaled = augmentation_weights(study, psi1, psi2)
-    summary = replace(scaled, gamma_hat=np.ldexp(scaled.gamma_hat, e),
-                      beta_hat=np.ldexp(scaled.beta_hat, e))
-    point = unadjusted.point - float(summary.beta_hat @ (summary.mean1 - summary.mean2))
-    n1, n2 = study.arm1.n, study.arm2.n
-    n = n1 + n2
-    sigma_delta = n * (arm_variance(psi1) / n1 + arm_variance(psi2) / n2)
-    sigma_adj = sigma_delta - float(scaled.gamma_hat @ scaled.beta_hat)
-    clamped = False
-    if sigma_adj < 0:
-        warnings.warn(
-            "negative plug-in adjusted variance clamped to zero",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        sigma_adj = 0.0
-        clamped = True
-    se_adj = math.ldexp(math.sqrt(sigma_adj / n), e)
-    adjusted = _wald_result(
-        "difference", study.tau, alpha, point, se_adj,
-        unadjusted.theta1, unadjusted.se1, unadjusted.theta2, unadjusted.se2, n1, n2,
-    )
-    rel_eff = (unadjusted.se / se_adj) ** 2 if se_adj > 0 else math.inf
-    return AugmentedResult(
-        adjusted=adjusted,
-        unadjusted=unadjusted,
-        summary=summary,
-        covariate_names=study.covariate_names,
-        relative_efficiency=rel_eff,
-        variance_clamped=clamped,
     )

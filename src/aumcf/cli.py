@@ -22,7 +22,7 @@ import sys
 import click
 import numpy as np
 
-from .augmentation import SingularCovariateError, augmented_contrast
+from .augmentation import SingularCovariateError
 from .core import (
     ArmDataset,
     StudyDataset,
@@ -35,12 +35,11 @@ from .core import (
 from .estimation import S_CONVENTIONS, fit_arm, km_survival, mcf
 from .inference import (
     RatioUndefinedError,
+    _check_weights,
+    _contrast,
     _standard_errors,
     _z,
-    contrast_difference,
-    contrast_ratio,
     fit_influence,
-    weighted_contrast,
 )
 from .simulation import STREAM_VERSION, ScenarioConfig, run_operating_characteristics
 from . import __version__
@@ -248,8 +247,11 @@ def _parse_weights(ctx, param, text: str | None) -> dict[int, float] | None:
             weights[int(key.strip())] = w = float(val)
         except ValueError as exc:
             raise ConfigError(f"bad weight entry {part!r}") from exc
-        if not (w > 0 and math.isfinite(w)):
-            raise ConfigError("event-type weights must be positive and finite")
+        # each entry checked as it is read, by the rule the contrasts apply
+        try:
+            _check_weights([w])
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
     return weights
 
 
@@ -321,44 +323,24 @@ def estimate(input_path, tau, alpha, strict_tau, s_convention, fmt, out):
 def compare(input_path, tau, alpha, contrast, covariates, weights, strict_tau,
             s_convention, fmt, out):
     """Two-sample AUMCF contrast (difference or ratio), optionally
-    covariate-adjusted or weighted across event types."""
-    if covariates is not None and weights is not None:
-        raise ConfigError("--covariates and --weights are mutually exclusive")
-    if covariates is not None and contrast == "ratio":
-        raise ConfigError("augmentation supports the difference contrast only")
-    if weights is not None and contrast == "ratio":
-        raise ConfigError("weighted contrasts support the difference contrast only")
+    weighted across event types and covariate-adjusted, in any combination."""
     study, digest = _load_study(input_path, tau, strict_tau)
     prov = _provenance("compare", digest, tau=tau, alpha=alpha,
                        s_convention=s_convention, contrast=contrast)
-
     if covariates is not None:
-        sub = _subset_covariates(study, covariates)
-        aug = augmented_contrast(sub, alpha=alpha, s_convention=s_convention)
-        if fmt == "json":
-            payload = {"provenance": prov}
-            payload.update(aug.to_dict())
-            _emit(_json_report(payload), out)
-        else:
-            fields = list(aug.unadjusted.CSV_FIELDS)
-            rows = [
-                ["unadjusted"] + aug.unadjusted.to_csv_row(),
-                ["adjusted"] + aug.adjusted.to_csv_row(),
-            ]
-            prov = dict(prov, relative_efficiency=aug.relative_efficiency)
-            _emit(_csv_report(prov, ["method"] + fields, rows), out)
-        return
+        study = _subset_covariates(study, covariates)
+    result = _contrast(study, alpha, s_convention, ratio=contrast == "ratio",
+                       weights=weights, augment=covariates is not None)
 
-    if weights is not None:
-        result = weighted_contrast(study, weights, alpha=alpha, s_convention=s_convention)
-    elif contrast == "ratio":
-        result = contrast_ratio(study, alpha=alpha, s_convention=s_convention)
-    else:
-        result = contrast_difference(study, alpha=alpha, s_convention=s_convention)
     if fmt == "json":
-        _emit(_json_report({"provenance": prov, "result": result.to_dict()}), out)
-    else:
+        body = result.to_dict() if covariates is not None else {"result": result.to_dict()}
+        _emit(_json_report({"provenance": prov, **body}), out)
+    elif covariates is None:
         _emit(_csv_report(prov, list(result.CSV_FIELDS), [result.to_csv_row()]), out)
+    else:
+        rows = [[m] + getattr(result, m).to_csv_row() for m in ("unadjusted", "adjusted")]
+        prov = dict(prov, relative_efficiency=result.relative_efficiency)
+        _emit(_csv_report(prov, ["method", *result.adjusted.CSV_FIELDS], rows), out)
 
 
 @main.command()

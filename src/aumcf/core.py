@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import IntEnum
@@ -155,7 +156,8 @@ class StudyDataset:
     covariate_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not (self.tau > 0 and np.isfinite(self.tau)):
+        # a plain comparison: np.isfinite fails on an int too large for int64
+        if not 0 < self.tau <= sys.float_info.max:
             raise ValidationError("tau must be positive and finite")
         if self.arm1.covariate_dim != self.arm2.covariate_dim:
             raise ValidationError("covariate dimension differs across arms")

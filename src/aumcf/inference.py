@@ -1,4 +1,4 @@
-"""Influence-function variance estimation and two-sample contrasts.
+"""Influence-function variance estimation and the two-sample contrasts.
 
 The per-subject influence value combines two martingale integrals: the
 event-process residual weighted by (tau - u) S_D(u) / (Ybar/n), minus the
@@ -7,16 +7,22 @@ B(u) = sum over v in (u, tau] of (tau - v) dm(v).
 Influence values are plain arrays in the arm's subject order. The arm
 variance is the sample mean of their squares; the two-sample standard
 error follows from independence of arms.
+
+Every contrast (difference or ratio, with or without event-type weights,
+with or without covariate augmentation) is one pipeline, ``_contrast``;
+the public contrast functions are one call into it each.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+import warnings
+from dataclasses import dataclass, asdict, replace
 from statistics import NormalDist
 
 import numpy as np
 
+from .augmentation import AugmentedResult, CovariateSummary, augmentation_weights
 from .core import ArmDataset, StudyDataset, ValidationError
 from .estimation import ArmFit, fit_arm
 
@@ -151,67 +157,18 @@ def wald_pvalue(point: float, se: float) -> float:
     return math.erfc(dev / se / math.sqrt(2.0))
 
 
-def _arm_estimates(
-    study: StudyDataset, s_convention: str, weights: dict[int, float] | None = None
-) -> list[tuple[float, np.ndarray]]:
-    """Theta and influence values of each arm, from one fit per arm."""
-    fits = [fit_arm(arm, study.tau, s_convention, weights) for arm in study.arms()]
-    return [(fit.theta, fit_influence(fit)) for fit in fits]
-
-
-def _difference_result(study: StudyDataset, alpha: float, estimates) -> ContrastResult:
-    """Wald difference contrast from the per-arm ``_arm_estimates``."""
-    (t1, inf1), (t2, inf2) = estimates
-    n1, n2 = study.arm1.n, study.arm2.n
-    se1, se2, se = _standard_errors((inf1, n1), (inf2, n2))
-    return _wald_result("difference", study.tau, alpha, t1 - t2, se, t1, se1, t2, se2, n1, n2)
-
-
 def contrast_difference(
     study: StudyDataset, alpha: float = 0.05, s_convention: str = "left"
 ) -> ContrastResult:
     """Difference in AUMCFs with influence-function Wald inference."""
-    return _difference_result(study, alpha, _arm_estimates(study, s_convention))
+    return _contrast(study, alpha, s_convention)
 
 
 def contrast_ratio(
     study: StudyDataset, alpha: float = 0.05, s_convention: str = "left"
 ) -> ContrastResult:
     """Ratio of AUMCFs; delta-method inference on the log scale."""
-    (t1, inf1), (t2, inf2) = _arm_estimates(study, s_convention)
-    if t1 <= 0 or t2 <= 0:
-        raise RatioUndefinedError(
-            f"ratio undefined for nonpositive AUMCF: theta1={t1:g}, theta2={t2:g}"
-        )
-    n1, n2 = study.arm1.n, study.arm2.n
-    se1, se2, _ = _standard_errors((inf1, n1), (inf2, n2))
-    point = t1 / t2
-    z = _z(alpha)
-    try:
-        # from the relative influence values psi / theta, which neither
-        # underflow at a tiny tau nor overflow when squared at a huge one
-        se_log = math.sqrt(arm_variance(inf1 / t1) / n1 + arm_variance(inf2 / t2) / n2)
-        log_point = math.log(point)
-        ci_lower = math.exp(log_point - z * se_log)
-        ci_upper = math.exp(log_point + z * se_log)
-        if not all(map(math.isfinite, (se_log, ci_lower, ci_upper))):
-            raise OverflowError("non-finite log-scale SE or CI")
-    except OverflowError as exc:
-        raise OverflowError(
-            f"ratio CI overflows on the log scale: theta1={t1:g}, theta2={t2:g}"
-        ) from exc
-    return ContrastResult(
-        kind="ratio",
-        tau=study.tau,
-        alpha=alpha,
-        point=point,
-        se=point * se_log,
-        ci_lower=ci_lower,
-        ci_upper=ci_upper,
-        p_value=wald_pvalue(log_point, se_log),
-        theta1=t1, se1=se1, theta2=t2, se2=se2,
-        n1=n1, n2=n2, degenerate=se_log == 0.0,
-    )
+    return _contrast(study, alpha, s_convention, ratio=True)
 
 
 def weighted_contrast(
@@ -227,28 +184,142 @@ def weighted_contrast(
     the weighted sums of the type-specific ones (a construction of this
     artifact, not a published variance formula).
     """
-    if not all(w > 0 and math.isfinite(w) for w in weights.values()):
-        raise ValidationError("event-type weights must be positive and finite")
-    labels = np.concatenate([arm.event_type_labels for arm in study.arms()])
-    missing = sorted(set(labels.tolist()) - set(weights))
-    if missing:
-        raise ValidationError(f"no weight supplied for event type(s): {missing}")
-    return _difference_result(study, alpha, _arm_estimates(study, s_convention, weights))
+    return _contrast(study, alpha, s_convention, weights=weights)
 
 
-def _wald_result(kind, tau, alpha, point, se, t1, se1, t2, se2, n1, n2) -> ContrastResult:
+def augmented_contrast(
+    study: StudyDataset, alpha: float = 0.05, s_convention: str = "left"
+) -> AugmentedResult:
+    """Covariate-adjusted difference in AUMCFs with both results reported.
+
+    With zero covariates the adjusted result equals the unadjusted one. A
+    negative plug-in adjusted variance is clamped to zero with a warning.
+    """
+    return _contrast(study, alpha, s_convention, augment=True)
+
+
+def _contrast(
+    study: StudyDataset,
+    alpha: float,
+    s_convention: str,
+    *,
+    ratio: bool = False,
+    weights: dict[int, float] | None = None,
+    augment: bool = False,
+) -> ContrastResult | AugmentedResult:
+    """The one contrast pipeline behind every public contrast and the CLI.
+
+    1. One fit per arm; with ``weights``, an event of type k has mass w_k.
+    2. Influence values on the working scale: psi for the difference,
+       psi / theta for the log ratio.
+    3. With ``augment``, the working point is shifted by
+       beta' (Wbar1 - Wbar2) and its variance reduced by gamma' beta
+       (``augmentation_weights``); an :class:`AugmentedResult` is returned.
+    4. Wald on the working scale; a ratio's point, CI and SE are mapped
+       back from the log scale.
+
+    Augmenting a ratio or a weighted difference is a construction of this
+    artifact: the augmentation applies to any asymptotically linear
+    statistic (Tian et al. 2012; Zhang et al. 2008).
+    """
+    if weights is not None:
+        _check_weights(weights.values())
+        labels = np.concatenate([arm.event_type_labels for arm in study.arms()])
+        missing = sorted(set(labels.tolist()) - set(weights))
+        if missing:
+            raise ValidationError(f"no weight supplied for event type(s): {missing}")
     z = _z(alpha)
+    fits = [fit_arm(arm, study.tau, s_convention, weights) for arm in study.arms()]
+    t1, t2 = (fit.theta for fit in fits)
+    psi1, psi2 = (fit_influence(fit) for fit in fits)
+    n1, n2 = study.arm1.n, study.arm2.n
+    se1, se2, se = _standard_errors((psi1, n1), (psi2, n2))
+    common = dict(tau=study.tau, alpha=alpha, theta1=t1, se1=se1, theta2=t2, se2=se2,
+                  n1=n1, n2=n2)
+    point = t1 - t2
+    if ratio:
+        if t1 <= 0 or t2 <= 0:
+            raise RatioUndefinedError(
+                f"ratio undefined for nonpositive AUMCF: theta1={t1:g}, theta2={t2:g}"
+            )
+        # the relative influence values psi / theta, which neither underflow
+        # at a tiny tau nor overflow when squared at a huge one
+        psi1, psi2 = psi1 / t1, psi2 / t2
+    try:
+        if ratio:
+            se = _standard_errors((psi1, n1), (psi2, n2))[2]
+            if t1 / t2 == 0.0:  # a log of -inf, as from weights of 1e-300 and 1e300
+                raise OverflowError("the ratio underflows to 0")
+            point = math.log(t1 / t2)
+        unadjusted = _wald_result(ratio, z, common, point, se, t1 / t2 if ratio else None)
+        if not augment:
+            return unadjusted
+        if study.arm1.covariate_dim == 0:
+            empty = np.empty(0)
+            return AugmentedResult(
+                adjusted=unadjusted, unadjusted=unadjusted,
+                summary=CovariateSummary(empty, empty, empty, empty),
+                covariate_names=study.covariate_names, relative_efficiency=1.0,
+            )
+        # psi scaled as in the arm SEs, so that the variances do not overflow
+        # when the adjusted SE is representable; gamma and beta scale with psi
+        e = _scale_exponent(psi1, psi2)
+        psi1, psi2 = np.ldexp(psi1, -e), np.ldexp(psi2, -e)
+        scaled = augmentation_weights(study, psi1, psi2)
+        summary = replace(scaled, gamma_hat=np.ldexp(scaled.gamma_hat, e),
+                          beta_hat=np.ldexp(scaled.beta_hat, e))
+        point -= float(summary.beta_hat @ (summary.mean1 - summary.mean2))
+        n = n1 + n2
+        variance = (n * (arm_variance(psi1) / n1 + arm_variance(psi2) / n2)
+                    - float(scaled.gamma_hat @ scaled.beta_hat))
+        clamped = variance < 0
+        if clamped:
+            # stacklevel: the caller of the public contrast
+            warnings.warn("negative plug-in adjusted variance clamped to zero",
+                          RuntimeWarning, stacklevel=3)
+            variance = 0.0
+        se_adj = math.ldexp(math.sqrt(variance / n), e)
+        return AugmentedResult(
+            adjusted=_wald_result(ratio, z, common, point, se_adj),
+            unadjusted=unadjusted,
+            summary=summary,
+            covariate_names=study.covariate_names,
+            relative_efficiency=(se / se_adj) ** 2 if se_adj > 0 else math.inf,
+            variance_clamped=clamped,
+        )
+    except OverflowError as exc:
+        if not ratio:
+            raise
+        raise OverflowError(
+            f"ratio CI overflows on the log scale: theta1={t1:g}, theta2={t2:g}"
+        ) from exc
+
+
+def _check_weights(weights) -> None:
+    """Event-type weights (an iterable of them) must be positive and finite."""
+    if not all(w > 0 and math.isfinite(w) for w in weights):
+        raise ValidationError("event-type weights must be positive and finite")
+
+
+def _wald_result(
+    ratio: bool, z: float, common: dict, point: float, se: float,
+    ratio_point: float | None = None,
+) -> ContrastResult:
+    """Wald inference from ``point`` and ``se`` on the working scale: the
+    CI point -+ z se and the p-value against 0. For a ratio they are on the
+    log scale, and the ratio (``ratio_point``, else exp(point)), its CI and
+    its delta-method SE are mapped back; ``common`` holds the other fields."""
+    ci = (point - z * se, point + z * se)
+    p_value, degenerate = wald_pvalue(point, se), se == 0.0
+    if ratio:
+        ci = tuple(map(math.exp, ci))
+        if not all(map(math.isfinite, (se, *ci))):
+            raise OverflowError("non-finite log-scale SE or CI")
+        point = math.exp(point) if ratio_point is None else ratio_point
+        se = point * se
     return ContrastResult(
-        kind=kind,
-        tau=tau,
-        alpha=alpha,
-        point=point,
-        se=se,
-        ci_lower=point - z * se,
-        ci_upper=point + z * se,
-        p_value=wald_pvalue(point, se),
-        theta1=t1, se1=se1, theta2=t2, se2=se2,
-        n1=n1, n2=n2, degenerate=(se == 0.0),
+        kind="ratio" if ratio else "difference", point=point, se=se,
+        ci_lower=ci[0], ci_upper=ci[1], p_value=p_value, degenerate=degenerate, **common,
     )
 
 

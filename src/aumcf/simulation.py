@@ -20,10 +20,9 @@ from dataclasses import dataclass, replace, asdict
 
 import numpy as np
 
-from .augmentation import augmented_contrast
 from .core import ArmDataset, StudyDataset, ValidationError
 from .estimation import fit_arm
-from .inference import contrast_difference
+from .inference import _contrast
 
 SCENARIO_KINDS = ("icr", "frailty", "time_varying")
 COVARIATE_MODES = ("none", "uninformative", "informative")
@@ -44,6 +43,17 @@ _GRADED_PIECES = 41
 # the bootstrap weighs resamples a block at a time: a block's count matrix
 # and the arrays built from it hold about this many cells each
 _BOOTSTRAP_CELLS = 2 ** 13
+
+
+# Every event of an arm is held at once: its uniform, owner, knot, time and
+# the arm's sorted columns peak at about 80 bytes an event, so 10^7 events
+# in one arm already take about 0.8 GB. A subject takes at least as much
+# (its id string alone about 60 bytes), so the same bound caps ``n_per_arm``.
+_MAX_ARM_EVENTS = 10_000_000
+# run_operating_characteristics holds every replicate's task and results
+# until the end, about 0.7 KB a replicate with both methods: 10^6
+# replicates take about 0.7 GB.
+_MAX_REPLICATES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -99,6 +109,9 @@ class ScenarioConfig:
             raise ValidationError("change point must lie in (0, tau)")
         if self.n_per_arm < 1 or self.replicates < 1:
             raise ValidationError("n_per_arm and replicates must be positive")
+        for name, limit in (("n_per_arm", _MAX_ARM_EVENTS), ("replicates", _MAX_REPLICATES)):
+            if getattr(self, name) > limit:
+                raise ValidationError(f"{name} must be at most {limit}")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
 
@@ -195,12 +208,6 @@ def _is_finite(value) -> bool:
 def _stream(seed: int, *key: int) -> np.random.Generator:
     ss = np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
-
-
-# Every event of an arm is held at once: its uniform, owner, knot, time and
-# the arm's sorted columns peak at about 80 bytes an event, so 10^7 events
-# in one arm already take about 0.8 GB.
-_MAX_ARM_EVENTS = 10_000_000
 
 
 @functools.lru_cache(maxsize=4)
@@ -344,16 +351,11 @@ def true_value_oracle(config: ScenarioConfig) -> TrueValues:
 def _replicate_worker(args):
     config, rep, methods, alpha = args
     study = generate_dataset(config, rep)
-    out = {}
-    if "unadjusted" in methods and "adjusted" not in methods:
-        res = contrast_difference(study, alpha=alpha)
-        out["unadjusted"] = (res.point, res.se, res.ci_lower, res.ci_upper, res.p_value)
-    if "adjusted" in methods:
-        aug = augmented_contrast(study, alpha=alpha)
-        for name, res in (("unadjusted", aug.unadjusted), ("adjusted", aug.adjusted)):
-            if name in methods:
-                out[name] = (res.point, res.se, res.ci_lower, res.ci_upper, res.p_value)
-    return out
+    res = _contrast(study, alpha, "left", augment="adjusted" in methods)
+    by_method = ({"unadjusted": res.unadjusted, "adjusted": res.adjusted}
+                 if "adjusted" in methods else {"unadjusted": res})
+    return {m: (r.point, r.se, r.ci_lower, r.ci_upper, r.p_value)
+            for m, r in by_method.items() if m in methods}
 
 
 def run_operating_characteristics(

@@ -258,6 +258,11 @@ BAD_SCENARIO_FIELDS = [
     ("n_per_arm", 2.5, "n_per_arm must be an integer"),
     ("n_per_arm", True, "n_per_arm must be an integer"),
     ("replicates", 2.0, "replicates must be an integer"),
+    # counts past what the harness can hold: each bound names its limit
+    ("n_per_arm", 10 ** 20, "n_per_arm must be at most 10000000"),
+    ("n_per_arm", 10_000_001, "n_per_arm must be at most 10000000"),
+    ("replicates", 10 ** 20, "replicates must be at most 1000000"),
+    ("replicates", 1_000_001, "replicates must be at most 1000000"),
     ("seed", -1, "seed must be nonnegative"),
     ("seed", 1.5, "seed must be an integer"),
     ("lambda_event", (1.0,), "lambda_event must be a pair of finite numbers"),

@@ -1,5 +1,6 @@
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from aumcf import (
     augmented_contrast,
     contrast_difference,
 )
-from aumcf.inference import influence_values
+from aumcf.inference import _contrast, influence_values
 
-from conftest import make_arm, random_arm, random_study, subject_rows
+from conftest import dense_influence, make_arm, per_type_sum, random_arm, random_study, subject_rows
 
 
 def _with_covariates(arm, label, covs):
@@ -126,3 +127,69 @@ def test_no_events_relative_efficiency_is_null():
     out = aug.to_dict()
     assert out["relative_efficiency"] is None
     json.dumps(out, allow_nan=False)
+
+
+def _least_squares_augmentation(study, psis, point):
+    """The augmented working point, its SE and beta, by direct weighted least
+    squares: beta minimizes sum over arms of ||psi_a - C_a beta||^2 / n_a^2,
+    C_a the arm's centered covariates, and that minimum is the adjusted
+    variance of point - beta' (Wbar1 - Wbar2)."""
+    rows, targets, means = [], [], []
+    for arm, psi in zip(study.arms(), psis):
+        w = arm.covariates
+        means.append(w.mean(axis=0))
+        rows.append((w - w.mean(axis=0)) / arm.n)
+        targets.append(psi / arm.n)
+    design, target = np.vstack(rows), np.concatenate(targets)
+    beta = np.linalg.lstsq(design, target, rcond=None)[0]
+    rss = float(np.sum((target - design @ beta) ** 2))
+    return point - float(beta @ (means[0] - means[1])), math.sqrt(rss), beta
+
+
+_WEIGHTS = {0: 1.5, 1: 2.0, 2: 0.5}
+
+
+def _random_covariate_study(rng):
+    return random_study(rng, n=int(rng.integers(8, 40)), n_cov=int(rng.integers(1, 3)),
+                        n_types=3, tau=float(rng.uniform(0.5, 4.0)))
+
+
+@pytest.mark.parametrize("s_convention", ["left", "right"])
+def test_augmented_ratio_is_least_squares_on_the_log_scale(rng, s_convention):
+    # the log ratio's influence values psi / theta, augmented directly
+    for _ in range(15):
+        study = _random_covariate_study(rng)
+        thetas = [per_type_sum(arm, study.tau, s_convention, {0: 1.0, 1: 1.0, 2: 1.0})[0]
+                  for arm in study.arms()]
+        psis = [dense_influence(arm, study.tau, s_convention) / t
+                for arm, t in zip(study.arms(), thetas)]
+        log_point, se_log, beta = _least_squares_augmentation(
+            study, psis, math.log(thetas[0] / thetas[1]))
+        aug = _contrast(study, 0.05, s_convention, ratio=True, augment=True)
+        assert aug.adjusted.kind == aug.unadjusted.kind == "ratio"
+        assert aug.summary.beta_hat == pytest.approx(beta, rel=1e-9, abs=1e-12)
+        ratio = math.exp(log_point)
+        assert aug.adjusted.point == pytest.approx(ratio, rel=1e-12)
+        assert aug.adjusted.se == pytest.approx(ratio * se_log, rel=1e-9)
+        z = NormalDist().inv_cdf(0.975)
+        assert aug.adjusted.ci_lower == pytest.approx(math.exp(log_point - z * se_log), rel=1e-9)
+        assert aug.adjusted.ci_upper == pytest.approx(math.exp(log_point + z * se_log), rel=1e-9)
+        # the relative efficiency is on the log scale
+        se_unadjusted = aug.unadjusted.se / aug.unadjusted.point
+        assert aug.relative_efficiency == pytest.approx((se_unadjusted / se_log) ** 2, rel=1e-9)
+        assert aug.unadjusted == _contrast(study, 0.05, s_convention, ratio=True)
+
+
+@pytest.mark.parametrize("s_convention", ["left", "right"])
+def test_augmented_weighted_is_least_squares_on_the_weighted_influence(rng, s_convention):
+    for _ in range(15):
+        study = _random_covariate_study(rng)
+        thetas, psis = zip(*(per_type_sum(arm, study.tau, s_convention, _WEIGHTS)
+                             for arm in study.arms()))
+        point, se, beta = _least_squares_augmentation(study, psis, thetas[0] - thetas[1])
+        aug = _contrast(study, 0.05, s_convention, weights=_WEIGHTS, augment=True)
+        assert aug.adjusted.kind == "difference"
+        assert aug.summary.beta_hat == pytest.approx(beta, rel=1e-9, abs=1e-12)
+        assert aug.adjusted.point == pytest.approx(point, rel=1e-9, abs=1e-12)
+        assert aug.adjusted.se == pytest.approx(se, rel=1e-9)
+        assert aug.unadjusted == _contrast(study, 0.05, s_convention, weights=_WEIGHTS)

@@ -745,6 +745,75 @@ def test_compare_covariates_builds_no_extra_arm(runner, tmp_path, rng, monkeypat
     assert built == [1, 2]  # the CSV read's two arms; subsetting builds none
 
 
+@pytest.mark.parametrize("flags", [
+    ["--contrast", "ratio", "--covariates", "w1"],
+    ["--contrast", "ratio", "--weights", "0=1,1=2,2=0.5"],
+    ["--covariates", "w1", "--weights", "0=1,1=2,2=0.5"],
+    ["--contrast", "ratio", "--covariates", "w2,w1", "--weights", "0=1,1=2,2=0.5"],
+], ids=["ratio+covariates", "ratio+weights", "covariates+weights", "all three"])
+def test_contrast_flags_combine(runner, tmp_path, rng, flags):
+    # each pair of these flags used to be a config error (exit 4)
+    from aumcf import read_study_csv
+    from aumcf.cli import _parse_weights, _subset_covariates
+    from aumcf.inference import _contrast
+
+    path = tmp_path / "in.csv"
+    with open(path, "w") as fh:
+        write_records_csv(random_study(rng, n=20, n_cov=2, n_types=3), fh)
+    args = ["compare", str(path), "--tau", "2", *flags]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0 and result.stderr == ""
+    report = _strict_json(result.stdout)
+    opts = dict(zip(flags[::2], flags[1::2]))
+    study = read_study_csv(str(path), 2.0)
+    if "--covariates" in opts:
+        study = _subset_covariates(study, tuple(opts["--covariates"].split(",")))
+    want = _contrast(study, 0.05, "left", ratio="--contrast" in opts,
+                     weights=_parse_weights(None, None, opts.get("--weights")),
+                     augment="--covariates" in opts).to_dict()
+    del report["provenance"]
+    assert report == (want if "--covariates" in opts else {"result": want})
+
+    result = runner.invoke(main, args + ["--format", "csv"])
+    assert result.exit_code == 0 and result.stderr == ""
+    rows = [line for line in result.stdout.splitlines() if not line.startswith("#")]
+    assert len(rows) == (3 if "--covariates" in opts else 2)
+    kinds = {row.split(",")[1 if "--covariates" in opts else 0] for row in rows[1:]}
+    assert kinds == {"ratio" if "--contrast" in opts else "difference"}
+
+
+@pytest.mark.parametrize("weights,thetas", [
+    ("1=1e-300,2=1e300", "theta1=5e-301, theta2=5e+299"),
+    ("1=1e300,2=1e-300", "theta1=5e+299, theta2=5e-301"),
+], ids=["underflow", "overflow"])
+def test_weighted_ratio_beyond_a_float_exits_3(runner, weights, thetas):
+    # one subject per arm with one event, of type 1 in arm 1 and type 2 in arm 2
+    csv = "id,time,status,arm,event_type\na,0.5,1,1,1\na,2,0,1,\nb,0.5,1,2,2\nb,2,0,2,\n"
+    result = runner.invoke(main, ["compare", "-", "--tau", "1", "--contrast", "ratio",
+                                  "--weights", weights], input=csv)
+    assert result.exit_code == 3 and result.stdout == ""
+    assert json.loads(result.stderr) == {"error": {
+        "code": 3, "type": "OverflowError",
+        "message": f"ratio CI overflows on the log scale: {thetas}"}}
+
+
+def test_simulate_reps_past_the_bound_exits_4(runner, tmp_path):
+    result = _zero_reps_result(runner, tmp_path, {"replicates": 2}, ["--reps", str(10 ** 20)])
+    assert result.exit_code == 4 and result.stdout == ""
+    assert json.loads(result.stderr) == {"error": {
+        "code": 4, "type": "ConfigError",
+        "message": "bad scenario config: replicates must be at most 1000000"}}
+
+
+def test_simulate_integer_tau_past_int64_runs(runner, tmp_path):
+    # JSON gives an int; it used to fail numpy's isfinite with a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"kind": "icr", "n_per_arm": 5, "replicates": 2, "tau": 99999999999999999999}')
+    result = runner.invoke(main, ["simulate", str(cfg)])
+    assert result.exit_code == 0 and result.stderr == ""
+    _strict_json(result.stdout)
+
+
 # ---------------------------------------------------------------------------
 # The CLI contract on arbitrary input
 # ---------------------------------------------------------------------------
@@ -855,10 +924,12 @@ def _deep_nesting(draw):
 
 @st.composite
 def _long_integer(draw):
-    """A config with a field set to an integer longer than the 4,300 digits
-    that Python converts from a string."""
+    """A config with a field set to a long integer: 20 to 400 digits, too
+    big for any count but parseable (a finite float up to 308 digits), or
+    longer than the 4,300 digits that Python converts from a string."""
     config = json.dumps(draw(_valid_json_config()))
-    value = draw(st.sampled_from(["-", ""])) + "9" * draw(st.sampled_from([4301, 5000, 20_000]))
+    digits = draw(st.one_of(st.integers(20, 400), st.sampled_from([4301, 5000, 20_000])))
+    value = draw(st.sampled_from(["-", ""])) + "9" * digits
     return (config[:-1] + f', "{draw(st.sampled_from(_FIELDS))}": {value}}}').encode()
 
 
@@ -900,6 +971,12 @@ def _cli_args(draw):
             ["--weights", "x"], ["--weights", "0=1,1=1,2=2,"], ["--weights", ","],
             ["--contrast", "ratio", "--covariates", "w1"],
             ["--covariates", "w1", "--weights", "1=1"],
+            ["--contrast", "ratio", "--weights", "0=1,1=1,2=2"],
+            ["--contrast", "ratio", "--weights", "0=1e300,1=1e-300,2=1"],
+            ["--contrast", "ratio", "--weights", "0=1,1=1e-300,2=1e300"],
+            ["--covariates", "w2,w1", "--weights", "0=1,1=1,2=0.5"],
+            ["--contrast", "ratio", "--covariates", "w1", "--weights", "0=1,1=1,2=2"],
+            ["--contrast", "ratio", "--covariates", "w1,w2", "--weights", "1=1"],
             ["--covariates", ""], ["--weights", ""], ["--contrast", "ratio", "--weights", ""],
             ["--contrast", "bogus"], ["--bogus"],
         ]))

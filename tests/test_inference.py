@@ -18,7 +18,7 @@ from aumcf import (
     influence_values,
     weighted_contrast,
 )
-from aumcf.inference import wald_pvalue
+from aumcf.inference import _contrast, wald_pvalue
 
 from conftest import (
     dense_influence, make_arm, martingale_residuals, per_type_sum, random_arm,
@@ -287,6 +287,37 @@ def test_weighted_fit_is_the_per_type_sum_on_tied_grids(arm1, arm2):
     for tau in (0.25, 1.0, 1.75, 3.0):
         for s_convention in ("left", "right"):
             _assert_weighted_is_per_type_sum(StudyDataset(arm1, arm2, tau), weights, s_convention)
+
+
+@pytest.mark.parametrize("s_convention", ["left", "right"])
+def test_weighted_ratio_is_the_delta_method_on_the_per_type_sums(rng, s_convention):
+    z = NormalDist().inv_cdf(0.975)
+    for _ in range(10):
+        study = random_study(rng, n=int(rng.integers(5, 40)), n_types=3,
+                             tau=float(rng.uniform(0.5, 5.0)))
+        for weights in ({0: 1.0, 1: 2.0, 2: 0.5}, {0: 3.0, 1: 1e-3, 2: 1e3, 7: 2.0}):
+            (t1, psi1), (t2, psi2) = (per_type_sum(arm, study.tau, s_convention, weights)
+                                      for arm in study.arms())
+            se_log = math.sqrt(arm_variance(psi1 / t1) / study.arm1.n
+                               + arm_variance(psi2 / t2) / study.arm2.n)
+            res = _contrast(study, 0.05, s_convention, ratio=True, weights=weights)
+            assert res.kind == "ratio"
+            assert res.point == pytest.approx(t1 / t2, rel=1e-12)
+            assert res.se == pytest.approx(t1 / t2 * se_log, rel=1e-12)
+            assert res.ci_lower == pytest.approx(t1 / t2 * math.exp(-z * se_log), rel=1e-12)
+            assert res.ci_upper == pytest.approx(t1 / t2 * math.exp(z * se_log), rel=1e-12)
+            assert res.p_value == pytest.approx(wald_pvalue(math.log(t1 / t2), se_log),
+                                                rel=1e-9, abs=1e-300)
+
+
+def test_uniform_weight_cancels_in_a_ratio(rng):
+    for _ in range(10):
+        study = random_study(rng, n=int(rng.integers(5, 40)), n_types=3)
+        plain = contrast_ratio(study)
+        for c in (1e-3, 2.0, 1e3):
+            res = _contrast(study, 0.05, "left", ratio=True, weights={0: c, 1: c, 2: c})
+            assert res.point == pytest.approx(plain.point, rel=1e-12)
+            assert res.se == pytest.approx(plain.se, rel=1e-12)
 
 
 def test_fit_keeps_its_own_weights(rng):

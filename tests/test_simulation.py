@@ -50,6 +50,13 @@ def test_config_rejects_bad_field(field, value, message):
         ScenarioConfig(**{field: value})
 
 
+def test_config_accepts_the_largest_counts():
+    # 10^5 per arm is the largest trial the harness is meant for; each bound
+    # is inclusive (constructed only, never simulated)
+    ScenarioConfig(n_per_arm=10 ** 5)
+    ScenarioConfig(n_per_arm=10_000_000, replicates=1_000_000)
+
+
 def test_config_json_round_trip():
     cfg = ScenarioConfig(kind="frailty", n_per_arm=50, seed=9)
     assert ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
