@@ -27,7 +27,8 @@ class StepFunction:
 
     ``values[k]`` holds the value on [jump_times[k], jump_times[k+1]);
     ``initial_value`` holds the value on [0, jump_times[0]). Evaluation
-    beyond the last jump returns the last value (flat extrapolation).
+    beyond the last jump returns the last value (flat extrapolation), and
+    at NaN returns NaN.
     """
 
     jump_times: np.ndarray
@@ -48,7 +49,9 @@ class StepFunction:
         t = np.asarray(t, dtype=np.float64)
         idx = np.searchsorted(self.jump_times, t, side="right")
         full = np.concatenate(([self.initial_value], self.values))
-        return full[idx] if t.ndim else float(full[idx])
+        # a search sorts NaN past every jump, which would read the last value
+        out = np.where(np.isnan(t), np.nan, full[idx])
+        return out if t.ndim else float(out)
 
     def to_rows(self, tau: float):
         """(time, value) pairs from t=0 up to tau, ending with the value at tau."""
@@ -77,8 +80,13 @@ class ArmFit:
     events in time order and ``event_first``, the first event of each jump;
     ``death_rows``, the follow-up positions of the counted deaths, and
     ``death_first``, the first of each jump; ``at_te`` and ``at_td``, where
-    the risk sets start in follow-up order (``y = n - at``); and ``km_at``,
-    the index of each ``s`` into the Kaplan-Meier curve with 1 prepended.
+    the risk sets start in follow-up order (``y = n - at``), the fit's only
+    two binary searches; ``deaths_before``, whose k-th entry counts the
+    death jumps with ``at_td < k`` for k = 0..n (entry k + 1: the death
+    times at or before the k-th follow-up time); and ``km_at``, the index
+    of each ``s`` into the Kaplan-Meier curve with 1 prepended. The other
+    positions are counted, not searched for (td < te exactly when
+    at_td < at_te), so they are the integers a search would give.
     """
 
     arm: ArmDataset
@@ -99,6 +107,7 @@ class ArmFit:
     death_first: np.ndarray
     at_te: np.ndarray
     at_td: np.ndarray
+    deaths_before: np.ndarray
     km_at: np.ndarray
 
     @property
@@ -162,12 +171,16 @@ def fit_arm(
     y_e = (arm.n - at_te).astype(np.float64)
     death_rows, death_first, d, td, at_td = _death_jumps(arm, tau)
     y_d = (arm.n - at_td).astype(np.float64)
-    # the left limit counts the deaths before te, the right one those up to it
-    km_at = np.searchsorted(td, te, side=s_convention)
+    deaths_before = _counts_below(at_td, arm.n)
+    # the left limit counts the deaths before te, the right one adds a
+    # death at te, which can only be the next death time
+    km_at = deaths_before[at_te]
+    if s_convention == "right":
+        km_at = km_at + (np.append(td, np.inf)[km_at] == te)
     s = np.concatenate(([1.0], np.cumprod(1.0 - d / y_d)))[km_at]
     dr = np.add.reduceat(mass, event_first) / y_e
     return ArmFit(arm, tau, weights, te, e, y_e, dr, s, td, d, y_d, owners, mass, event_first,
-                  death_rows, death_first, at_te, at_td, km_at)
+                  death_rows, death_first, at_te, at_td, deaths_before, km_at)
 
 
 def km_survival(arm: ArmDataset) -> StepFunction:
@@ -194,7 +207,7 @@ def aumcf(
 
 def area_under_step(f: StepFunction, tau: float) -> float:
     """Exact integral of a step function on [0, tau]."""
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("tau must be nonnegative")
     knots = np.concatenate(([0.0], f.jump_times[f.jump_times < tau], [tau]))
     vals = np.concatenate(([f.initial_value], f.values[f.jump_times < tau]))
@@ -244,6 +257,14 @@ def _death_jumps(arm: ArmDataset, tau: float):
     first, d = _runs(x[rows])
     td = x[rows[first]]
     return rows, first, d, td, np.searchsorted(x, td, side="left")
+
+
+def _counts_below(at: np.ndarray, n: int) -> np.ndarray:
+    """c[k] = the number of entries of ``at`` below k, for k = 0..n, where
+    ``at`` holds follow-up positions in [0, n)."""
+    c = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(at, minlength=n), out=c[1:])
+    return c
 
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

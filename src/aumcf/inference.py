@@ -24,7 +24,7 @@ import numpy as np
 
 from .augmentation import AugmentedResult, CovariateSummary, augmentation_weights
 from .core import ArmDataset, StudyDataset, ValidationError
-from .estimation import ArmFit, fit_arm
+from .estimation import ArmFit, _counts_below, fit_arm
 
 
 class RatioUndefinedError(ValueError):
@@ -77,10 +77,17 @@ def fit_influence(fit: ArmFit) -> np.ndarray:
     dM^D_i(v), where dM_i and dM^D_i are subject i's event and terminal
     residuals (observed jump minus the compensator dR or dLambda = d / Y
     while at risk) and B(v) = theta minus the AUMCF mass at jumps <= v.
+
+    The compensators and B are prefix sums over the jumps at or before a
+    time, counted from the risk-set positions rather than searched for:
+    te <= x[k] exactly when at_te <= k (likewise for td), so the sums are
+    indexed by the integers a search would give.
     """
     arm, tau, n = fit.arm, fit.tau, fit.arm.n
-    order, x = arm._follow_up_order, arm._sorted_follow_up
-    te, td = fit.te, fit.td
+    order = arm._follow_up_order
+    te = fit.te
+    # events_before[k + 1]: event jumps at or before the k-th follow-up time
+    events_before = _counts_below(fit.at_te, n)
 
     w_e = (tau - te) * fit.s * (n / fit.y_e)
     # the counted events come in runs, one per event jump, and each takes
@@ -89,23 +96,22 @@ def fit_influence(fit: ArmFit) -> np.ndarray:
     obs_event = np.bincount(fit.owners, weights=np.repeat(w_e, fit.e) * fit.mass, minlength=n)
 
     # the other terms are per subject in follow-up order
-    comp_event = _prefix_at(w_e * fit.dr, te, x)
-    b = fit.theta - _prefix_at((tau - te) * fit.s * fit.dr, te, td)
+    comp_event = _prefix_sums(w_e * fit.dr)[events_before[1:]]
+    b = fit.theta - _prefix_sums((tau - te) * fit.s * fit.dr)[events_before[fit.at_td + 1]]
     w_d = b * (n / fit.y_d)
     obs_death = np.zeros(n)
     obs_death[fit.death_rows] = np.repeat(w_d, fit.d)
-    comp_death = _prefix_at(w_d * (fit.d / fit.y_d), td, x)
+    comp_death = _prefix_sums(w_d * (fit.d / fit.y_d))[fit.deaths_before[1:]]
 
     psi = np.empty(n)
     psi[order] = (obs_event[order] - comp_event) - (obs_death - comp_death)
     return psi
 
 
-def _prefix_at(mass: np.ndarray, knots: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Total mass at the knots <= t, for each t of an ascending ``t``
-    (closed inequality)."""
-    cum = np.concatenate(([0.0], np.cumsum(mass)))
-    return cum[np.searchsorted(knots, t, side="right")]
+def _prefix_sums(mass: np.ndarray) -> np.ndarray:
+    """0, then the running totals of ``mass``: entry j is the mass of the
+    first j knots."""
+    return np.concatenate(([0.0], np.cumsum(mass)))
 
 
 def influence_values(

@@ -386,7 +386,8 @@ def run_operating_characteristics(
     true_delta = truth.delta if isinstance(truth, TrueValues) else float(truth)
 
     reps = config.replicates
-    tasks = [(config, r, methods, alpha) for r in range(reps)]
+    # made one at a time as the replicates run, so no list of every task is held
+    tasks = ((config, r, methods, alpha) for r in range(reps))
     workers = min(n_jobs, reps)
     if workers > 1:
         # imported here: the pool machinery adds about 2 MB to every import
@@ -397,7 +398,7 @@ def run_operating_characteristics(
             results = list(pool.map(_replicate_worker, tasks,
                                     chunksize=max(1, reps // (8 * workers))))
     else:
-        results = [_replicate_worker(t) for t in tasks]
+        results = list(map(_replicate_worker, tasks))
 
     rows = []
     for method in methods:

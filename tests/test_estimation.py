@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -15,7 +16,9 @@ from aumcf import (
     time_lost_per_subject,
 )
 
-from conftest import make_arm, random_arm, reference_fit
+from aumcf.estimation import _counts_below
+
+from conftest import make_arm, random_arm, reference_fit, tied_arms
 
 
 def test_step_function_evaluation():
@@ -23,6 +26,23 @@ def test_step_function_evaluation():
     assert f(1.9) == 0.0 and f(2.0) == 1.0 and f(5.0) == 1.0
     assert area_under_step(f, 5.0) == 3.0
     assert area_under_step(StepFunction(np.empty(0), np.empty(0), 1.0), 5.0) == 5.0
+
+
+def test_step_function_is_nan_at_nan(toy_arm):
+    # a search sorts NaN last: the curve must not read its final value there
+    for f in (mcf(toy_arm), km_survival(toy_arm),
+              StepFunction(np.empty(0), np.empty(0), 1.0)):
+        assert math.isnan(f(math.nan))
+        got = f(np.array([1.0, math.nan, 12.0]))
+        assert got[0] == f(1.0) and math.isnan(got[1]) and got[2] == f(12.0)
+
+
+@pytest.mark.parametrize("tau", [math.nan, -1.0, -math.inf])
+def test_area_under_step_rejects_a_tau_that_is_not_nonnegative(tau):
+    f = StepFunction(np.array([2.0]), np.array([1.0]), 0.0)
+    with pytest.raises(ValueError, match="tau must be nonnegative"):
+        area_under_step(f, tau)
+    assert area_under_step(f, 0.0) == 0.0
 
 
 def test_step_function_rejects_unsorted():
@@ -214,3 +234,33 @@ def test_km_monotone_and_bounded(rng):
         vals = np.concatenate(([1.0], km.values))
         assert np.all(np.diff(vals) <= 1e-15)
         assert np.all((vals >= 0) & (vals <= 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(arm=tied_arms())
+def test_fit_positions_are_the_searches_they_count(arm):
+    # every position a fit counts, byte for byte against the search it
+    # replaces; tau inf is the fit behind mcf
+    x = arm._sorted_follow_up
+    for tau in (0.25, 1.0, 1.75, 3.0, math.inf):
+        for s_convention in ("left", "right"):
+            for weights in (None, {0: 1.0}, {2: 1.0}, {0: 0.0, 1: 2.0, 2: 1.0}):
+                fit = fit_arm(arm, tau, s_convention, weights)
+                te, td = fit.te, fit.td
+                want = {
+                    "at_te": np.searchsorted(x, te, side="left"),
+                    "at_td": np.searchsorted(x, td, side="left"),
+                    "km_at": np.searchsorted(td, te, side=s_convention),
+                    "deaths_before": np.concatenate(
+                        ([0], np.searchsorted(td, x, side="right"))),
+                }
+                for name, ref in want.items():
+                    got = getattr(fit, name)
+                    assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes()), name
+                # the event counts of fit_influence: event jumps at or
+                # before each follow-up time, and at or before each death
+                events_before = _counts_below(fit.at_te, arm.n)
+                for got, ref in ((events_before[1:], np.searchsorted(te, x, side="right")),
+                                 (events_before[fit.at_td + 1],
+                                  np.searchsorted(te, td, side="right"))):
+                    assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes())

@@ -311,6 +311,34 @@ def test_harness_workers_capped_at_replicates(monkeypatch, n_jobs, workers):
     assert oc.rows == run_operating_characteristics(cfg, truth=0.0).rows
 
 
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_harness_runs_replicates_in_order_from_a_generator(monkeypatch, n_jobs):
+    import concurrent.futures
+    import types
+
+    ran, tasks_seen = [], []
+    run = simulation._replicate_worker
+
+    class Pool(_StubPool):
+        def map(self, fn, tasks, chunksize=1):
+            tasks_seen.append(tasks)
+            return map(fn, tasks)
+
+    def worker(args):
+        ran.append(args[1])
+        return run(args)
+
+    cfg = ScenarioConfig(n_per_arm=10, replicates=4, seed=14)
+    want = run_operating_characteristics(cfg, truth=0.0).rows
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(simulation, "_replicate_worker", worker)
+    assert run_operating_characteristics(cfg, truth=0.0, n_jobs=n_jobs).rows == want
+    assert ran == [0, 1, 2, 3]
+    # no list of every replicate's task is built up front
+    assert all(isinstance(t, types.GeneratorType) for t in tasks_seen)
+    assert len(tasks_seen) == (n_jobs > 1)
+
+
 @pytest.mark.parametrize("n_jobs", [0, -1])
 def test_harness_rejects_jobs_below_1(n_jobs):
     cfg = ScenarioConfig(n_per_arm=10, replicates=2, seed=14)
