@@ -43,8 +43,7 @@ class AugmentedResult:
     """Adjusted and unadjusted contrasts plus the augmentation diagnostics.
 
     ``relative_efficiency`` is (se_unadjusted / se_adjusted)^2 on the
-    working scale (the log scale for a ratio); ``variance_clamped`` flags a
-    negative plug-in adjusted variance that was clamped to zero.
+    working scale (the log scale for a ratio).
     """
 
     adjusted: ContrastResult
@@ -52,7 +51,6 @@ class AugmentedResult:
     summary: CovariateSummary
     covariate_names: tuple[str, ...]
     relative_efficiency: float
-    variance_clamped: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -63,7 +61,6 @@ class AugmentedResult:
             # null when the adjusted se is 0, which ``adjusted.degenerate`` flags
             "relative_efficiency": (self.relative_efficiency
                                     if math.isfinite(self.relative_efficiency) else None),
-            "variance_clamped": self.variance_clamped,
         }
 
 

@@ -161,6 +161,9 @@ class StudyDataset:
             raise ValidationError("tau must be positive and finite")
         if self.arm1.covariate_dim != self.arm2.covariate_dim:
             raise ValidationError("covariate dimension differs across arms")
+        if self.covariate_names and len(self.covariate_names) != self.arm1.covariate_dim:
+            raise ValidationError(f"{len(self.covariate_names)} covariate names for "
+                                  f"{self.arm1.covariate_dim} covariate columns")
 
     @property
     def n(self) -> int:
@@ -194,7 +197,8 @@ def _arms_from_rows(ids, time, status, arm, event_type, covariates):
     uid = sorted(dict.fromkeys(ids))
     rank = dict(zip(uid, range(len(uid))))
     id_code = np.fromiter(map(rank.__getitem__, ids), np.int64, len(ids))
-    keys, subj = np.unique((arm - 1) * len(uid) + id_code, return_inverse=True)
+    keys, first, subj = np.unique((arm - 1) * len(uid) + id_code, return_index=True,
+                                  return_inverse=True)
     subject_ids = np.array(uid, dtype=object)[keys % len(uid)]
     n_subj = keys.size
     is_end = status != Status.EVENT
@@ -210,7 +214,6 @@ def _arms_from_rows(ids, time, status, arm, event_type, covariates):
 
     # a subject's covariates are those of its first row; comparing row
     # indices keeps a NaN in that row from conflicting with itself
-    first = np.unique(subj, return_index=True)[1]
     ref_row = first[subj]
     differs = (np.arange(len(ids)) != ref_row) & (covariates != covariates[ref_row]).any(axis=1)
     conflict = np.zeros(n_subj, dtype=bool)

@@ -55,6 +55,8 @@ class StepFunction:
 
     def to_rows(self, tau: float):
         """(time, value) pairs from t=0 up to tau, ending with the value at tau."""
+        if not tau >= 0:
+            raise ValueError("tau must be nonnegative")
         rows = [(0.0, float(self.initial_value))]
         for t, v in zip(self.jump_times, self.values):
             if t > tau:
@@ -211,7 +213,9 @@ def area_under_step(f: StepFunction, tau: float) -> float:
         raise ValueError("tau must be nonnegative")
     knots = np.concatenate(([0.0], f.jump_times[f.jump_times < tau], [tau]))
     vals = np.concatenate(([f.initial_value], f.values[f.jump_times < tau]))
-    return float(np.sum(vals * np.diff(knots)))
+    # a segment of value 0 adds 0, even one of infinite width
+    area = np.multiply(vals, np.diff(knots), out=np.zeros_like(vals), where=vals != 0)
+    return float(np.sum(area))
 
 
 def rmst(arm: ArmDataset, tau: float) -> float:

@@ -16,7 +16,6 @@ the public contrast functions are one call into it each.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, asdict, replace
 from statistics import NormalDist
 
@@ -198,8 +197,7 @@ def augmented_contrast(
 ) -> AugmentedResult:
     """Covariate-adjusted difference in AUMCFs with both results reported.
 
-    With zero covariates the adjusted result equals the unadjusted one. A
-    negative plug-in adjusted variance is clamped to zero with a warning.
+    With zero covariates the adjusted result equals the unadjusted one.
     """
     return _contrast(study, alpha, s_convention, augment=True)
 
@@ -219,8 +217,9 @@ def _contrast(
     2. Influence values on the working scale: psi for the difference,
        psi / theta for the log ratio.
     3. With ``augment``, the working point is shifted by
-       beta' (Wbar1 - Wbar2) and its variance reduced by gamma' beta
-       (``augmentation_weights``); an :class:`AugmentedResult` is returned.
+       beta' (Wbar1 - Wbar2) (``augmentation_weights``) and its SE is that
+       of the adjusted influence values psi - (W - Wbar) beta; an
+       :class:`AugmentedResult` is returned.
     4. Wald on the working scale; a ratio's point, CI and SE are mapped
        back from the log scale.
 
@@ -267,31 +266,25 @@ def _contrast(
                 summary=CovariateSummary(empty, empty, empty, empty),
                 covariate_names=study.covariate_names, relative_efficiency=1.0,
             )
-        # psi scaled as in the arm SEs, so that the variances do not overflow
-        # when the adjusted SE is representable; gamma and beta scale with psi
+        # psi scaled as in the arm SEs, so that nothing overflows when the
+        # adjusted SE is representable; gamma and beta scale with psi
         e = _scale_exponent(psi1, psi2)
         psi1, psi2 = np.ldexp(psi1, -e), np.ldexp(psi2, -e)
         scaled = augmentation_weights(study, psi1, psi2)
         summary = replace(scaled, gamma_hat=np.ldexp(scaled.gamma_hat, e),
                           beta_hat=np.ldexp(scaled.beta_hat, e))
         point -= float(summary.beta_hat @ (summary.mean1 - summary.mean2))
-        n = n1 + n2
-        variance = (n * (arm_variance(psi1) / n1 + arm_variance(psi2) / n2)
-                    - float(scaled.gamma_hat @ scaled.beta_hat))
-        clamped = variance < 0
-        if clamped:
-            # stacklevel: the caller of the public contrast
-            warnings.warn("negative plug-in adjusted variance clamped to zero",
-                          RuntimeWarning, stacklevel=3)
-            variance = 0.0
-        se_adj = math.ldexp(math.sqrt(variance / n), e)
+        # the adjusted influence values psi - (W - Wbar) beta, whose SE is
+        # the adjusted SE: the residuals of the least-squares fit for beta
+        adjusted = [(psi - (arm.covariates - mean) @ scaled.beta_hat, arm.n) for arm, psi, mean
+                    in zip(study.arms(), (psi1, psi2), (scaled.mean1, scaled.mean2))]
+        se_adj = math.ldexp(_standard_errors(*adjusted)[2], e)
         return AugmentedResult(
             adjusted=_wald_result(ratio, z, common, point, se_adj),
             unadjusted=unadjusted,
             summary=summary,
             covariate_names=study.covariate_names,
             relative_efficiency=(se / se_adj) ** 2 if se_adj > 0 else math.inf,
-            variance_clamped=clamped,
         )
     except OverflowError as exc:
         if not ratio:

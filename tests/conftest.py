@@ -72,6 +72,17 @@ def random_study(rng, tau=3.0, n=30, n_cov=0, **kw):
     return StudyDataset(a1, a2, tau=tau, covariate_names=names)
 
 
+def near_collinear_study(rng, eps, n=40, tau=2.0):
+    """A study whose one covariate, w1, is each arm's influence values + 5
+    plus noise of scale ``eps``: the augmentation explains all but the noise."""
+    arms = []
+    for arm in random_study(rng, n=n, tau=tau).arms():
+        w = fit_influence(fit_arm(arm, tau)) + 5.0 + eps * rng.standard_normal(arm.n)
+        arms.append(make_arm(arm.arm, [(*row[:5], (float(v),))
+                                       for row, v in zip(subject_rows(arm), w)]))
+    return StudyDataset(*arms, tau=tau, covariate_names=("w1",))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -14,7 +15,10 @@ from aumcf import (
 )
 from aumcf.inference import _contrast, influence_values
 
-from conftest import dense_influence, make_arm, per_type_sum, random_arm, random_study, subject_rows
+from conftest import (
+    dense_influence, make_arm, near_collinear_study, per_type_sum, random_arm, random_study,
+    subject_rows,
+)
 
 
 def _with_covariates(arm, label, covs):
@@ -193,3 +197,30 @@ def test_augmented_weighted_is_least_squares_on_the_weighted_influence(rng, s_co
         assert aug.adjusted.point == pytest.approx(point, rel=1e-9, abs=1e-12)
         assert aug.adjusted.se == pytest.approx(se, rel=1e-9)
         assert aug.unadjusted == _contrast(study, 0.05, s_convention, weights=_WEIGHTS)
+
+
+def _exact_adjusted_se(study, psis):
+    """The adjusted SE of a one-covariate difference as the root of an exact
+    rational least-squares residual sum of squares, in the weighting of
+    ``_least_squares_augmentation``, from the float inputs."""
+    arms = []
+    for arm, psi in zip(study.arms(), psis):
+        w = [Fraction(v) for v in arm.covariates[:, 0].tolist()]
+        mean = sum(w) / len(w)
+        arms.append(([v - mean for v in w], [Fraction(v) for v in psi.tolist()], arm.n))
+    beta = (sum(sum(c * p for c, p in zip(cs, ps)) / n**2 for cs, ps, n in arms)
+            / sum(sum(c * c for c in cs) / n**2 for cs, _, n in arms))
+    rss = sum(sum((p - c * beta) ** 2 for c, p in zip(cs, ps)) / n**2 for cs, ps, n in arms)
+    return math.sqrt(rss)
+
+
+def test_adjusted_se_is_exact_for_a_nearly_collinear_covariate(rng):
+    # the covariate explains the influence values to 1e-8: the adjusted
+    # variance is about 1e-16 of the unadjusted one, which a difference of
+    # the two variances cannot resolve
+    for _ in range(5):
+        study = near_collinear_study(rng, 1e-8)
+        psis = [influence_values(arm, study.tau) for arm in study.arms()]
+        aug = augmented_contrast(study)
+        assert aug.adjusted.se == pytest.approx(_exact_adjusted_se(study, psis), rel=1e-6)
+        assert 0 < aug.adjusted.se < 1e-6 * aug.unadjusted.se

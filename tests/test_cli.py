@@ -17,7 +17,9 @@ from aumcf import write_records_csv
 from aumcf.cli import main
 from aumcf.simulation import COVARIATE_MODES, SCENARIO_KINDS
 
-from conftest import BAD_SCENARIO_FIELDS, make_arm, random_study, subject_rows
+from conftest import (
+    BAD_SCENARIO_FIELDS, make_arm, near_collinear_study, random_study, subject_rows,
+)
 
 TOY_CSV = """id,time,status,arm
 s1,2,1,1
@@ -546,6 +548,23 @@ def test_huge_tau_stderr_is_one_error_record(toy_csv, args):
     assert err["code"] == 3
     if "ratio" in args:
         assert err["type"] == "OverflowError" and "ratio CI" in err["message"]
+
+
+def test_nearly_collinear_covariate_keeps_stderr_empty(tmp_path, rng):
+    # the covariate explains the influence values to 1e-11, so the adjusted
+    # variance is far below the round-off of the unadjusted one; a fresh
+    # interpreter, so that any Python or numpy warning would reach stderr
+    path = tmp_path / "cov.csv"
+    with open(path, "w") as fh:
+        write_records_csv(near_collinear_study(rng, 1e-11), fh)
+    env = dict(os.environ, PYTHONPATH=str(Path(aumcf.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "aumcf.cli", "compare", str(path), "--tau", "2",
+                           "--covariates", "w1"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stderr == ""
+    report = _strict_json(proc.stdout)
+    assert 0 < report["adjusted"]["se"] < 1e-9 * report["unadjusted"]["se"]
+    assert "variance_clamped" not in report
 
 
 @pytest.mark.parametrize("tau", ["1e-300", "1e-160"])

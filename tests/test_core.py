@@ -189,6 +189,19 @@ def test_covariate_dim_mismatch_rejected():
             ArmDataset(**cols, covariates=covariates)
 
 
+def test_covariate_names_are_none_or_one_per_column(rng):
+    # two covariates (w, 0.5 w) named as one
+    study = random_study(rng, n=10, n_cov=1)
+    arms = [make_arm(arm.arm, [(*row[:5], (row[5][0], 0.5 * row[5][0]))
+                               for row in subject_rows(arm)])
+            for arm in study.arms()]
+    for names in (("x",), ("x", "y", "z")):
+        with pytest.raises(ValidationError, match=f"{len(names)} covariate names for 2"):
+            StudyDataset(*arms, tau=1.0, covariate_names=names)
+    assert StudyDataset(*arms, tau=1.0).covariate_names == ()
+    assert StudyDataset(*arms, tau=1.0, covariate_names=("x", "y")).covariate_names == ("x", "y")
+
+
 # ---------------------------------------------------------------------------
 # CSV parse errors name the line
 # ---------------------------------------------------------------------------

@@ -40,9 +40,11 @@ def test_step_function_is_nan_at_nan(toy_arm):
 @pytest.mark.parametrize("tau", [math.nan, -1.0, -math.inf])
 def test_area_under_step_rejects_a_tau_that_is_not_nonnegative(tau):
     f = StepFunction(np.array([2.0]), np.array([1.0]), 0.0)
-    with pytest.raises(ValueError, match="tau must be nonnegative"):
-        area_under_step(f, tau)
+    for use in (lambda t: area_under_step(f, t), f.to_rows):
+        with pytest.raises(ValueError, match="tau must be nonnegative"):
+            use(tau)
     assert area_under_step(f, 0.0) == 0.0
+    assert f.to_rows(0.0) == [(0.0, 0.0)]
 
 
 def test_step_function_rejects_unsorted():
@@ -164,6 +166,14 @@ def test_rmst_hand_examples(toy_arm):
     assert rmst(no_deaths, 4.0) == 4.0
     single = make_arm(1, [("a", 5.0, True)])
     assert rmst(single, 8.0) == 5.0
+    # to infinity: a curve that ends at 0 adds 0 beyond its last jump, not
+    # 0 * inf = nan; one that stays positive has an infinite area
+    ends_at_zero = make_arm(1, [("a", 10.0, True, (2.0, 5.0)), ("b", 8.0, False, (3.0,)),
+                                ("c", 12.0, True, ())])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rmst(ends_at_zero, math.inf) == 11.0
+        assert rmst(no_deaths, math.inf) == math.inf
 
 
 def test_rmst_identity_death_only(rng):
