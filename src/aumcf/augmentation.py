@@ -67,12 +67,16 @@ class AugmentedResult:
 def augmentation_weights(
     study: StudyDataset, psi1: np.ndarray, psi2: np.ndarray
 ) -> CovariateSummary:
-    """Optimal augmentation weight beta solving Sigma_W beta = gamma.
+    """Optimal augmentation weight beta solving Sigma_W beta = gamma, with
+    gamma = sum over arms j of (n / n_j^2) C_j' psi_j and C_j the arm's
+    centered covariates.
 
     ``psi1`` and ``psi2`` are the arms' influence values on the contrast's
-    working scale, and beta is on that scale too. A singular
-    system raises :class:`SingularCovariateError` naming the offending
-    directions.
+    working scale, and gamma and beta are on that scale too. They are
+    formed from psi scaled by one power of two and scaled back, which is
+    exact: they are finite whenever they are representable, though the
+    sums on psi itself may overflow. A singular system raises
+    :class:`SingularCovariateError` naming the offending directions.
     """
     p = study.arm1.covariate_dim
     if p < 1:
@@ -81,6 +85,7 @@ def augmentation_weights(
     gamma = np.zeros(p)
     sigma_w = np.zeros((p, p))
     means = []
+    e = _scale_exponent(psi1, psi2)
     for arm, psi in zip(study.arms(), (psi1, psi2)):
         if arm.n < p + 1:
             raise ValidationError(
@@ -91,7 +96,7 @@ def augmentation_weights(
         means.append(wbar)
         centered = w - wbar
         scale = n / arm.n**2
-        gamma += scale * centered.T @ psi
+        gamma += scale * centered.T @ np.ldexp(psi, -e)
         sigma_w += scale * centered.T @ centered
     sigma_w = 0.5 * (sigma_w + sigma_w.T)
     eigvals, eigvecs = np.linalg.eigh(sigma_w)
@@ -109,5 +114,10 @@ def augmentation_weights(
     beta = np.linalg.solve(sigma_w, gamma)
     return CovariateSummary(
         mean1=means[0], mean2=means[1],
-        gamma_hat=gamma, beta_hat=beta,
+        gamma_hat=np.ldexp(gamma, e), beta_hat=np.ldexp(beta, e),
     )
+
+
+def _scale_exponent(*psis: np.ndarray) -> int:
+    """The e with max |psi| in [2**(e-1), 2**e): psi * 2**-e squares finitely."""
+    return math.frexp(max(float(np.abs(psi).max()) for psi in psis))[1]

@@ -130,11 +130,6 @@ class ArmDataset:
     def covariate_dim(self) -> int:
         return self.covariates.shape[1]
 
-    def at_risk(self, times: np.ndarray) -> np.ndarray:
-        """Number of subjects with X >= t for each t (closed inequality)."""
-        times = np.asarray(times, dtype=np.float64)
-        return self.n - np.searchsorted(self._sorted_follow_up, times, side="left")
-
     def __eq__(self, other):
         return (
             isinstance(other, ArmDataset)
@@ -321,7 +316,10 @@ def _read_columns(fh) -> tuple[tuple, tuple[str, ...]]:
                 f"CSV header field {header.index('') + 1} is empty; R's write.csv "
                 "writes its row names there unless called with row.names = FALSE"
             )
-        col = {name: k for k, name in enumerate(header)}  # last duplicate wins
+        col = {name: k for k, name in enumerate(header)}
+        if len(col) < len(header):
+            name = next(c for k, c in enumerate(header) if col[c] != k)
+            raise ValidationError(f"CSV header repeats the column name {name!r}")
         has_type = "event_type" in col
         cov_names = tuple(
             c for c in header if c not in _FIXED_COLUMNS and c != "event_type"
@@ -375,7 +373,7 @@ def _read_plain_chunks(fh, fields, width, ids, parts) -> list[str]:
     ``ids`` and ``parts``; return the lines of the first chunk that is not
     plain, or ``[]`` at the end of the stream."""
     # one table field per column, so that loadtxt checks every row's width;
-    # the id column and a column shadowed by a duplicate name are never read
+    # the id column is never read
     kinds = {k: np.float64 if convert is _floats else np.int64 for _, k, convert in fields}
     dtype = np.dtype([(f"c{k}", kinds.get(k, "U1")) for k in range(width)])
     names = [f"c{k}" for _, k, _ in fields]
@@ -465,13 +463,13 @@ def _raise_first_bad_row(rows, fields, width, last_line):
 
 
 def read_arms_csv(source) -> tuple[dict[int, ArmDataset], tuple[str, ...]]:
-    """Read per-arm datasets (one or both arms) from a CSV path or file
-    object, plus the covariate column names."""
+    """Read per-arm datasets (one or both arms) from a CSV path, read as
+    UTF-8, or a text file object, plus the covariate column names."""
     # the reader's chunk arrays are freed before the rows are grouped
     if hasattr(source, "read"):
         columns, cov_names = _read_columns(source)
     else:
-        with open(source, newline="") as fh:
+        with open(source, newline="", encoding="utf-8") as fh:
             columns, cov_names = _read_columns(fh)
     return _arms_from_rows(*columns), cov_names
 

@@ -16,12 +16,12 @@ the public contrast functions are one call into it each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from statistics import NormalDist
 
 import numpy as np
 
-from .augmentation import AugmentedResult, CovariateSummary, augmentation_weights
+from .augmentation import AugmentedResult, CovariateSummary, _scale_exponent, augmentation_weights
 from .core import ArmDataset, StudyDataset, ValidationError
 from .estimation import ArmFit, _counts_below, fit_arm
 
@@ -143,11 +143,6 @@ def _standard_errors(*arms: tuple[np.ndarray, int]) -> list[float]:
     return [math.ldexp(math.sqrt(x), e) for x in (*v, sum(v))]
 
 
-def _scale_exponent(*psis: np.ndarray) -> int:
-    """The e with max |psi| in [2**(e-1), 2**e): psi * 2**-e squares finitely."""
-    return math.frexp(max(float(np.abs(psi).max()) for psi in psis))[1]
-
-
 def wald_pvalue(point: float, se: float) -> float:
     """Two-sided Wald p-value 2 * (1 - Phi(|point| / se)) against a null of 0.
 
@@ -217,9 +212,10 @@ def _contrast(
     2. Influence values on the working scale: psi for the difference,
        psi / theta for the log ratio.
     3. With ``augment``, the working point is shifted by
-       beta' (Wbar1 - Wbar2) (``augmentation_weights``) and its SE is that
-       of the adjusted influence values psi - (W - Wbar) beta; an
-       :class:`AugmentedResult` is returned.
+       beta' (Wbar1 - Wbar2), beta from ``augmentation_weights`` (finite
+       whenever representable), and its SE is that of the adjusted
+       influence values psi - (W - Wbar) beta, the residuals of the
+       least-squares fit for beta; an :class:`AugmentedResult` is returned.
     4. Wald on the working scale; a ratio's point, CI and SE are mapped
        back from the log scale.
 
@@ -266,19 +262,13 @@ def _contrast(
                 summary=CovariateSummary(empty, empty, empty, empty),
                 covariate_names=study.covariate_names, relative_efficiency=1.0,
             )
-        # psi scaled as in the arm SEs, so that nothing overflows when the
-        # adjusted SE is representable; gamma and beta scale with psi
-        e = _scale_exponent(psi1, psi2)
-        psi1, psi2 = np.ldexp(psi1, -e), np.ldexp(psi2, -e)
-        scaled = augmentation_weights(study, psi1, psi2)
-        summary = replace(scaled, gamma_hat=np.ldexp(scaled.gamma_hat, e),
-                          beta_hat=np.ldexp(scaled.beta_hat, e))
+        summary = augmentation_weights(study, psi1, psi2)
         point -= float(summary.beta_hat @ (summary.mean1 - summary.mean2))
         # the adjusted influence values psi - (W - Wbar) beta, whose SE is
         # the adjusted SE: the residuals of the least-squares fit for beta
-        adjusted = [(psi - (arm.covariates - mean) @ scaled.beta_hat, arm.n) for arm, psi, mean
-                    in zip(study.arms(), (psi1, psi2), (scaled.mean1, scaled.mean2))]
-        se_adj = math.ldexp(_standard_errors(*adjusted)[2], e)
+        adjusted = [(psi - (arm.covariates - mean) @ summary.beta_hat, arm.n) for arm, psi, mean
+                    in zip(study.arms(), (psi1, psi2), (summary.mean1, summary.mean2))]
+        se_adj = _standard_errors(*adjusted)[2]
         return AugmentedResult(
             adjusted=_wald_result(ratio, z, common, point, se_adj),
             unadjusted=unadjusted,

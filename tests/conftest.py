@@ -192,6 +192,12 @@ def tied_arms(draw, arm=1):
     return make_arm(arm, subjects)
 
 
+def at_risk(arm, times):
+    """The number of subjects of ``arm`` with X >= t for each t (closed
+    inequality), from a fresh sort of the follow-up times."""
+    return arm.n - np.searchsorted(np.sort(arm.follow_up), times, side="left")
+
+
 def reference_fit(arm, tau, s_convention="left", weights=None):
     """The ``ArmFit`` jump arrays and theta as computed from the columns in
     subject order: ``np.unique`` of masked times, event mass by
@@ -201,10 +207,10 @@ def reference_fit(arm, tau, s_convention="left", weights=None):
     w = event_weights(arm, weights)
     keep = (arm.event_times <= tau) & (w != 0)
     te, at, e = np.unique(arm.event_times[keep], return_inverse=True, return_counts=True)
-    y_e = (arm.n - np.searchsorted(np.sort(x), te, side="left")).astype(np.float64)
+    y_e = at_risk(arm, te).astype(np.float64)
     dr = np.bincount(at, weights=w[keep], minlength=te.size) / y_e
     td, d = np.unique(x[arm.terminal & (x <= tau)], return_counts=True)
-    y_d = (arm.n - np.searchsorted(np.sort(x), td, side="left")).astype(np.float64)
+    y_d = at_risk(arm, td).astype(np.float64)
     km = np.concatenate(([1.0], np.cumprod(1.0 - d / y_d)))
     s = km[np.searchsorted(td, te, side="left" if s_convention == "left" else "right")]
     theta = float(np.sum((tau - te) * s * dr))

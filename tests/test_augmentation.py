@@ -224,3 +224,21 @@ def test_adjusted_se_is_exact_for_a_nearly_collinear_covariate(rng):
         aug = augmented_contrast(study)
         assert aug.adjusted.se == pytest.approx(_exact_adjusted_se(study, psis), rel=1e-6)
         assert 0 < aug.adjusted.se < 1e-6 * aug.unadjusted.se
+
+
+def test_augmentation_weights_is_finite_when_beta_is(rng):
+    # at tau 1e300 with covariates of order 1e10, C'psi and so gamma
+    # overflow, but beta, about psi / W, is far inside the float range
+    study = random_study(rng, tau=1e300, n=30, n_cov=2)
+    arms = [make_arm(arm.arm, [(*row[:5], tuple(1e10 * w for w in row[5]))
+                               for row in subject_rows(arm)]) for arm in study.arms()]
+    study = StudyDataset(*arms, tau=study.tau, covariate_names=study.covariate_names)
+    psi1, psi2 = (influence_values(arm, study.tau) for arm in study.arms())
+    with np.errstate(over="ignore"):
+        summary = augmentation_weights(study, psi1, psi2)
+        aug = augmented_contrast(study)
+    assert np.isfinite(summary.beta_hat).all()
+    assert summary.beta_hat.tobytes() == aug.summary.beta_hat.tobytes()
+    # scaling psi by a power of two scales beta exactly
+    small = augmentation_weights(study, np.ldexp(psi1, -900), np.ldexp(psi2, -900))
+    assert summary.beta_hat.tobytes() == np.ldexp(small.beta_hat, 900).tobytes()

@@ -200,7 +200,12 @@ def test_compare_empty_flag_under_ratio_exits_4(runner, toy_csv, flag):
     (["estimate", "-", "--tau", "1", "--format", "xml"], "Invalid value for '--format'"),
     (["compare", "-", "--tau", "1", "--bogus"], "No such option"),
     (["curves", "-"], "Missing option '--tau'"),
-], ids=["bad float", "bad choice", "unknown option", "missing option"])
+    (["compare", "-", "--tau", "1", "--weights", "1:2"],
+     "bad weight entry '1:2'; expected type=weight"),
+    (["compare", "-", "--tau", "1", "--weights", "x=1"], "bad weight entry 'x=1'"),
+    (["compare", "-", "--tau", "1", "--weights", "1=y"], "bad weight entry '1=y'"),
+], ids=["bad float", "bad choice", "unknown option", "missing option",
+        "weight entry without =", "weight entry with a bad type", "weight entry with a bad weight"])
 def test_flag_errors_exit_4_with_a_record(runner, args, message):
     result = runner.invoke(main, args, input=TOY_CSV)
     assert result.exit_code == 4 and result.stdout == ""
@@ -265,6 +270,20 @@ def test_simulate_smoke_and_determinism(runner, tmp_path):
     assert report["rows"][0]["replicates"] == 2
     assert report["provenance"]["config_sha256"]
     assert report["provenance"]["stream_version"] == 2
+
+
+def test_simulate_seed_flag_is_the_config_seed(runner, tmp_path):
+    fields = {"kind": "icr", "n_per_arm": 20, "replicates": 2, "tau": 1.0}
+    reports = []
+    for name, config, flags in (("flag", fields, ["--seed", "11"]),
+                                ("config", dict(fields, seed=11), [])):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, ["simulate", str(cfg), "--truth", "0", *flags])
+        assert result.exit_code == 0, result.stderr
+        reports.append(_strict_json(result.stdout))
+        del reports[-1]["provenance"]["config_sha256"]
+    assert reports[0] == reports[1] and reports[0]["provenance"]["seed"] == 11
 
 
 def test_simulate_unknown_kind_config_error(runner, tmp_path):
@@ -434,6 +453,40 @@ def test_non_utf8_input_exits_2(runner, tmp_path, command):
     err = json.loads(result.stderr)["error"]
     assert err == {"code": 2, "type": "ValidationError",
                    "message": "input is not UTF-8: byte 0xff at offset 19"}
+
+
+@pytest.mark.parametrize("header,name", [
+    ("id,time,status,arm,w1,w1", "w1"), ("id,time,status,arm,time", "time"),
+])
+@pytest.mark.parametrize("command", ["estimate", "compare"])
+def test_repeated_header_name_exits_2(runner, tmp_path, command, header, name):
+    # a second time column must not silently replace the follow-up times
+    path = tmp_path / "twice.csv"
+    extra = ",2" * (header.count(",") - 3)
+    path.write_text(header + "\n" + "".join(f"{row}{extra}\n" for row in (
+        "a,1,1,1", "a,2,2,1", "b,0.5,1,2", "b,3,0,2")))
+    result = runner.invoke(main, [command, str(path), "--tau", "1"])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert json.loads(result.stderr) == {"error": {
+        "code": 2, "type": "ValidationError",
+        "message": f"CSV header repeats the column name {name!r}"}}
+
+
+def test_paths_read_as_utf8_under_an_ascii_locale(tmp_path):
+    # the library opens a path as UTF-8, as the CLI decodes its input,
+    # whatever encoding the locale prefers (ASCII for C on Linux)
+    path = tmp_path / "utf8.csv"
+    path.write_bytes("id,time,status,arm\n\u00e9,1,0,1\nb,1,0,2\n".encode())
+    env = dict(os.environ, PYTHONPATH=str(Path(aumcf.__file__).parents[1]),
+               LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env.pop("PYTHONIOENCODING", None)
+    code = ("import aumcf; print(ascii("
+            f"aumcf.read_study_csv({str(path)!r}, 1.0).arm1.subject_ids.tolist()))")
+    lib = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert lib.returncode == 0 and lib.stdout == "['\\xe9']\n", lib.stderr
+    cli = subprocess.run([sys.executable, "-m", "aumcf.cli", "estimate", str(path), "--tau", "1"],
+                         capture_output=True, text=True, env=env)
+    assert cli.returncode == 0 and cli.stderr == ""
 
 
 def _zero_reps_result(runner, tmp_path, config, flags):

@@ -18,7 +18,7 @@ from aumcf import (
 )
 from aumcf import core
 
-from conftest import TIE_GRID, make_arm, random_study, subject_rows, tied_arms
+from conftest import TIE_GRID, at_risk, make_arm, random_study, subject_rows, tied_arms
 
 
 def _csv(*rows):
@@ -70,8 +70,8 @@ def test_at_risk_closed_inequality():
         ("a", 2.0, False),
         ("b", 4.0, True),
     ])
-    assert arm.at_risk(np.array([2.0]))[0] == 2  # X >= t counts
-    assert arm.at_risk(np.array([2.0 + 1e-12]))[0] == 1
+    assert at_risk(arm, np.array([2.0]))[0] == 2  # X >= t counts
+    assert at_risk(arm, np.array([2.0 + 1e-12]))[0] == 1
 
 
 @pytest.mark.parametrize("max_x,tau,ok", [(12.0, 12.0, True), (10.0, 12.0, False)])
@@ -531,10 +531,6 @@ _ROWS = "a,1.0,1,1,2,0.5\na,2.0,0,1,,0.5\n"
     pytest.param(_H + _ROWS + "b" * 131073 + ",1,0,2,,0.5\n", False,
                  id="field over the csv limit"),
     (_H + _ROWS + "b,1,0,2,,0.5", True),
-    # the first time column is shadowed by the second, so never read
-    ("id,time,status,arm,time,w1\na,x,1,1,1.0,0.5\na,,0,1,2.0,0.5\n", True),
-    ("id,time,status,arm,w1,w1\n" + _ROWS + "b,1,0,2,3,4\n", True),
-    ("id,id,time,status,arm,w1\n" + _ROWS + "b,1,0,2,9,0.5\n", False),
     ("time,id,status,arm\n1,a,0,1\n", False),
     (_H, False),
     ("", False),
@@ -543,6 +539,18 @@ def test_edge_cases_read_as_csv_reader(text, in_c):
     fast, slow, took_c = _read_both_ways(text)
     assert fast == slow
     assert took_c == in_c
+
+
+@pytest.mark.parametrize("text,name", [
+    ("id,time,status,arm,time,w1\na,x,1,1,1.0,0.5\na,,0,1,2.0,0.5\n", "time"),
+    ("id,time,status,arm,w1,w1\n" + _ROWS + "b,1,0,2,3,4\n", "w1"),
+    ("id,id,time,status,arm,w1\n" + _ROWS + "b,1,0,2,9,0.5\n", "id"),
+])
+def test_repeated_header_name_is_an_error_on_both_paths(text, name):
+    # the header is parsed once, before either path reads a row
+    fast, slow, in_c = _read_both_ways(text)
+    assert fast == slow == (ValidationError, f"CSV header repeats the column name {name!r}")
+    assert not in_c
 
 
 def _plain_study_csv(rng, n=1500):
