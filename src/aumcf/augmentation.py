@@ -29,12 +29,10 @@ class SingularCovariateError(ValidationError):
 
 @dataclass(frozen=True)
 class CovariateSummary:
-    """Augmentation weight computation: arm means, the covariate-influence
-    covariance gamma, and beta."""
+    """Augmentation weight computation: the arms' covariate means and beta."""
 
     mean1: np.ndarray
     mean2: np.ndarray
-    gamma_hat: np.ndarray
     beta_hat: np.ndarray
 
 
@@ -72,10 +70,10 @@ def augmentation_weights(
     centered covariates.
 
     ``psi1`` and ``psi2`` are the arms' influence values on the contrast's
-    working scale, and gamma and beta are on that scale too. They are
-    formed from psi scaled by one power of two and scaled back, which is
-    exact: they are finite whenever they are representable, though the
-    sums on psi itself may overflow. A singular system raises
+    working scale, and beta is on that scale too. It is solved from psi
+    scaled by one power of two and scaled back, which is exact: it is
+    finite whenever it is representable, though the sums on psi itself
+    may overflow. A singular system raises
     :class:`SingularCovariateError` naming the offending directions.
     """
     p = study.arm1.covariate_dim
@@ -112,10 +110,7 @@ def augmentation_weights(
             f"dominated by: {sorted(set(directions))}"
         )
     beta = np.linalg.solve(sigma_w, gamma)
-    return CovariateSummary(
-        mean1=means[0], mean2=means[1],
-        gamma_hat=np.ldexp(gamma, e), beta_hat=np.ldexp(beta, e),
-    )
+    return CovariateSummary(mean1=means[0], mean2=means[1], beta_hat=np.ldexp(beta, e))
 
 
 def _scale_exponent(*psis: np.ndarray) -> int:

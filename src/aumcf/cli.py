@@ -106,15 +106,16 @@ def _read_input_bytes(path: str) -> bytes:
 
 def _read_csv_input(path: str) -> tuple[io.TextIOWrapper, str]:
     """The input as a text stream, read as ``read_arms_csv(path)`` reads a
-    file, and its SHA-256."""
+    file, and the SHA-256 of its bytes."""
     raw = _read_input_bytes(path)
     try:
+        # not utf-8-sig, so that the offset counts a byte-order mark
         raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(
             f"input is not UTF-8: byte 0x{raw[exc.start]:02x} at offset {exc.start}"
         ) from exc
-    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
     return text, hashlib.sha256(raw).hexdigest()
 
 

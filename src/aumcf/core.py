@@ -334,10 +334,8 @@ def _read_columns(fh) -> tuple[tuple, tuple[str, ...]]:
         width = len(header)
         ids: list[str] = []
         parts: list[list[np.ndarray]] = [[] for _ in fields]
-        # with the ids in the first column, leading plain chunks are parsed
-        # in C; csv.reader goes on from the first chunk that is not plain
-        # (nothing is left of fh when every chunk was plain)
-        rest = _read_plain_chunks(fh, fields, width, ids, parts) if col["id"] == 0 else []
+        # nothing is left of fh when every chunk was plain
+        rest = _read_plain_chunks(fh, fields, width, col["id"], ids, parts)
         if rest:
             line0 = reader.line_num + len(ids)
             reader = csv.reader(itertools.chain(rest, fh))
@@ -368,14 +366,14 @@ def _read_columns(fh) -> tuple[tuple, tuple[str, ...]]:
     return (ids, arrays[-2], status, arm, event_type, covariates), cov_names
 
 
-def _read_plain_chunks(fh, fields, width, ids, parts) -> list[str]:
-    """Append the ids and field arrays of ``fh``'s leading plain chunks to
-    ``ids`` and ``parts``; return the lines of the first chunk that is not
-    plain, or ``[]`` at the end of the stream."""
+def _read_plain_chunks(fh, fields, width, id_column, ids, parts) -> list[str]:
+    """Append the ids (column ``id_column``) and field arrays of ``fh``'s
+    leading plain chunks to ``ids`` and ``parts``; return the lines of the
+    first chunk that is not plain, or ``[]`` at the end of the stream."""
     # one table field per column, so that loadtxt checks every row's width;
-    # the id column is never read
+    # the ids are read as str objects
     kinds = {k: np.float64 if convert is _floats else np.int64 for _, k, convert in fields}
-    dtype = np.dtype([(f"c{k}", kinds.get(k, "U1")) for k in range(width)])
+    dtype = np.dtype([(f"c{k}", kinds.get(k, object)) for k in range(width)])
     names = [f"c{k}" for _, k, _ in fields]
     # an empty event_type is 0; loadtxt rejects a label outside int64
     converters = {k: _EventTypeLabels().__getitem__
@@ -386,7 +384,7 @@ def _read_plain_chunks(fh, fields, width, ids, parts) -> list[str]:
             return lines
         for part, name in zip(parts, names):
             part.append(table[name])
-        ids.extend([line.partition(",")[0] for line in lines])
+        ids.extend(table[f"c{id_column}"].tolist())
     return []
 
 
@@ -404,20 +402,22 @@ def _parse_plain(lines, dtype, converters, status) -> Optional[np.ndarray]:
     """The chunk as one ``np.loadtxt`` table with a row per line, or None
     when the chunk is not plain.
 
-    Plain lines hold no quote, NUL or CR other than in a CRLF line end;
-    none is blank or longer than the csv module's field limit; each has as
-    many fields as ``dtype``; every field parses without a warning; and
-    every ``status`` field is 0, 1 or 2. ``csv.reader`` splits such lines
-    at the commas alone, and ``loadtxt`` reads their numbers as Python's
+    Plain lines hold no NUL and no CR other than in a CRLF line end; none
+    is blank or longer than the csv module's field limit, and the last
+    does not end inside a quoted field; each has as many fields as
+    ``dtype``; every field parses without a warning; and every ``status``
+    field is 0, 1 or 2. ``loadtxt`` splits such lines, quoted fields
+    included, as ``csv.reader`` does, and reads their numbers as Python's
     ``int`` and ``float`` do. It rejects some that those take (``1_000``,
     non-ASCII digits): such a chunk is not plain.
     """
     text = "".join(lines)
-    if '"' in text or "\0" in text:
-        return None
-    if "\r" in text and text.count("\r") != text.count("\r\n"):
-        return None
-    if max(map(len, lines)) > csv.field_size_limit():
+    # loadtxt closes a quoted field still open at the end of the chunk,
+    # while csv.reader carries it on into the next; the rules before that
+    # one keep csv.reader from raising on the chunk's last line
+    if ("\0" in text or text.count("\r") != text.count("\r\n")
+            or max(map(len, lines)) > csv.field_size_limit()
+            or any("\n" in f or "\r" in f for f in next(csv.reader(lines[-1:])))):
         return None
     try:
         with warnings.catch_warnings():
@@ -425,7 +425,7 @@ def _parse_plain(lines, dtype, converters, status) -> Optional[np.ndarray]:
             warnings.simplefilter("error")
             table = np.loadtxt(
                 lines, delimiter=",", dtype=dtype, converters=converters,
-                comments=None, quotechar=None, ndmin=1,
+                comments=None, quotechar='"', ndmin=1,
             )
     except (ValueError, OverflowError, Warning):
         return None
@@ -464,12 +464,13 @@ def _raise_first_bad_row(rows, fields, width, last_line):
 
 def read_arms_csv(source) -> tuple[dict[int, ArmDataset], tuple[str, ...]]:
     """Read per-arm datasets (one or both arms) from a CSV path, read as
-    UTF-8, or a text file object, plus the covariate column names."""
+    UTF-8 with any leading byte-order mark dropped, or a text file object,
+    plus the covariate column names."""
     # the reader's chunk arrays are freed before the rows are grouped
     if hasattr(source, "read"):
         columns, cov_names = _read_columns(source)
     else:
-        with open(source, newline="", encoding="utf-8") as fh:
+        with open(source, newline="", encoding="utf-8-sig") as fh:
             columns, cov_names = _read_columns(fh)
     return _arms_from_rows(*columns), cov_names
 

@@ -259,7 +259,7 @@ def _contrast(
             empty = np.empty(0)
             return AugmentedResult(
                 adjusted=unadjusted, unadjusted=unadjusted,
-                summary=CovariateSummary(empty, empty, empty, empty),
+                summary=CovariateSummary(empty, empty, empty),
                 covariate_names=study.covariate_names, relative_efficiency=1.0,
             )
         summary = augmentation_weights(study, psi1, psi2)

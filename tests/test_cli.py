@@ -455,6 +455,30 @@ def test_non_utf8_input_exits_2(runner, tmp_path, command):
                    "message": "input is not UTF-8: byte 0xff at offset 19"}
 
 
+def test_byte_order_mark_is_dropped(runner, tmp_path):
+    # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(TOY_CSV)
+    bom.write_bytes(b"\xef\xbb\xbf" + TOY_CSV.encode())
+    assert aumcf.read_study_csv(str(bom), 12.0) == aumcf.read_study_csv(str(plain), 12.0)
+    results = [runner.invoke(main, ["compare", str(p), "--tau", "12"]) for p in (plain, bom)]
+    assert [r.exit_code for r in results] == [0, 0]
+    reports = [json.loads(r.stdout) for r in results]
+    # the hash is that of the bytes as given, the mark included
+    digests = [report["provenance"].pop("input_sha256") for report in reports]
+    assert digests[0] != digests[1]
+    assert reports[0] == reports[1]
+
+
+def test_bad_byte_after_a_byte_order_mark_names_its_file_offset(runner, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\xef\xbb\xbfab\xff")
+    result = runner.invoke(main, ["estimate", str(path), "--tau", "1"])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert json.loads(result.stderr)["error"]["message"] == (
+        "input is not UTF-8: byte 0xff at offset 5")
+
+
 @pytest.mark.parametrize("header,name", [
     ("id,time,status,arm,w1,w1", "w1"), ("id,time,status,arm,time", "time"),
 ])

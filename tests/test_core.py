@@ -325,7 +325,8 @@ def _long_format(draw, lineterminator="\r\n"):
     typed = draw(st.booleans())
     rows = []
     for arm in (1, 2):
-        ids = draw(st.lists(st.text("ab\0é ", min_size=1, max_size=3),
+        # csv.writer quotes an id that holds '"' or ','
+        ids = draw(st.lists(st.text('ab\0é ",', min_size=1, max_size=3),
                             min_size=1, max_size=6, unique=True))
         for sid in ids:
             x = draw(st.sampled_from(TIE_GRID))
@@ -521,17 +522,30 @@ _ROWS = "a,1.0,1,1,2,0.5\na,2.0,0,1,,0.5\n"
     (_H + _ROWS + "b,1,0,2,,0.5,9\n", False),
     (_H + _ROWS + "\nb,1,0,2,,0.5\n", False),
     (_H + _ROWS + " \nb,1,0,2,,0.5\n", False),
-    (_H + _ROWS + '"b",1,0,2,,0.5\n', False),
+    (_H + _ROWS + '"b",1,0,2,,0.5\n', True),
+    (_H + _ROWS + '"a""b",1,0,2,,0.5\n', True),
+    (_H + _ROWS + '"b,c",1,0,2,,0.5\n', True),
+    (_H + _ROWS + 'b,"1.5",0,2,,"1.5"\n', True),
+    (_H + _ROWS + 'b,1,"0",2,,0.5\n', True),
+    (_H + _ROWS + 'b,1,"3",2,,0.5\n', False),
+    (_H + _ROWS + 'b,1,1,2,"",0.5\n', True),
+    (_H + _ROWS + '"b\nc",1,0,2,,0.5\n', False),
+    # R's write.csv quotes the header and every string field
+    ('"id","time","status","arm","event_type","w1"\n"a",1,1,1,2,0.5\n'
+     '"a",2,0,1,,0.5\n"b",1,0,2,,0.5\n', True),
     ((_H + _ROWS).replace("\n", "\r\n"), True),
     (_H + _ROWS.replace("\n", "\r\n") + "b,1,0,2,,0.5\n", True),
     ((_H + _ROWS).replace("\n", "\r"), False),
     ((_H + _ROWS).replace("\n", "\r\r\n"), False),
     ((_H + _ROWS + "\nb,1,0,2,,0.5\n").replace("\n", "\r\n"), False),
     (_H + _ROWS + "b,1\r,0,2,,0.5\n", False),
+    # csv.reader rejects a bare CR, so it must not reach the quote check
+    (_H + _ROWS + "\nb,1,0,2,,0.5\rc,1,0,2,,0.5\n", False),
     pytest.param(_H + _ROWS + "b" * 131073 + ",1,0,2,,0.5\n", False,
                  id="field over the csv limit"),
     (_H + _ROWS + "b,1,0,2,,0.5", True),
-    ("time,id,status,arm\n1,a,0,1\n", False),
+    ("time,id,status,arm\n1,a,0,1\n", True),
+    ("time,status,arm,id\n1,0,1,a\n1,0,2,\"b\"\n", True),
     (_H, False),
     ("", False),
 ])
@@ -582,7 +596,7 @@ def test_plain_csv_rows_never_reach_csv_reader(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("edit,error", [
-    # a quoted id: csv.reader reads it as the bare id, with no error
+    # a quoted id: read in C as the bare id, with no switch and no error
     (lambda row: '"' + row.replace(",", '",', 1), None),
     (lambda row: row.split(",", 1)[0] + ",abc," + row.split(",", 2)[2],
      "line 5001: bad time 'abc'"),
@@ -610,6 +624,18 @@ def test_late_switch_to_csv_reader(rng, edit, error):
         assert fast == _read(text)
     else:
         assert fast[0] is ValidationError and fast[1].startswith(error)
+
+
+def test_quoted_field_open_at_a_chunk_end(rng):
+    # the last line of the first chunk opens a quoted field that the next
+    # line closes: loadtxt would close it at the chunk's end
+    text = _plain_study_csv(rng)
+    lines = text.split("\n")
+    head, last = lines[core._CHUNK_ROWS].rsplit(",", 1)
+    lines[core._CHUNK_ROWS] = f'{head},"{last}\n"'
+    fast, slow, _ = _read_both_ways("\n".join(lines))
+    # csv.reader reads the covariate with its line break, float() without
+    assert fast == slow == _read(text)
 
 
 def test_public_api_is_pinned():
