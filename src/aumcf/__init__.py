@@ -18,26 +18,24 @@ from .estimation import (
     area_under_step,
     aumcf,
     fit_arm,
+    fit_influence,
+    influence_values,
     km_survival,
     mcf,
     rmst,
     time_lost_per_subject,
 )
 from .inference import (
+    AugmentedResult,
     ContrastResult,
     RatioUndefinedError,
+    SingularCovariateError,
     arm_variance,
+    augmentation_weights,
     augmented_contrast,
     contrast_difference,
     contrast_ratio,
-    fit_influence,
-    influence_values,
     weighted_contrast,
-)
-from .augmentation import (
-    AugmentedResult,
-    SingularCovariateError,
-    augmentation_weights,
 )
 from .simulation import (
     OperatingCharacteristics,

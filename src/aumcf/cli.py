@@ -22,7 +22,6 @@ import sys
 import click
 import numpy as np
 
-from .augmentation import SingularCovariateError
 from .core import (
     ArmDataset,
     StudyDataset,
@@ -32,14 +31,14 @@ from .core import (
     read_arms_csv,
     read_study_csv,
 )
-from .estimation import S_CONVENTIONS, fit_arm, km_survival, mcf
+from .estimation import S_CONVENTIONS, fit_arm, fit_influence, km_survival, mcf
 from .inference import (
     RatioUndefinedError,
+    SingularCovariateError,
     _check_weights,
     _contrast,
     _standard_errors,
     _z,
-    fit_influence,
 )
 from .simulation import STREAM_VERSION, ScenarioConfig, run_operating_characteristics
 from . import __version__
@@ -233,7 +232,11 @@ def _comma_list(text: str, empty: str) -> list[str]:
 def _parse_covariates(ctx, param, text: str | None) -> tuple[str, ...] | None:
     if text is None:
         return None
-    return tuple(name.strip() for name in _comma_list(text, "empty covariate list"))
+    names = tuple(name.strip() for name in _comma_list(text, "empty covariate list"))
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ConfigError(f"--covariates repeats the name {name!r}")
+    return names
 
 
 def _parse_weights(ctx, param, text: str | None) -> dict[int, float] | None:
@@ -245,9 +248,12 @@ def _parse_weights(ctx, param, text: str | None) -> dict[int, float] | None:
             raise ConfigError(f"bad weight entry {part!r}; expected type=weight")
         key, _, val = part.partition("=")
         try:
-            weights[int(key.strip())] = w = float(val)
+            k, w = int(key.strip()), float(val)
         except ValueError as exc:
             raise ConfigError(f"bad weight entry {part!r}") from exc
+        if k in weights:
+            raise ConfigError(f"--weights repeats the event type {k}")
+        weights[k] = w
         # each entry checked as it is read, by the rule the contrasts apply
         try:
             _check_weights([w])

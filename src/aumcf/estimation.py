@@ -1,13 +1,18 @@
 """Step-function estimators: Kaplan-Meier survival of the terminal event,
 the mean cumulative function (MCF), and the area under the MCF (AUMCF) on
-[0, tau], with the one arm fit (``ArmFit``) that the AUMCF, its influence
-values, its bootstrap resamples and the MCF are sums over.
+[0, tau], with the one arm fit (``ArmFit``) that every sum over an arm's
+jumps reads: the AUMCF, its bootstrap resamples, the MCF and the
+per-subject influence values.
 
 All integrals are exact sums over jump points; there is no quadrature grid.
 The MCF integrand uses the left limit of the Kaplan-Meier curve by default
 so an event simultaneous with a death is not discounted by that death; pass
 ``s_convention="right"`` for a sensitivity check with the right-continuous
-curve.
+curve. The influence value of a subject combines two martingale integrals:
+the event-process residual weighted by (tau - u) S_D(u) / (Ybar/n), minus
+the terminal-event residual weighted by the tail integral
+B(u) = sum over v in (u, tau] of (tau - v) dm(v). Influence values are
+plain arrays in the arm's subject order.
 """
 
 from __future__ import annotations
@@ -86,9 +91,13 @@ class ArmFit:
     two binary searches; ``deaths_before``, whose k-th entry counts the
     death jumps with ``at_td < k`` for k = 0..n (entry k + 1: the death
     times at or before the k-th follow-up time); and ``km_at``, the index
-    of each ``s`` into the Kaplan-Meier curve with 1 prepended. The other
-    positions are counted, not searched for (td < te exactly when
-    at_td < at_te), so they are the integers a search would give.
+    of each ``s`` into the Kaplan-Meier curve with 1 prepended.
+
+    Every other position, here and in ``fit_influence``, is counted from
+    ``at_te`` and ``at_td``, not searched for: a jump time is at or before
+    the k-th follow-up time exactly when its risk set starts at or before
+    position k, and td < te exactly when at_td < at_te. So the counts are
+    the integers a search would give.
     """
 
     arm: ArmDataset
@@ -185,6 +194,43 @@ def fit_arm(
                   death_rows, death_first, at_te, at_td, deaths_before, km_at)
 
 
+def fit_influence(fit: ArmFit) -> np.ndarray:
+    """Per-subject influence values of the AUMCF from one arm fit, in the
+    arm's subject order; they sum to zero up to floating-point error.
+
+    psi_i = sum over event jumps u of w(u) dM_i(u), with w(u) = (tau - u)
+    S_D(u) n / Y(u), minus the sum over death jumps v of B(v) n / Y(v)
+    dM^D_i(v), where dM_i and dM^D_i are subject i's event and terminal
+    residuals (observed jump minus the compensator dR or dLambda = d / Y
+    while at risk) and B(v) = theta minus the AUMCF mass at jumps <= v.
+    The compensators and B are prefix sums over the jumps at or before a
+    time, indexed by counted positions (see ``ArmFit``).
+    """
+    arm, tau, n = fit.arm, fit.tau, fit.arm.n
+    order = arm._follow_up_order
+    te = fit.te
+    # events_before[k + 1]: event jumps at or before the k-th follow-up time
+    events_before = _counts_below(fit.at_te, n)
+
+    w_e = (tau - te) * fit.s * (n / fit.y_e)
+    # the counted events come in runs, one per event jump, and each takes
+    # its jump's weight times its own mass; likewise the deaths in
+    # follow-up order
+    obs_event = np.bincount(fit.owners, weights=np.repeat(w_e, fit.e) * fit.mass, minlength=n)
+
+    # the other terms are per subject in follow-up order
+    comp_event = _prefix_sums(w_e * fit.dr)[events_before[1:]]
+    b = fit.theta - _prefix_sums((tau - te) * fit.s * fit.dr)[events_before[fit.at_td + 1]]
+    w_d = b * (n / fit.y_d)
+    obs_death = np.zeros(n)
+    obs_death[fit.death_rows] = np.repeat(w_d, fit.d)
+    comp_death = _prefix_sums(w_d * (fit.d / fit.y_d))[fit.deaths_before[1:]]
+
+    psi = np.empty(n)
+    psi[order] = (obs_event[order] - comp_event) - (obs_death - comp_death)
+    return psi
+
+
 def km_survival(arm: ArmDataset) -> StepFunction:
     """Kaplan-Meier product-limit estimator of the terminal-event survival."""
     *_, d, td, at_td = _death_jumps(arm, np.inf)
@@ -205,6 +251,21 @@ def aumcf(
 ) -> float:
     """AUMCF point estimate: sum of (tau - u) * S_D * dR over jumps u <= tau."""
     return fit_arm(arm, tau, s_convention, weights).theta
+
+
+def influence_values(
+    arm: ArmDataset,
+    tau: float,
+    s_convention: str = "left",
+    weights: dict[int, float] | None = None,
+) -> np.ndarray:
+    """Estimated per-subject influence values for the arm AUMCF at tau.
+
+    With ``weights`` given, each event counts with the weight of its type
+    (shared survival curve and risk sets), as in the weighted multi-type
+    contrast.
+    """
+    return fit_influence(fit_arm(arm, tau, s_convention, weights))
 
 
 def area_under_step(f: StepFunction, tau: float) -> float:
@@ -269,6 +330,12 @@ def _counts_below(at: np.ndarray, n: int) -> np.ndarray:
     c = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(at, minlength=n), out=c[1:])
     return c
+
+
+def _prefix_sums(mass: np.ndarray) -> np.ndarray:
+    """0, then the running totals of ``mass``: entry j is the mass of the
+    first j knots."""
+    return np.concatenate(([0.0], np.cumsum(mass)))
 
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,16 +1,17 @@
-"""Influence-function variance estimation and the two-sample contrasts.
-
-The per-subject influence value combines two martingale integrals: the
-event-process residual weighted by (tau - u) S_D(u) / (Ybar/n), minus the
-terminal-event residual weighted by the tail integral
-B(u) = sum over v in (u, tau] of (tau - v) dm(v).
-Influence values are plain arrays in the arm's subject order. The arm
-variance is the sample mean of their squares; the two-sample standard
-error follows from independence of arms.
+"""The two-sample contrasts and their influence-function Wald inference.
 
 Every contrast (difference or ratio, with or without event-type weights,
 with or without covariate augmentation) is one pipeline, ``_contrast``;
-the public contrast functions are one call into it each.
+the public contrast functions are one call into it each. The arm variance
+is the sample mean of the squared influence values; the two-sample
+standard error follows from independence of arms.
+
+Covariate augmentation shifts a contrast on its working scale by
+beta' (Wbar1 - Wbar2), with beta chosen to minimize the asymptotic
+variance: the solution of the pooled covariate-covariance system against
+the covariate/influence covariances. Under randomization the shift has
+mean zero, so the point estimate stays consistent while the variance can
+only shrink.
 """
 
 from __future__ import annotations
@@ -21,13 +22,16 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .augmentation import AugmentedResult, CovariateSummary, _scale_exponent, augmentation_weights
-from .core import ArmDataset, StudyDataset, ValidationError
-from .estimation import ArmFit, _counts_below, fit_arm
+from .core import StudyDataset, ValidationError
+from .estimation import fit_arm, fit_influence
 
 
 class RatioUndefinedError(ValueError):
     """Raised when a ratio contrast is requested with a nonpositive AUMCF."""
+
+
+class SingularCovariateError(ValidationError):
+    """Raised when the pooled covariate covariance is numerically singular."""
 
 
 @dataclass(frozen=True)
@@ -67,65 +71,39 @@ class ContrastResult:
         return [getattr(self, f) for f in self.CSV_FIELDS]
 
 
-def fit_influence(fit: ArmFit) -> np.ndarray:
-    """Per-subject influence values of the AUMCF from one arm fit, in the
-    arm's subject order; they sum to zero up to floating-point error.
+@dataclass(frozen=True)
+class CovariateSummary:
+    """Augmentation weight computation: the arms' covariate means and beta."""
 
-    psi_i = sum over event jumps u of w(u) dM_i(u), with w(u) = (tau - u)
-    S_D(u) n / Y(u), minus the sum over death jumps v of B(v) n / Y(v)
-    dM^D_i(v), where dM_i and dM^D_i are subject i's event and terminal
-    residuals (observed jump minus the compensator dR or dLambda = d / Y
-    while at risk) and B(v) = theta minus the AUMCF mass at jumps <= v.
+    mean1: np.ndarray
+    mean2: np.ndarray
+    beta_hat: np.ndarray
 
-    The compensators and B are prefix sums over the jumps at or before a
-    time, counted from the risk-set positions rather than searched for:
-    te <= x[k] exactly when at_te <= k (likewise for td), so the sums are
-    indexed by the integers a search would give.
+
+@dataclass(frozen=True)
+class AugmentedResult:
+    """Adjusted and unadjusted contrasts plus the augmentation diagnostics.
+
+    ``relative_efficiency`` is (se_unadjusted / se_adjusted)^2 on the
+    working scale (the log scale for a ratio).
     """
-    arm, tau, n = fit.arm, fit.tau, fit.arm.n
-    order = arm._follow_up_order
-    te = fit.te
-    # events_before[k + 1]: event jumps at or before the k-th follow-up time
-    events_before = _counts_below(fit.at_te, n)
 
-    w_e = (tau - te) * fit.s * (n / fit.y_e)
-    # the counted events come in runs, one per event jump, and each takes
-    # its jump's weight times its own mass; likewise the deaths in
-    # follow-up order
-    obs_event = np.bincount(fit.owners, weights=np.repeat(w_e, fit.e) * fit.mass, minlength=n)
+    adjusted: ContrastResult
+    unadjusted: ContrastResult
+    summary: CovariateSummary
+    covariate_names: tuple[str, ...]
+    relative_efficiency: float
 
-    # the other terms are per subject in follow-up order
-    comp_event = _prefix_sums(w_e * fit.dr)[events_before[1:]]
-    b = fit.theta - _prefix_sums((tau - te) * fit.s * fit.dr)[events_before[fit.at_td + 1]]
-    w_d = b * (n / fit.y_d)
-    obs_death = np.zeros(n)
-    obs_death[fit.death_rows] = np.repeat(w_d, fit.d)
-    comp_death = _prefix_sums(w_d * (fit.d / fit.y_d))[fit.deaths_before[1:]]
-
-    psi = np.empty(n)
-    psi[order] = (obs_event[order] - comp_event) - (obs_death - comp_death)
-    return psi
-
-
-def _prefix_sums(mass: np.ndarray) -> np.ndarray:
-    """0, then the running totals of ``mass``: entry j is the mass of the
-    first j knots."""
-    return np.concatenate(([0.0], np.cumsum(mass)))
-
-
-def influence_values(
-    arm: ArmDataset,
-    tau: float,
-    s_convention: str = "left",
-    weights: dict[int, float] | None = None,
-) -> np.ndarray:
-    """Estimated per-subject influence values for the arm AUMCF at tau.
-
-    With ``weights`` given, each event counts with the weight of its type
-    (shared survival curve and risk sets), as in the weighted multi-type
-    contrast.
-    """
-    return fit_influence(fit_arm(arm, tau, s_convention, weights))
+    def to_dict(self) -> dict:
+        return {
+            "adjusted": self.adjusted.to_dict(),
+            "unadjusted": self.unadjusted.to_dict(),
+            "beta_hat": self.summary.beta_hat.tolist(),
+            "covariate_names": list(self.covariate_names),
+            # null when the adjusted se is 0, which ``adjusted.degenerate`` flags
+            "relative_efficiency": (self.relative_efficiency
+                                    if math.isfinite(self.relative_efficiency) else None),
+        }
 
 
 def arm_variance(psi: np.ndarray) -> float:
@@ -141,6 +119,62 @@ def _standard_errors(*arms: tuple[np.ndarray, int]) -> list[float]:
     e = _scale_exponent(*(psi for psi, _ in arms))
     v = [arm_variance(np.ldexp(psi, -e)) / n for psi, n in arms]
     return [math.ldexp(math.sqrt(x), e) for x in (*v, sum(v))]
+
+
+def _scale_exponent(*psis: np.ndarray) -> int:
+    """The e with max |psi| in [2**(e-1), 2**e): psi * 2**-e squares finitely."""
+    return math.frexp(max(float(np.abs(psi).max()) for psi in psis))[1]
+
+
+def augmentation_weights(
+    study: StudyDataset, psi1: np.ndarray, psi2: np.ndarray
+) -> CovariateSummary:
+    """Optimal augmentation weight beta solving Sigma_W beta = gamma, with
+    gamma = sum over arms j of (n / n_j^2) C_j' psi_j and C_j the arm's
+    centered covariates.
+
+    ``psi1`` and ``psi2`` are the arms' influence values on the contrast's
+    working scale, and beta is on that scale too. It is solved from psi
+    scaled by one power of two and scaled back, which is exact: it is
+    finite whenever it is representable, though the sums on psi itself
+    may overflow. A singular system raises
+    :class:`SingularCovariateError` naming the offending directions.
+    """
+    p = study.arm1.covariate_dim
+    if p < 1:
+        raise ValidationError("augmentation requires at least one covariate")
+    n = study.n
+    gamma = np.zeros(p)
+    sigma_w = np.zeros((p, p))
+    means = []
+    e = _scale_exponent(psi1, psi2)
+    for arm, psi in zip(study.arms(), (psi1, psi2)):
+        if arm.n < p + 1:
+            raise ValidationError(
+                f"arm {arm.arm}: need at least p+1={p + 1} subjects for augmentation"
+            )
+        w = arm.covariates
+        wbar = w.mean(axis=0)
+        means.append(wbar)
+        centered = w - wbar
+        scale = n / arm.n**2
+        gamma += scale * centered.T @ np.ldexp(psi, -e)
+        sigma_w += scale * centered.T @ centered
+    sigma_w = 0.5 * (sigma_w + sigma_w.T)
+    eigvals, eigvecs = np.linalg.eigh(sigma_w)
+    if eigvals[-1] <= 0 or eigvals[0] <= 1e-10 * eigvals[-1]:
+        bad = eigvals <= 1e-10 * max(eigvals[-1], 0.0)
+        names = study.covariate_names or tuple(f"w{k + 1}" for k in range(p))
+        directions = []
+        for vec in eigvecs[:, bad].T:
+            k = int(np.argmax(np.abs(vec)))
+            directions.append(names[k])
+        raise SingularCovariateError(
+            "covariate covariance is numerically singular along direction(s) "
+            f"dominated by: {sorted(set(directions))}"
+        )
+    beta = np.linalg.solve(sigma_w, gamma)
+    return CovariateSummary(mean1=means[0], mean2=means[1], beta_hat=np.ldexp(beta, e))
 
 
 def wald_pvalue(point: float, se: float) -> float:

@@ -439,6 +439,8 @@ def survival_bias_sensitivity(
     grid is applied to ``modified_arm`` (default arm 1, so the reported
     difference is positive when that arm's mortality is reduced).
     """
+    if not (isinstance(modified_arm, numbers.Integral) and modified_arm in (1, 2)):
+        raise ValidationError(f"modified_arm must be 1 or 2, got {modified_arm!r}")
     out = []
     for rate in death_rates:
         rates = list(config.lambda_death)

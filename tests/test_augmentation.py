@@ -12,8 +12,9 @@ from aumcf import (
     augmentation_weights,
     augmented_contrast,
     contrast_difference,
+    influence_values,
 )
-from aumcf.inference import _contrast, influence_values
+from aumcf.inference import _contrast
 
 from conftest import (
     dense_influence, make_arm, near_collinear_study, per_type_sum, random_arm, random_study,

@@ -204,8 +204,15 @@ def test_compare_empty_flag_under_ratio_exits_4(runner, toy_csv, flag):
      "bad weight entry '1:2'; expected type=weight"),
     (["compare", "-", "--tau", "1", "--weights", "x=1"], "bad weight entry 'x=1'"),
     (["compare", "-", "--tau", "1", "--weights", "1=y"], "bad weight entry '1=y'"),
+    # not the last weight winning silently
+    (["compare", "-", "--tau", "1", "--weights", "0=1,0=5"], "--weights repeats the event type 0"),
+    (["compare", "-", "--tau", "1", "--weights", "01=1,1=2"], "--weights repeats the event type 1"),
+    # not a singular covariate covariance (exit 3)
+    (["compare", "-", "--tau", "1", "--covariates", "w1, w1"],
+     "--covariates repeats the name 'w1'"),
 ], ids=["bad float", "bad choice", "unknown option", "missing option",
-        "weight entry without =", "weight entry with a bad type", "weight entry with a bad weight"])
+        "weight entry without =", "weight entry with a bad type", "weight entry with a bad weight",
+        "repeated event type", "repeated event type after int()", "repeated covariate"])
 def test_flag_errors_exit_4_with_a_record(runner, args, message):
     result = runner.invoke(main, args, input=TOY_CSV)
     assert result.exit_code == 4 and result.stdout == ""
@@ -467,6 +474,21 @@ def test_byte_order_mark_is_dropped(runner, tmp_path):
     # the hash is that of the bytes as given, the mark included
     digests = [report["provenance"].pop("input_sha256") for report in reports]
     assert digests[0] != digests[1]
+    assert reports[0] == reports[1]
+
+
+def test_r_quoted_csv_reads_as_the_plain_file(runner, tmp_path):
+    # R's write.csv quotes the header and every id
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    plain.write_text(TOY_CSV)
+    header, *rows = TOY_CSV.splitlines()
+    quoted.write_text("\n".join([",".join(f'"{name}"' for name in header.split(",")),
+                                 *('"{}",{}'.format(*row.split(",", 1)) for row in rows)]) + "\n")
+    results = [runner.invoke(main, ["compare", str(p), "--tau", "12"]) for p in (plain, quoted)]
+    assert [r.exit_code for r in results] == [0, 0]
+    reports = [json.loads(r.stdout) for r in results]
+    for report in reports:
+        del report["provenance"]["input_sha256"]
     assert reports[0] == reports[1]
 
 

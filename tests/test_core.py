@@ -657,3 +657,22 @@ def test_public_api_is_pinned():
     ])
     for name in aumcf.__all__:
         assert getattr(aumcf, name) is not None
+
+
+def test_fit_and_contrast_modules_share_only_public_names():
+    # estimation owns the sums over an arm fit, inference the contrasts:
+    # inference reads a fit through two public names, and nothing else
+    # crosses between them
+    import ast
+    import importlib.util
+
+    import aumcf
+
+    def imported(module, source):
+        tree = ast.parse(open(getattr(aumcf, module).__file__).read())
+        return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == source for alias in node.names}
+
+    assert imported("inference", "estimation") == {"fit_arm", "fit_influence"}
+    assert imported("estimation", "inference") == set()
+    assert importlib.util.find_spec("aumcf.augmentation") is None

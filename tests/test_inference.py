@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from aumcf import (
     RatioUndefinedError,
@@ -260,7 +261,11 @@ def _assert_weighted_is_per_type_sum(study, weights, s_convention):
         fit = fit_arm(arm, study.tau, s_convention, weights)
         theta, psi = per_type_sum(arm, study.tau, s_convention, weights)
         assert abs(fit.theta - theta) <= 1e-12 * abs(theta)
-        scale = np.max(np.abs(psi), initial=0.0)
+        # round-off scales with the summands w_k psi_k, not with their sum,
+        # which may cancel to round-off itself
+        scale = sum(w * np.max(np.abs(fit_influence(fit_arm(arm, study.tau, s_convention,
+                                                            {k: 1.0}))), initial=0.0)
+                    for k, w in weights.items())
         assert np.max(np.abs(fit_influence(fit) - psi), initial=0.0) <= 1e-12 * scale
         estimates.append((theta, psi))
     res = weighted_contrast(study, weights, s_convention=s_convention)
@@ -280,13 +285,54 @@ def test_weighted_fit_is_the_per_type_sum(rng, s_convention):
         _assert_weighted_is_per_type_sum(_with_death_type(study), _DEATH_WEIGHTS, s_convention)
 
 
+# four events at time 0 with the same weighted mass, 2, for each of three
+# subjects: the weighted influence values are exactly 0, while the per-type
+# sum 1 psi_0 + 2 psi_1 cancels to round-off
+_TIED_WEIGHTS = {0: 1.0, 1: 2.0, 2: 0.5}
+_EQUAL_MASS_ARM = make_arm(2, [("s0", 0.0, False, (0.0,), (1,)),
+                               ("s1", 0.0, False, (0.0, 0.0), (0, 0)),
+                               ("s2", 0.0, False, (0.0,), (1,))])
+
+
+def _exact_influence_without_deaths(arm, tau, weights):
+    """psi_i = sum over event jumps u <= tau of (tau - u) n / Y(u) times
+    subject i's residual dN_i(u) - [x_i >= u] dR(u), in exact rationals:
+    with no deaths S_D is 1 and the terminal term vanishes."""
+    assert not arm.terminal.any()
+    tau, n = Fraction(tau), arm.n
+    events = [(Fraction(t), int(i), Fraction(weights.get(int(k), 0))) for t, i, k
+              in zip(arm.event_times, arm.event_subjects, arm.event_type_labels)]
+    psi = [Fraction(0)] * n
+    for u in sorted({t for t, _, w in events if t <= tau and w}):
+        at_risk = [Fraction(x) >= u for x in arm.follow_up]
+        mass = [Fraction(0)] * n
+        for t, i, w in events:
+            if t == u:
+                mass[i] += w
+        y = sum(at_risk)
+        for i in range(n):
+            psi[i] += (tau - u) * n / y * (mass[i] - at_risk[i] * sum(mass) / y)
+    return psi
+
+
+@pytest.mark.parametrize("s_convention", ["left", "right"])
+def test_weighted_influence_is_exact_where_the_per_type_sum_cancels(s_convention):
+    arm, tau = _EQUAL_MASS_ARM, 0.25
+    assert _exact_influence_without_deaths(arm, tau, _TIED_WEIGHTS) == [0, 0, 0]
+    psi = fit_influence(fit_arm(arm, tau, s_convention, _TIED_WEIGHTS))
+    assert psi.tolist() == [0.0, 0.0, 0.0]
+    _, summed = per_type_sum(arm, tau, s_convention, _TIED_WEIGHTS)
+    assert 0 < np.max(np.abs(summed)) < 1e-15
+
+
 @settings(max_examples=100, deadline=None)
 @given(arm1=tied_arms(arm=1), arm2=tied_arms(arm=2))
+@example(arm1=make_arm(1, [("s0", 1.0, True, (0.5,), (0,))]), arm2=_EQUAL_MASS_ARM)
 def test_weighted_fit_is_the_per_type_sum_on_tied_grids(arm1, arm2):
-    weights = {0: 1.0, 1: 2.0, 2: 0.5}
     for tau in (0.25, 1.0, 1.75, 3.0):
         for s_convention in ("left", "right"):
-            _assert_weighted_is_per_type_sum(StudyDataset(arm1, arm2, tau), weights, s_convention)
+            _assert_weighted_is_per_type_sum(StudyDataset(arm1, arm2, tau), _TIED_WEIGHTS,
+                                             s_convention)
 
 
 @pytest.mark.parametrize("s_convention", ["left", "right"])

@@ -361,6 +361,14 @@ def test_sensitivity_null_endpoint():
     assert abs(r.bias) < 4 * r.mcse_bias + 0.02
 
 
+@pytest.mark.parametrize("arm", [0, 3, 1.0, "1"])
+def test_sensitivity_rejects_an_arm_other_than_1_or_2(arm):
+    # arm 0 would index arm 2's rate from the end of the list
+    cfg = ScenarioConfig(tau=1.0, n_per_arm=10, replicates=2, seed=16)
+    with pytest.raises(ValidationError, match="modified_arm must be 1 or 2"):
+        survival_bias_sensitivity(cfg, (0.2,), modified_arm=arm)
+
+
 def test_bootstrap_deterministic_and_degenerate():
     cfg = ScenarioConfig(n_per_arm=40, seed=18)
     study = generate_dataset(cfg, 0)
