@@ -190,12 +190,11 @@ def _csv_cell(v) -> str:
 def _subset_covariates(study: StudyDataset, names: tuple[str, ...]) -> StudyDataset:
     """The study with only the covariate columns ``names``, in that order;
     the arms' other columns are shared, not checked and sorted again."""
-    try:
-        idx = [study.covariate_names.index(n) for n in names]
-    except ValueError as exc:
-        raise ConfigError(
-            f"unknown covariate column; available: {list(study.covariate_names)}"
-        ) from exc
+    unknown = [n for n in names if n not in study.covariate_names]
+    if unknown:
+        raise ConfigError(f"unknown covariate columns {unknown}; "
+                          f"available: {list(study.covariate_names)}")
+    idx = [study.covariate_names.index(n) for n in names]
     arms = []
     for arm in study.arms():
         sub = copy.copy(arm)

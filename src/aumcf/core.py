@@ -41,6 +41,23 @@ _COLUMNS = (
 )
 
 
+# the arm's follow-up order and jump index, built once from the columns
+_INDEX = (
+    "_follow_up_order", "_sorted_follow_up",
+    "_event_first", "_e", "_te", "_at_te",
+    "_death_rows", "_death_first", "_d", "_td", "_at_td", "_km",
+)
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the first element and length of each run of equal values
+    in a sorted array."""
+    edge = np.ones(values.size + 1, dtype=bool)
+    edge[1:-1] = values[1:] != values[:-1]
+    bounds = edge.nonzero()[0]
+    return bounds[:-1], bounds[1:] - bounds[:-1]
+
+
 class ArmDataset:
     """All subjects of one treatment arm, held as read-only numpy columns.
 
@@ -52,6 +69,17 @@ class ArmDataset:
     with subject order. ``_follow_up_order`` lists the subjects by
     follow-up time, ties in subject order, and ``_sorted_follow_up`` is
     ``follow_up`` in that order.
+
+    Beside them, the arm's jump index over all time, which a fit on
+    [0, tau] reads a prefix of. Event jumps: the first event of each run of
+    tied event times ``_event_first``, the run lengths ``_e``, the distinct
+    event times ``_te`` and the follow-up positions ``_at_te`` where their
+    risk sets start. Death jumps: the follow-up positions of the deaths
+    ``_death_rows``, the first death of each run of tied ones
+    ``_death_first``, the run lengths ``_d``, the distinct death times
+    ``_td`` and their risk-set starts ``_at_td``. ``_km`` is the
+    Kaplan-Meier survival after each death jump, with 1 prepended. Every
+    column and index array is read-only.
     """
 
     def __init__(
@@ -116,9 +144,19 @@ class ArmDataset:
         # the subjects in follow-up order, ties in subject order: fits,
         # influence values and the bootstrap read the arm through it
         self._follow_up_order = np.argsort(follow_up, kind="stable")
-        self._sorted_follow_up = follow_up[self._follow_up_order]
-        for name in (*_COLUMNS, "_follow_up_order", "_sorted_follow_up"):
-            getattr(self, name).flags.writeable = False
+        self._sorted_follow_up = x = follow_up[self._follow_up_order]
+        self._event_first, self._e = _runs(self.event_times)
+        self._te = self.event_times[self._event_first]
+        self._at_te = x.searchsorted(self._te, side="left")
+        self._death_rows = terminal[self._follow_up_order].nonzero()[0]
+        death_times = x[self._death_rows]
+        self._death_first, self._d = _runs(death_times)
+        self._td = death_times[self._death_first]
+        self._at_td = x.searchsorted(self._td, side="left")
+        self._km = np.ones(self._d.size + 1)
+        np.cumprod(1.0 - self._d / (n - self._at_td), out=self._km[1:])
+        for name in (*_COLUMNS, *_INDEX):
+            getattr(self, name).setflags(write=False)
 
     def _events_by_subject(self) -> tuple[np.ndarray, np.ndarray]:
         """Event rows grouped by subject, each group in time order, and the
@@ -415,7 +453,7 @@ def _parse_plain(lines, dtype, converters, status) -> Optional[np.ndarray]:
     # loadtxt closes a quoted field still open at the end of the chunk,
     # while csv.reader carries it on into the next; the rules before that
     # one keep csv.reader from raising on the chunk's last line
-    if ("\0" in text or text.count("\r") != text.count("\r\n")
+    if ("\0" in text or ("\r" in text and text.count("\r") != text.count("\r\n"))
             or max(map(len, lines)) > csv.field_size_limit()
             or any("\n" in f or "\r" in f for f in next(csv.reader(lines[-1:])))):
         return None

@@ -87,11 +87,18 @@ class ArmFit:
     events in time order and ``event_first``, the first event of each jump;
     ``death_rows``, the follow-up positions of the counted deaths, and
     ``death_first``, the first of each jump; ``at_te`` and ``at_td``, where
-    the risk sets start in follow-up order (``y = n - at``), the fit's only
-    two binary searches; ``deaths_before``, whose k-th entry counts the
-    death jumps with ``at_td < k`` for k = 0..n (entry k + 1: the death
-    times at or before the k-th follow-up time); and ``km_at``, the index
-    of each ``s`` into the Kaplan-Meier curve with 1 prepended.
+    the risk sets start in follow-up order (``y = n - at``);
+    ``deaths_before``, whose k-th entry counts the death jumps with
+    ``at_td < k`` for k = 0..n (entry k + 1: the death times at or before
+    the k-th follow-up time); and ``km_at``, the index of each ``s`` into
+    the arm's Kaplan-Meier curve with 1 prepended.
+
+    The jumps on [0, tau] are a prefix of the arm's jump index (see
+    ``ArmDataset``), and the arrays taken from it are read-only views of
+    it: every death array but ``y_d`` and ``deaths_before``, and with no
+    ``weights`` ``te``, ``e``, ``event_first``, ``at_te`` and ``owners``.
+    With ``weights`` the event arrays are the prefix less its events of
+    weight 0 and the jumps they leave empty.
 
     Every other position, here and in ``fit_influence``, is counted from
     ``at_te`` and ``at_td``, not searched for: a jump time is at or before
@@ -167,7 +174,8 @@ def fit_arm(
 
     Each event carries rate mass 1, or with ``weights`` the weight of its
     type (0 for a type not in the map, so ``{k: 1.0}`` fits type k alone);
-    the survival curve and the risk sets are the arm's own.
+    the survival curve and the risk sets are the arm's own. The jumps are
+    read from the prefix of the arm's jump index up to tau.
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
@@ -175,12 +183,30 @@ def fit_arm(
         raise ValueError(f"s_convention must be one of {S_CONVENTIONS}")
     if weights is not None:
         weights = dict(weights)  # the fit's own copy of the map it was fitted with
-    times, owners, mass = _events(arm, tau, weights)
-    event_first, e = _runs(times)
-    te = times[event_first]
-    at_te = np.searchsorted(arm._sorted_follow_up, te, side="left")
+    # the jumps up to tau are a prefix of the arm's index
+    k = arm._te.searchsorted(tau, side="right")
+    te, e, event_first, at_te = arm._te[:k], arm._e[:k], arm._event_first[:k], arm._at_te[:k]
+    m = arm._event_first[k] if k < arm._te.size else arm.event_times.size
+    owners = arm.event_subjects[:m]
+    if weights is None:
+        mass = np.ones(m)
+    else:
+        # each event weighs its type's entry, 0 for a type not in the map;
+        # events of weight 0 are dropped, and so are jumps left empty
+        labels, mass = arm.event_type_labels[:m], np.zeros(m)
+        for label, v in weights.items():
+            mass[labels == label] = v
+        keep = mass != 0
+        owners, mass = owners[keep], mass[keep]
+        e = np.add.reduceat(keep, event_first, dtype=e.dtype)
+        kept = e != 0
+        e, te, at_te = e[kept], te[kept], at_te[kept]
+        event_first = np.cumsum(e) - e
     y_e = (arm.n - at_te).astype(np.float64)
-    death_rows, death_first, d, td, at_td = _death_jumps(arm, tau)
+    j = arm._td.searchsorted(tau, side="right")
+    td, d, death_first, at_td = arm._td[:j], arm._d[:j], arm._death_first[:j], arm._at_td[:j]
+    death_rows = arm._death_rows[:arm._death_first[j] if j < arm._td.size
+                                 else arm._death_rows.size]
     y_d = (arm.n - at_td).astype(np.float64)
     deaths_before = _counts_below(at_td, arm.n)
     # the left limit counts the deaths before te, the right one adds a
@@ -188,7 +214,7 @@ def fit_arm(
     km_at = deaths_before[at_te]
     if s_convention == "right":
         km_at = km_at + (np.append(td, np.inf)[km_at] == te)
-    s = np.concatenate(([1.0], np.cumprod(1.0 - d / y_d)))[km_at]
+    s = arm._km[km_at]
     dr = np.add.reduceat(mass, event_first) / y_e
     return ArmFit(arm, tau, weights, te, e, y_e, dr, s, td, d, y_d, owners, mass, event_first,
                   death_rows, death_first, at_te, at_td, deaths_before, km_at)
@@ -204,9 +230,12 @@ def fit_influence(fit: ArmFit) -> np.ndarray:
     residuals (observed jump minus the compensator dR or dLambda = d / Y
     while at risk) and B(v) = theta minus the AUMCF mass at jumps <= v.
     The compensators and B are prefix sums over the jumps at or before a
-    time, indexed by counted positions (see ``ArmFit``).
+    time, indexed by counted positions (see ``ArmFit``). Raises
+    ``ValueError`` for a fit with tau inf, where theta and B are infinite.
     """
     arm, tau, n = fit.arm, fit.tau, fit.arm.n
+    if tau == np.inf:
+        raise ValueError("influence values need a finite tau")
     order = arm._follow_up_order
     te = fit.te
     # events_before[k + 1]: event jumps at or before the k-th follow-up time
@@ -233,8 +262,7 @@ def fit_influence(fit: ArmFit) -> np.ndarray:
 
 def km_survival(arm: ArmDataset) -> StepFunction:
     """Kaplan-Meier product-limit estimator of the terminal-event survival."""
-    *_, d, td, at_td = _death_jumps(arm, np.inf)
-    return StepFunction(td, np.cumprod(1.0 - d / (arm.n - at_td)), 1.0)
+    return StepFunction(arm._td, arm._km[1:], 1.0)
 
 
 def mcf(arm: ArmDataset, s_convention: str = "left") -> StepFunction:
@@ -295,35 +323,6 @@ def time_lost_per_subject(arm: ArmDataset, tau: float) -> np.ndarray:
                        minlength=arm.n)
 
 
-def _events(arm: ArmDataset, tau: float, weights: dict[int, float] | None = None):
-    """Times, owning subjects and weights of the events at or before tau,
-    in time order: each event weighs the ``weights`` entry of its type, 0
-    for a type not in the map, and events of weight 0 are dropped. With no
-    map every event weighs 1."""
-    m = np.searchsorted(arm.event_times, tau, side="right")
-    times, owners = arm.event_times[:m], arm.event_subjects[:m]
-    if weights is None:
-        return times, owners, np.ones(m)
-    labels, w = arm.event_type_labels[:m], np.zeros(m)
-    for k, v in weights.items():
-        w[labels == k] = v
-    keep = w != 0
-    return times[keep], owners[keep], w[keep]
-
-
-def _death_jumps(arm: ArmDataset, tau: float):
-    """The deaths at or before tau: their positions in follow-up order, the
-    first death of each run of tied ones, the run lengths (the death
-    counts), the distinct death times and the follow-up positions where
-    their risk sets start."""
-    x = arm._sorted_follow_up
-    m = np.searchsorted(x, tau, side="right")
-    rows = np.flatnonzero(arm.terminal[arm._follow_up_order[:m]])
-    first, d = _runs(x[rows])
-    td = x[rows[first]]
-    return rows, first, d, td, np.searchsorted(x, td, side="left")
-
-
 def _counts_below(at: np.ndarray, n: int) -> np.ndarray:
     """c[k] = the number of entries of ``at`` below k, for k = 0..n, where
     ``at`` holds follow-up positions in [0, n)."""
@@ -336,12 +335,3 @@ def _prefix_sums(mass: np.ndarray) -> np.ndarray:
     """0, then the running totals of ``mass``: entry j is the mass of the
     first j knots."""
     return np.concatenate(([0.0], np.cumsum(mass)))
-
-
-def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the first element and length of each run of equal values
-    in a sorted array."""
-    edge = np.ones(values.size + 1, dtype=bool)
-    edge[1:-1] = values[1:] != values[:-1]
-    bounds = np.flatnonzero(edge)
-    return bounds[:-1], bounds[1:] - bounds[:-1]

@@ -170,6 +170,18 @@ def test_compare_unknown_covariate_config_error(runner, toy_csv):
     assert result.exit_code == 4
 
 
+def test_compare_unknown_covariates_are_all_named(runner, tmp_path, rng):
+    path = tmp_path / "cov.csv"
+    with open(path, "w") as fh:
+        write_records_csv(random_study(rng, n=5, n_cov=1), fh)
+    result = runner.invoke(main, ["compare", str(path), "--tau", "1",
+                                  "--covariates", "nope,w1,zz"])
+    assert result.exit_code == 4 and result.stdout == ""
+    assert json.loads(result.stderr) == {"error": {
+        "code": 4, "type": "ConfigError",
+        "message": "unknown covariate columns ['nope', 'zz']; available: ['w1']"}}
+
+
 @pytest.mark.parametrize("spec", [",", " , ,", ""])
 def test_compare_empty_covariate_list_exits_4(runner, toy_csv, spec):
     result = runner.invoke(main, ["compare", toy_csv, "--tau", "12", "--covariates", spec])

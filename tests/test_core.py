@@ -408,6 +408,23 @@ def test_follow_up_order_is_stable_and_read_only(arm):
     assert not order.flags.writeable and not x.flags.writeable
 
 
+@settings(max_examples=100, deadline=None)
+@given(arm=tied_arms(), seed=st.integers(0, 2**32 - 1))
+def test_jump_index_is_read_only_and_independent_of_event_order(arm, seed):
+    for name in core._INDEX:
+        assert not getattr(arm, name).flags.writeable, name
+    # the same events given in another order index to the same bytes
+    perm = np.random.default_rng(seed).permutation(arm.event_times.size)
+    shuffled = ArmDataset(arm.arm, arm.subject_ids, arm.follow_up, arm.terminal,
+                          arm.covariates, arm.event_times[perm], arm.event_subjects[perm],
+                          arm.event_type_labels[perm])
+    # labels may trade places among events tied in time and subject; the
+    # index does not read them
+    for name in ("event_times", "event_subjects", *core._INDEX):
+        got, want = getattr(shuffled, name), getattr(arm, name)
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+
+
 def test_subject_history_validation():
     ok = _TWO_SUBJECTS
     for bad in (np.nan, np.inf, -1.0):

@@ -3,13 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aumcf import (
     StepFunction,
     area_under_step,
     aumcf,
     fit_arm,
+    fit_influence,
+    influence_values,
     km_survival,
     mcf,
     rmst,
@@ -18,7 +20,7 @@ from aumcf import (
 
 from aumcf.estimation import _counts_below
 
-from conftest import make_arm, random_arm, reference_fit, tied_arms
+from conftest import event_weights, make_arm, random_arm, reference_fit, tied_arms
 
 
 def test_step_function_evaluation():
@@ -246,11 +248,37 @@ def test_km_monotone_and_bounded(rng):
         assert np.all((vals >= 0) & (vals <= 1))
 
 
+def _jump_oracle(arm, tau, s_convention, weights):
+    """The event and death arrays and the survival of a fit on [0, tau],
+    from scratch: the counted events by a mask over the columns, the deaths
+    by a fresh sort of the follow-up times, jumps by ``np.unique``, the
+    first of each jump and the risk sets by searches, and the Kaplan-Meier
+    product over the deaths up to tau."""
+    w = event_weights(arm, weights)
+    keep = (arm.event_times <= tau) & (w != 0)
+    times = arm.event_times[keep]
+    te, e = np.unique(times, return_counts=True)
+    order = np.argsort(arm.follow_up, kind="stable")
+    x = arm.follow_up[order]
+    death_rows = np.flatnonzero(arm.terminal[order] & (x <= tau))
+    td, d = np.unique(x[death_rows], return_counts=True)
+    y_d = (arm.n - np.searchsorted(x, td, side="left")).astype(np.float64)
+    km = np.concatenate(([1.0], np.cumprod(1.0 - d / y_d)))
+    return dict(te=te, e=e, event_first=np.searchsorted(times, te, side="left"),
+                owners=arm.event_subjects[keep], mass=w[keep], death_rows=death_rows,
+                death_first=np.searchsorted(x[death_rows], td, side="left"), d=d, td=td,
+                s=km[np.searchsorted(td, te, side=s_convention)])
+
+
+# a jump at 1.0 holds only events of type 1, so {0: 1.0} empties it
+@example(arm=make_arm(1, [("a", 2.0, True, (0.5, 1.0), (0, 1)),
+                          ("b", 1.0, True, (1.0,), (1,)), ("c", 1.5, False)]))
 @settings(max_examples=150, deadline=None)
 @given(arm=tied_arms())
 def test_fit_positions_are_the_searches_they_count(arm):
     # every position a fit counts, byte for byte against the search it
-    # replaces; tau inf is the fit behind mcf
+    # replaces, and every jump array it reads from the arm's index against
+    # one built from scratch; tau inf is the fit behind mcf
     x = arm._sorted_follow_up
     for tau in (0.25, 1.0, 1.75, 3.0, math.inf):
         for s_convention in ("left", "right"):
@@ -263,6 +291,7 @@ def test_fit_positions_are_the_searches_they_count(arm):
                     "km_at": np.searchsorted(td, te, side=s_convention),
                     "deaths_before": np.concatenate(
                         ([0], np.searchsorted(td, x, side="right"))),
+                    **_jump_oracle(arm, tau, s_convention, weights),
                 }
                 for name, ref in want.items():
                     got = getattr(fit, name)
@@ -274,3 +303,17 @@ def test_fit_positions_are_the_searches_they_count(arm):
                                  (events_before[fit.at_td + 1],
                                   np.searchsorted(te, td, side="right"))):
                     assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes())
+
+
+def test_influence_at_tau_inf_raises_without_warning():
+    # theta is infinite at tau inf, and so would be B = theta - inf
+    arm = make_arm(1, [("a", 2.0, True, (0.5,)), ("b", 3.0, False, (1.0, 2.5))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: influence_values(arm, math.inf),
+                     lambda: fit_influence(fit_arm(arm, math.inf, "right"))):
+            with pytest.raises(ValueError, match="finite tau"):
+                call()
+        # the point estimate and the MCF still fit at tau inf
+        assert aumcf(arm, math.inf) == math.inf
+        assert mcf(arm)(3.0) == 0.5 + 0.5 + 0.5 * 1.0
