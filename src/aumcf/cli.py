@@ -10,7 +10,6 @@ degeneracy, 4 config error (a flag that click cannot parse included).
 from __future__ import annotations
 
 import contextlib
-import copy
 import dataclasses
 import functools
 import hashlib
@@ -35,10 +34,10 @@ from .estimation import S_CONVENTIONS, fit_arm, fit_influence, km_survival, mcf
 from .inference import (
     RatioUndefinedError,
     SingularCovariateError,
-    _check_weights,
-    _contrast,
-    _standard_errors,
-    _z,
+    check_weights,
+    contrast,
+    standard_errors,
+    wald_z,
 )
 from .simulation import STREAM_VERSION, ScenarioConfig, run_operating_characteristics
 from . import __version__
@@ -159,6 +158,11 @@ def _emit(text: str, out: str | None) -> None:
         click.echo(text, nl=False)
 
 
+# the columns of a contrast's CSV report, after ``method`` when augmented
+_CONTRAST_COLUMNS = (
+    "kind", "tau", "theta1", "se1", "theta2", "se2", "point", "se",
+    "ci_lower", "ci_upper", "p_value", "n1", "n2", "alpha",
+)
 _NON_FINITE = "report has a non-finite statistic (overflow or degenerate input)"
 
 
@@ -169,7 +173,7 @@ def _json_report(payload: dict) -> str:
         raise ArithmeticError(_NON_FINITE) from exc
 
 
-def _csv_report(provenance: dict, header: list[str], rows: list[list]) -> str:
+def _csv_report(provenance: dict, header, rows) -> str:
     buf = io.StringIO()
     for key in sorted(provenance):
         buf.write(f"# {key}={provenance[key]}\n")
@@ -187,23 +191,6 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _subset_covariates(study: StudyDataset, names: tuple[str, ...]) -> StudyDataset:
-    """The study with only the covariate columns ``names``, in that order;
-    the arms' other columns are shared, not checked and sorted again."""
-    unknown = [n for n in names if n not in study.covariate_names]
-    if unknown:
-        raise ConfigError(f"unknown covariate columns {unknown}; "
-                          f"available: {list(study.covariate_names)}")
-    idx = [study.covariate_names.index(n) for n in names]
-    arms = []
-    for arm in study.arms():
-        sub = copy.copy(arm)
-        sub.covariates = np.ascontiguousarray(arm.covariates[:, idx])
-        sub.covariates.flags.writeable = False
-        arms.append(sub)
-    return StudyDataset(arms[0], arms[1], study.tau, covariate_names=names)
-
-
 def _check_tau(ctx, param, tau: float) -> float:
     if not (tau > 0 and math.isfinite(tau)):
         raise ValidationError("tau must be positive and finite")
@@ -213,7 +200,7 @@ def _check_tau(ctx, param, tau: float) -> float:
 def _check_alpha(ctx, param, alpha: float) -> float:
     """``--alpha``, checked by the rule that the Wald z applies."""
     try:
-        _z(alpha)
+        wald_z(alpha)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
     return alpha
@@ -255,7 +242,7 @@ def _parse_weights(ctx, param, text: str | None) -> dict[int, float] | None:
         weights[k] = w
         # each entry checked as it is read, by the rule the contrasts apply
         try:
-            _check_weights([w])
+            check_weights([w])
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
     return weights
@@ -292,13 +279,13 @@ def main():
 @_flags(_INPUT, _TAU, _ALPHA, _STRICT_TAU, _S_CONVENTION, _FORMAT, _OUT)
 def estimate(input_path, tau, alpha, strict_tau, s_convention, fmt, out):
     """Per-arm AUMCF point estimates with influence-function CIs."""
-    z = _z(alpha)
+    z = wald_z(alpha)
     arm_data, digest = _load_arms(input_path, tau, strict_tau)
     arms = []
     for arm in arm_data:
         fit = fit_arm(arm, tau, s_convention)
         theta = fit.theta
-        se = _standard_errors((fit_influence(fit), arm.n))[0]
+        se = standard_errors((fit_influence(fit), arm.n))[0]
         arms.append({
             "arm": arm.arm,
             "n": arm.n,
@@ -319,34 +306,39 @@ def estimate(input_path, tau, alpha, strict_tau, s_convention, fmt, out):
 
 @main.command()
 @_flags(_INPUT, _TAU, _ALPHA)
-@click.option("--contrast", type=click.Choice(["diff", "ratio"]), default="diff",
+@click.option("--contrast", "kind", type=click.Choice(["diff", "ratio"]), default="diff",
               show_default=True)
 @click.option("--covariates", default=None, callback=_parse_covariates,
               help="Comma-separated covariate columns for augmentation.")
 @click.option("--weights", default=None, callback=_parse_weights,
               help="Event-type weights as type=w,... for a weighted contrast.")
 @_flags(_STRICT_TAU, _S_CONVENTION, _FORMAT, _OUT)
-def compare(input_path, tau, alpha, contrast, covariates, weights, strict_tau,
+def compare(input_path, tau, alpha, kind, covariates, weights, strict_tau,
             s_convention, fmt, out):
     """Two-sample AUMCF contrast (difference or ratio), optionally
     weighted across event types and covariate-adjusted, in any combination."""
     study, digest = _load_study(input_path, tau, strict_tau)
     prov = _provenance("compare", digest, tau=tau, alpha=alpha,
-                       s_convention=s_convention, contrast=contrast)
+                       s_convention=s_convention, contrast=kind)
     if covariates is not None:
-        study = _subset_covariates(study, covariates)
-    result = _contrast(study, alpha, s_convention, ratio=contrast == "ratio",
-                       weights=weights, augment=covariates is not None)
+        try:
+            study = study.select_covariates(covariates)
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
+    result = contrast(study, alpha, s_convention, ratio=kind == "ratio",
+                      weights=weights, augment=covariates is not None)
 
     if fmt == "json":
         body = result.to_dict() if covariates is not None else {"result": result.to_dict()}
         _emit(_json_report({"provenance": prov, **body}), out)
     elif covariates is None:
-        _emit(_csv_report(prov, list(result.CSV_FIELDS), [result.to_csv_row()]), out)
+        row = [getattr(result, c) for c in _CONTRAST_COLUMNS]
+        _emit(_csv_report(prov, _CONTRAST_COLUMNS, [row]), out)
     else:
-        rows = [[m] + getattr(result, m).to_csv_row() for m in ("unadjusted", "adjusted")]
+        rows = [[m, *(getattr(getattr(result, m), c) for c in _CONTRAST_COLUMNS)]
+                for m in ("unadjusted", "adjusted")]
         prov = dict(prov, relative_efficiency=result.relative_efficiency)
-        _emit(_csv_report(prov, ["method", *result.adjusted.CSV_FIELDS], rows), out)
+        _emit(_csv_report(prov, ("method", *_CONTRAST_COLUMNS), rows), out)
 
 
 @main.command()
@@ -423,8 +415,8 @@ def simulate(config_path, seed, reps, alpha, truth, jobs, fmt, out):
         payload.update(oc.to_dict())
         _emit(_json_report(payload), out)
     else:
-        header = list(oc.rows[0].CSV_FIELDS)
-        rows = [r.to_csv_row() for r in oc.rows]
+        header = [f.name for f in dataclasses.fields(oc.rows[0])]
+        rows = [dataclasses.astuple(r) for r in oc.rows]
         _emit(_csv_report(dict(prov, alpha=alpha), header, rows), out)
 
 

@@ -8,6 +8,7 @@ optional baseline covariate vector.
 
 from __future__ import annotations
 
+import copy
 import csv
 import itertools
 import sys
@@ -125,6 +126,11 @@ class ArmDataset:
                 f"subject {subject_ids[np.argmax(bad)]!r}: "
                 "follow-up must be finite and >= 0"
             )
+        bad = ~np.isfinite(covariates).all(axis=1)
+        if bad.any():
+            raise ValidationError(
+                f"subject {subject_ids[np.argmax(bad)]!r}: missing or non-finite covariate"
+            )
         outside = ~((event_times >= 0) & (event_times <= follow_up[event_subjects]))
         if outside.any():
             raise ValidationError(
@@ -204,6 +210,24 @@ class StudyDataset:
 
     def arms(self) -> tuple[ArmDataset, ArmDataset]:
         return (self.arm1, self.arm2)
+
+    def select_covariates(self, names: tuple[str, ...]) -> StudyDataset:
+        """The study with only the covariate columns ``names``, in that
+        order. The arms share their other columns and their jump index with
+        this study's, which are not checked and sorted again. Unknown names
+        raise :class:`ValidationError`, naming each of them."""
+        unknown = [n for n in names if n not in self.covariate_names]
+        if unknown:
+            raise ValidationError(f"unknown covariate columns {unknown}; "
+                                  f"available: {list(self.covariate_names)}")
+        idx = [self.covariate_names.index(n) for n in names]
+        arms = []
+        for arm in self.arms():
+            sub = copy.copy(arm)
+            sub.covariates = np.ascontiguousarray(arm.covariates[:, idx])
+            sub.covariates.flags.writeable = False
+            arms.append(sub)
+        return StudyDataset(arms[0], arms[1], self.tau, covariate_names=tuple(names))
 
 
 def _arms_from_rows(ids, time, status, arm, event_type, covariates):
@@ -516,7 +540,15 @@ def read_arms_csv(source) -> tuple[dict[int, ArmDataset], tuple[str, ...]]:
 def write_records_csv(study: StudyDataset, fh) -> None:
     """Write a study in the CSV interchange format: arm by arm, subject by
     subject, each subject's event rows in time order, then its censor or
-    death row."""
+    death row. An arm that repeats a subject id raises
+    :class:`ValidationError` before anything is written: the reader would
+    take its rows for one subject's."""
+    for arm in study.arms():
+        seen = set()
+        for sid in map(str, arm.subject_ids.tolist()):
+            if sid in seen:
+                raise ValidationError(f"arm {arm.arm}: subject id {sid!r} repeats")
+            seen.add(sid)
     cov_names = study.covariate_names or tuple(
         f"w{k + 1}" for k in range(study.arm1.covariate_dim)
     )

@@ -130,8 +130,13 @@ class ArmFit:
 
     @property
     def theta(self) -> float:
-        """The AUMCF point estimate: sum of (tau - u) * S_D * dR over jumps u."""
-        return float(np.sum((self.tau - self.te) * self.s * self.dr))
+        """The AUMCF point estimate: sum of (tau - u) * S_D * dR over jumps u.
+
+        A jump with S_D or dR 0 adds 0, even at tau inf."""
+        span = self.tau - self.te
+        if self.tau == np.inf:  # where (inf - u) * 0 would be NaN
+            span[(self.s == 0) | (self.dr == 0)] = 0.0
+        return float(np.sum(span * self.s * self.dr))
 
     def thetas(self, counts: np.ndarray) -> np.ndarray:
         """The AUMCF of resamples of the arm's subjects, one per row of a

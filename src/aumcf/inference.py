@@ -1,10 +1,11 @@
 """The two-sample contrasts and their influence-function Wald inference.
 
 Every contrast (difference or ratio, with or without event-type weights,
-with or without covariate augmentation) is one pipeline, ``_contrast``;
-the public contrast functions are one call into it each. The arm variance
-is the sample mean of the squared influence values; the two-sample
-standard error follows from independence of arms.
+with or without covariate augmentation) is one pipeline, ``contrast``,
+which the CLI and the Monte Carlo harness call; the four named contrasts
+are presets of it. The arm variance is the sample mean of the squared
+influence values; the two-sample standard error follows from
+independence of arms.
 
 Covariate augmentation shifts a contrast on its working scale by
 beta' (Wbar1 - Wbar2), with beta chosen to minimize the asymptotic
@@ -62,14 +63,6 @@ class ContrastResult:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    CSV_FIELDS = (
-        "kind", "tau", "theta1", "se1", "theta2", "se2", "point", "se",
-        "ci_lower", "ci_upper", "p_value", "n1", "n2", "alpha",
-    )
-
-    def to_csv_row(self) -> list:
-        return [getattr(self, f) for f in self.CSV_FIELDS]
-
 
 @dataclass(frozen=True)
 class CovariateSummary:
@@ -111,7 +104,7 @@ def arm_variance(psi: np.ndarray) -> float:
     return float(np.mean(psi**2))
 
 
-def _standard_errors(*arms: tuple[np.ndarray, int]) -> list[float]:
+def standard_errors(*arms: tuple[np.ndarray, int]) -> list[float]:
     """The SE sqrt(arm_variance(psi) / n) of each arm's ``(psi, n)``, then
     that of their difference. Every psi is scaled by one power of two
     before squaring and the SEs back after, which is exact: an SE is
@@ -195,14 +188,14 @@ def contrast_difference(
     study: StudyDataset, alpha: float = 0.05, s_convention: str = "left"
 ) -> ContrastResult:
     """Difference in AUMCFs with influence-function Wald inference."""
-    return _contrast(study, alpha, s_convention)
+    return contrast(study, alpha, s_convention)
 
 
 def contrast_ratio(
     study: StudyDataset, alpha: float = 0.05, s_convention: str = "left"
 ) -> ContrastResult:
     """Ratio of AUMCFs; delta-method inference on the log scale."""
-    return _contrast(study, alpha, s_convention, ratio=True)
+    return contrast(study, alpha, s_convention, ratio=True)
 
 
 def weighted_contrast(
@@ -218,7 +211,7 @@ def weighted_contrast(
     the weighted sums of the type-specific ones (a construction of this
     artifact, not a published variance formula).
     """
-    return _contrast(study, alpha, s_convention, weights=weights)
+    return contrast(study, alpha, s_convention, weights=weights)
 
 
 def augmented_contrast(
@@ -228,10 +221,10 @@ def augmented_contrast(
 
     With zero covariates the adjusted result equals the unadjusted one.
     """
-    return _contrast(study, alpha, s_convention, augment=True)
+    return contrast(study, alpha, s_convention, augment=True)
 
 
-def _contrast(
+def contrast(
     study: StudyDataset,
     alpha: float,
     s_convention: str,
@@ -240,7 +233,7 @@ def _contrast(
     weights: dict[int, float] | None = None,
     augment: bool = False,
 ) -> ContrastResult | AugmentedResult:
-    """The one contrast pipeline behind every public contrast and the CLI.
+    """The one contrast pipeline behind every preset and the CLI.
 
     1. One fit per arm; with ``weights``, an event of type k has mass w_k.
     2. Influence values on the working scale: psi for the difference,
@@ -258,17 +251,17 @@ def _contrast(
     statistic (Tian et al. 2012; Zhang et al. 2008).
     """
     if weights is not None:
-        _check_weights(weights.values())
+        check_weights(weights.values())
         labels = np.concatenate([arm.event_type_labels for arm in study.arms()])
         missing = sorted(set(labels.tolist()) - set(weights))
         if missing:
             raise ValidationError(f"no weight supplied for event type(s): {missing}")
-    z = _z(alpha)
+    z = wald_z(alpha)
     fits = [fit_arm(arm, study.tau, s_convention, weights) for arm in study.arms()]
     t1, t2 = (fit.theta for fit in fits)
     psi1, psi2 = (fit_influence(fit) for fit in fits)
     n1, n2 = study.arm1.n, study.arm2.n
-    se1, se2, se = _standard_errors((psi1, n1), (psi2, n2))
+    se1, se2, se = standard_errors((psi1, n1), (psi2, n2))
     common = dict(tau=study.tau, alpha=alpha, theta1=t1, se1=se1, theta2=t2, se2=se2,
                   n1=n1, n2=n2)
     point = t1 - t2
@@ -282,7 +275,7 @@ def _contrast(
         psi1, psi2 = psi1 / t1, psi2 / t2
     try:
         if ratio:
-            se = _standard_errors((psi1, n1), (psi2, n2))[2]
+            se = standard_errors((psi1, n1), (psi2, n2))[2]
             if t1 / t2 == 0.0:  # a log of -inf, as from weights of 1e-300 and 1e300
                 raise OverflowError("the ratio underflows to 0")
             point = math.log(t1 / t2)
@@ -302,7 +295,7 @@ def _contrast(
         # the adjusted SE: the residuals of the least-squares fit for beta
         adjusted = [(psi - (arm.covariates - mean) @ summary.beta_hat, arm.n) for arm, psi, mean
                     in zip(study.arms(), (psi1, psi2), (summary.mean1, summary.mean2))]
-        se_adj = _standard_errors(*adjusted)[2]
+        se_adj = standard_errors(*adjusted)[2]
         return AugmentedResult(
             adjusted=_wald_result(ratio, z, common, point, se_adj),
             unadjusted=unadjusted,
@@ -318,7 +311,7 @@ def _contrast(
         ) from exc
 
 
-def _check_weights(weights) -> None:
+def check_weights(weights) -> None:
     """Event-type weights (an iterable of them) must be positive and finite."""
     if not all(w > 0 and math.isfinite(w) for w in weights):
         raise ValidationError("event-type weights must be positive and finite")
@@ -346,7 +339,7 @@ def _wald_result(
     )
 
 
-def _z(alpha: float) -> float:
+def wald_z(alpha: float) -> float:
     """The two-sided normal quantile z_{1 - alpha/2} of a Wald interval."""
     if not 0 < alpha < 1 or 1.0 - alpha / 2.0 == 1.0:
         raise ValidationError(f"alpha must be in (2**-53, 1), got {alpha!r}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import ArmDataset, StudyDataset, ValidationError
 from .estimation import fit_arm
-from .inference import _contrast
+from .inference import contrast
 
 SCENARIO_KINDS = ("icr", "frailty", "time_varying")
 COVARIATE_MODES = ("none", "uninformative", "informative")
@@ -161,15 +161,6 @@ class MethodOperatingCharacteristics:
     mcse_bias: float
     mcse_rejection: float
     mcse_coverage: float
-
-    CSV_FIELDS = (
-        "method", "replicates", "true_value", "bias", "ese", "ase",
-        "rejection_rate", "coverage", "mcse_bias", "mcse_rejection",
-        "mcse_coverage",
-    )
-
-    def to_csv_row(self) -> list:
-        return [getattr(self, f) for f in self.CSV_FIELDS]
 
 
 @dataclass(frozen=True)
@@ -351,7 +342,7 @@ def true_value_oracle(config: ScenarioConfig) -> TrueValues:
 def _replicate_worker(args):
     config, rep, methods, alpha = args
     study = generate_dataset(config, rep)
-    res = _contrast(study, alpha, "left", augment="adjusted" in methods)
+    res = contrast(study, alpha, "left", augment="adjusted" in methods)
     by_method = ({"unadjusted": res.unadjusted, "adjusted": res.adjusted}
                  if "adjusted" in methods else {"unadjusted": res})
     return {m: (r.point, r.se, r.ci_lower, r.ci_upper, r.p_value)

@@ -14,7 +14,7 @@ from aumcf import (
     contrast_difference,
     influence_values,
 )
-from aumcf.inference import _contrast
+from aumcf.inference import contrast
 
 from conftest import (
     dense_influence, make_arm, near_collinear_study, per_type_sum, random_arm, random_study,
@@ -169,7 +169,7 @@ def test_augmented_ratio_is_least_squares_on_the_log_scale(rng, s_convention):
                 for arm, t in zip(study.arms(), thetas)]
         log_point, se_log, beta = _least_squares_augmentation(
             study, psis, math.log(thetas[0] / thetas[1]))
-        aug = _contrast(study, 0.05, s_convention, ratio=True, augment=True)
+        aug = contrast(study, 0.05, s_convention, ratio=True, augment=True)
         assert aug.adjusted.kind == aug.unadjusted.kind == "ratio"
         assert aug.summary.beta_hat == pytest.approx(beta, rel=1e-9, abs=1e-12)
         ratio = math.exp(log_point)
@@ -181,7 +181,7 @@ def test_augmented_ratio_is_least_squares_on_the_log_scale(rng, s_convention):
         # the relative efficiency is on the log scale
         se_unadjusted = aug.unadjusted.se / aug.unadjusted.point
         assert aug.relative_efficiency == pytest.approx((se_unadjusted / se_log) ** 2, rel=1e-9)
-        assert aug.unadjusted == _contrast(study, 0.05, s_convention, ratio=True)
+        assert aug.unadjusted == contrast(study, 0.05, s_convention, ratio=True)
 
 
 @pytest.mark.parametrize("s_convention", ["left", "right"])
@@ -191,12 +191,12 @@ def test_augmented_weighted_is_least_squares_on_the_weighted_influence(rng, s_co
         thetas, psis = zip(*(per_type_sum(arm, study.tau, s_convention, _WEIGHTS)
                              for arm in study.arms()))
         point, se, beta = _least_squares_augmentation(study, psis, thetas[0] - thetas[1])
-        aug = _contrast(study, 0.05, s_convention, weights=_WEIGHTS, augment=True)
+        aug = contrast(study, 0.05, s_convention, weights=_WEIGHTS, augment=True)
         assert aug.adjusted.kind == "difference"
         assert aug.summary.beta_hat == pytest.approx(beta, rel=1e-9, abs=1e-12)
         assert aug.adjusted.point == pytest.approx(point, rel=1e-9, abs=1e-12)
         assert aug.adjusted.se == pytest.approx(se, rel=1e-9)
-        assert aug.unadjusted == _contrast(study, 0.05, s_convention, weights=_WEIGHTS)
+        assert aug.unadjusted == contrast(study, 0.05, s_convention, weights=_WEIGHTS)
 
 
 def _exact_adjusted_se(study, psis):

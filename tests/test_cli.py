@@ -314,14 +314,47 @@ def test_simulate_unknown_kind_config_error(runner, tmp_path):
 
 def test_simulate_writes_out_file(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kind": "icr", "n_per_arm": 20,
-                               "replicates": 2, "seed": 7, "tau": 1.0}))
+    cfg.write_text(json.dumps({"kind": "icr", "covariate_mode": "uninformative",
+                               "n_per_arm": 20, "replicates": 2, "seed": 7, "tau": 1.0}))
     out = tmp_path / "oc.csv"
     result = runner.invoke(main, ["simulate", str(cfg), "--truth", "0",
                                   "--format", "csv", "--out", str(out)])
     assert result.exit_code == 0
     text = out.read_text()
-    assert text.startswith("#") and "rejection_rate" in text
+    assert text.startswith("#")
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    assert lines[0] == ("method,replicates,true_value,bias,ese,ase,rejection_rate,coverage,"
+                        "mcse_bias,mcse_rejection,mcse_coverage")
+    assert [line.split(",")[0] for line in lines[1:]] == ["unadjusted", "adjusted"]
+
+
+_CONTRAST_HEADER = ("kind,tau,theta1,se1,theta2,se2,point,se,ci_lower,ci_upper,p_value,"
+                    "n1,n2,alpha")
+
+
+@pytest.mark.parametrize("args,header", [
+    (["estimate", "--format", "csv"], "arm,n,theta,se,ci_lower,ci_upper"),
+    (["curves"], "arm,curve,time,value"),
+    (["compare", "--format", "csv"], _CONTRAST_HEADER),
+    (["compare", "--format", "csv", "--covariates", "w1"], "method," + _CONTRAST_HEADER),
+], ids=["estimate", "curves", "compare", "compare-covariates"])
+def test_csv_report_headers_are_pinned(runner, tmp_path, rng, args, header):
+    path = tmp_path / "in.csv"
+    with open(path, "w") as fh:
+        write_records_csv(random_study(rng, n=20, n_cov=1), fh)
+    result = runner.invoke(main, [args[0], str(path), "--tau", "2", *args[1:]])
+    assert result.exit_code == 0, result.stderr
+    lines = [line for line in result.stdout.splitlines() if not line.startswith("#")]
+    assert lines[0] == header
+
+
+def test_cli_import_leaves_the_lazy_modules_unloaded():
+    # each is imported only where it is used, to keep start-up short
+    lazy = ("numpy.polynomial", "concurrent.futures", "multiprocessing")
+    code = f"import sys, aumcf.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(aumcf.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
 
 
 def test_simulate_truth_is_exact_or_given(runner, tmp_path, monkeypatch):
@@ -447,10 +480,9 @@ def test_bad_tau_exits_2(runner, toy_csv, command, tau):
 
 def test_covariate_subset_matches_object_path(runner, tmp_path, rng):
     from aumcf import StudyDataset, augmented_contrast
-    from aumcf.cli import _subset_covariates
 
     study = random_study(rng, n=40, n_cov=3)
-    sub = _subset_covariates(study, ("w3", "w1"))
+    sub = study.select_covariates(("w3", "w1"))
     arms = [
         make_arm(arm.arm, [(*row[:5], (row[5][2], row[5][0])) for row in subject_rows(arm)])
         for arm in study.arms()
@@ -884,8 +916,8 @@ def test_compare_covariates_builds_no_extra_arm(runner, tmp_path, rng, monkeypat
 def test_contrast_flags_combine(runner, tmp_path, rng, flags):
     # each pair of these flags used to be a config error (exit 4)
     from aumcf import read_study_csv
-    from aumcf.cli import _parse_weights, _subset_covariates
-    from aumcf.inference import _contrast
+    from aumcf.cli import _parse_weights
+    from aumcf.inference import contrast
 
     path = tmp_path / "in.csv"
     with open(path, "w") as fh:
@@ -897,10 +929,10 @@ def test_contrast_flags_combine(runner, tmp_path, rng, flags):
     opts = dict(zip(flags[::2], flags[1::2]))
     study = read_study_csv(str(path), 2.0)
     if "--covariates" in opts:
-        study = _subset_covariates(study, tuple(opts["--covariates"].split(",")))
-    want = _contrast(study, 0.05, "left", ratio="--contrast" in opts,
-                     weights=_parse_weights(None, None, opts.get("--weights")),
-                     augment="--covariates" in opts).to_dict()
+        study = study.select_covariates(tuple(opts["--covariates"].split(",")))
+    want = contrast(study, 0.05, "left", ratio="--contrast" in opts,
+                    weights=_parse_weights(None, None, opts.get("--weights")),
+                    augment="--covariates" in opts).to_dict()
     del report["provenance"]
     assert report == (want if "--covariates" in opts else {"result": want})
 

@@ -1,5 +1,6 @@
 import csv
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,12 +389,42 @@ def test_from_columns_checks_the_data_model():
         ArmDataset(**dict(ok, event_times=[1.5, 1.5]))
     with pytest.raises(ValidationError, match="subject 'a': follow-up"):
         ArmDataset(**dict(ok, follow_up=[np.nan, 1.0]))
+    with pytest.raises(ValidationError, match="subject 'b': missing or non-finite covariate"):
+        ArmDataset(**dict(ok, covariates=[[0.0], [np.nan]]))
     with pytest.raises(ValidationError, match="column lengths"):
         ArmDataset(**dict(ok, terminal=[True]))
     with pytest.raises(ValidationError, match="empty arm"):
         ArmDataset(**dict(ok, subject_ids=[], follow_up=[], terminal=[],
                           covariates=np.empty((0, 0)), event_times=[],
                           event_subjects=[], event_type_labels=[]))
+
+
+def test_write_records_csv_rejects_a_repeated_subject_id():
+    # the reader would take the two subjects' rows for one subject's
+    arms = [ArmDataset(**dict(_TWO_SUBJECTS, arm=1)),
+            ArmDataset(**dict(_TWO_SUBJECTS, arm=2, subject_ids=["a", "a"]))]
+    buf = io.StringIO()
+    with pytest.raises(ValidationError, match="arm 2: subject id 'a' repeats"):
+        write_records_csv(StudyDataset(*arms, 1.0), buf)
+    assert buf.getvalue() == ""
+
+
+def test_select_covariates_shares_all_but_the_covariates(rng):
+    study = random_study(rng, n=20, n_cov=3)
+    sub = study.select_covariates(("w3", "w1"))
+    assert sub.covariate_names == ("w3", "w1") and sub.tau == study.tau
+    for arm, full in zip(sub.arms(), study.arms()):
+        assert arm.covariates.tolist() == full.covariates[:, [2, 0]].tolist()
+        assert arm.covariates.flags.c_contiguous and not arm.covariates.flags.writeable
+        for name in (*core._COLUMNS, *core._INDEX):
+            if name != "covariates":
+                assert getattr(arm, name) is getattr(full, name), name
+        assert full.covariate_dim == 3  # the study itself keeps every column
+    assert sub.arm1._te is study.arm1._te
+    with pytest.raises(ValidationError) as err:
+        study.select_covariates(("nope", "w1", "zz"))
+    assert str(err.value) == ("unknown covariate columns ['nope', 'zz']; "
+                              "available: ['w1', 'w2', 'w3']")
 
 
 @settings(max_examples=100, deadline=None)
@@ -693,3 +724,11 @@ def test_fit_and_contrast_modules_share_only_public_names():
     assert imported("inference", "estimation") == {"fit_arm", "fit_influence"}
     assert imported("estimation", "inference") == set()
     assert importlib.util.find_spec("aumcf.augmentation") is None
+    # and no module of the package imports a private name from another
+    for path in Path(aumcf.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "aumcf"):
+                private = [a.name for a in node.names
+                           if a.name.startswith("_") and not a.name.endswith("__")]
+                assert not private, (path.name, node.module, private)

@@ -18,7 +18,7 @@ from aumcf import (
     time_lost_per_subject,
 )
 
-from aumcf.estimation import _counts_below
+from aumcf.estimation import S_CONVENTIONS, _counts_below
 
 from conftest import event_weights, make_arm, random_arm, reference_fit, tied_arms
 
@@ -317,3 +317,7 @@ def test_influence_at_tau_inf_raises_without_warning():
         # the point estimate and the MCF still fit at tau inf
         assert aumcf(arm, math.inf) == math.inf
         assert mcf(arm)(3.0) == 0.5 + 0.5 + 0.5 * 1.0
+        # a jump where S is 0 adds 0, not (inf - u) * 0
+        dies = make_arm(1, [("a", 1.0, True, (0.5,)), ("b", 2.0, True, (2.0,))])
+        for convention in S_CONVENTIONS:
+            assert aumcf(dies, math.inf, convention) == math.inf

@@ -19,7 +19,7 @@ from aumcf import (
     influence_values,
     weighted_contrast,
 )
-from aumcf.inference import _contrast, wald_pvalue
+from aumcf.inference import contrast, wald_pvalue
 
 from conftest import (
     dense_influence, make_arm, martingale_residuals, per_type_sum, random_arm,
@@ -346,7 +346,7 @@ def test_weighted_ratio_is_the_delta_method_on_the_per_type_sums(rng, s_conventi
                                       for arm in study.arms())
             se_log = math.sqrt(arm_variance(psi1 / t1) / study.arm1.n
                                + arm_variance(psi2 / t2) / study.arm2.n)
-            res = _contrast(study, 0.05, s_convention, ratio=True, weights=weights)
+            res = contrast(study, 0.05, s_convention, ratio=True, weights=weights)
             assert res.kind == "ratio"
             assert res.point == pytest.approx(t1 / t2, rel=1e-12)
             assert res.se == pytest.approx(t1 / t2 * se_log, rel=1e-12)
@@ -361,7 +361,7 @@ def test_uniform_weight_cancels_in_a_ratio(rng):
         study = random_study(rng, n=int(rng.integers(5, 40)), n_types=3)
         plain = contrast_ratio(study)
         for c in (1e-3, 2.0, 1e3):
-            res = _contrast(study, 0.05, "left", ratio=True, weights={0: c, 1: c, 2: c})
+            res = contrast(study, 0.05, "left", ratio=True, weights={0: c, 1: c, 2: c})
             assert res.point == pytest.approx(plain.point, rel=1e-12)
             assert res.se == pytest.approx(plain.se, rel=1e-12)
 
@@ -394,9 +394,9 @@ def test_weighted_contrast_rejects_non_finite_weights(rng, bad):
 @pytest.mark.parametrize("alpha", [1e-320, 2.0 ** -53, 0.0, 1.0, math.nan])
 def test_contrasts_reject_bad_alpha(rng, alpha):
     study = random_study(rng, n=10)
-    for contrast in (contrast_difference, contrast_ratio):
+    for preset in (contrast_difference, contrast_ratio):
         with pytest.raises(ValidationError, match="alpha must be in"):
-            contrast(study, alpha=alpha)
+            preset(study, alpha=alpha)
     with pytest.raises(ValidationError, match="alpha must be in"):
         weighted_contrast(study, {0: 1.0}, alpha=alpha)
 
