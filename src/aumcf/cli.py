@@ -30,13 +30,13 @@ from .core import (
     read_arms_csv,
     read_study_csv,
 )
-from .estimation import S_CONVENTIONS, fit_arm, fit_influence, km_survival, mcf
+from .estimation import S_CONVENTIONS, km_survival, mcf
 from .inference import (
     RatioUndefinedError,
     SingularCovariateError,
     check_weights,
     contrast,
-    standard_errors,
+    fit_arms,
     wald_z,
 )
 from .simulation import STREAM_VERSION, ScenarioConfig, run_operating_characteristics
@@ -281,19 +281,15 @@ def estimate(input_path, tau, alpha, strict_tau, s_convention, fmt, out):
     """Per-arm AUMCF point estimates with influence-function CIs."""
     z = wald_z(alpha)
     arm_data, digest = _load_arms(input_path, tau, strict_tau)
-    arms = []
-    for arm in arm_data:
-        fit = fit_arm(arm, tau, s_convention)
-        theta = fit.theta
-        se = standard_errors((fit_influence(fit), arm.n))[0]
-        arms.append({
-            "arm": arm.arm,
-            "n": arm.n,
-            "theta": theta,
-            "se": se,
-            "ci_lower": theta - z * se,
-            "ci_upper": theta + z * se,
-        })
+    fits, _, ses = fit_arms(arm_data, tau, s_convention)
+    arms = [{
+        "arm": fit.arm.arm,
+        "n": fit.arm.n,
+        "theta": fit.theta,
+        "se": se,
+        "ci_lower": fit.theta - z * se,
+        "ci_upper": fit.theta + z * se,
+    } for fit, se in zip(fits, ses)]  # zip drops the last SE, the difference's
     prov = _provenance("estimate", digest, tau=tau, alpha=alpha,
                        s_convention=s_convention)
     if fmt == "json":

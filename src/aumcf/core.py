@@ -44,7 +44,7 @@ _COLUMNS = (
 
 # the arm's follow-up order and jump index, built once from the columns
 _INDEX = (
-    "_follow_up_order", "_sorted_follow_up",
+    "_follow_up_order",
     "_event_first", "_e", "_te", "_at_te",
     "_death_rows", "_death_first", "_d", "_td", "_at_td", "_km",
 )
@@ -68,8 +68,7 @@ class ArmDataset:
     ``event_subjects`` (the owning subject's row) and ``event_type_labels``
     (0 when unlabelled). Per-subject results (e.g. influence values) align
     with subject order. ``_follow_up_order`` lists the subjects by
-    follow-up time, ties in subject order, and ``_sorted_follow_up`` is
-    ``follow_up`` in that order.
+    follow-up time, ties in subject order.
 
     Beside them, the arm's jump index over all time, which a fit on
     [0, tau] reads a prefix of. Event jumps: the first event of each run of
@@ -150,7 +149,7 @@ class ArmDataset:
         # the subjects in follow-up order, ties in subject order: fits,
         # influence values and the bootstrap read the arm through it
         self._follow_up_order = np.argsort(follow_up, kind="stable")
-        self._sorted_follow_up = x = follow_up[self._follow_up_order]
+        x = follow_up[self._follow_up_order]
         self._event_first, self._e = _runs(self.event_times)
         self._te = self.event_times[self._event_first]
         self._at_te = x.searchsorted(self._te, side="left")
@@ -163,12 +162,6 @@ class ArmDataset:
         np.cumprod(1.0 - self._d / (n - self._at_td), out=self._km[1:])
         for name in (*_COLUMNS, *_INDEX):
             getattr(self, name).setflags(write=False)
-
-    def _events_by_subject(self) -> tuple[np.ndarray, np.ndarray]:
-        """Event rows grouped by subject, each group in time order, and the
-        number of events of each subject."""
-        return (np.argsort(self.event_subjects, kind="stable"),
-                np.bincount(self.event_subjects, minlength=self.n))
 
     @property
     def covariate_dim(self) -> int:
@@ -561,7 +554,9 @@ def write_records_csv(study: StudyDataset, fh) -> None:
     writer.writerow(header)
     no_type = [""] if has_type else []
     for arm in study.arms():
-        order, counts = arm._events_by_subject()
+        # the event rows grouped by subject, each group in time order
+        order = np.argsort(arm.event_subjects, kind="stable")
+        counts = np.bincount(arm.event_subjects, minlength=arm.n)
         events = zip(arm.event_times[order].tolist(), arm.event_type_labels[order].tolist())
         for sid, x, dead, w, k in zip(
             arm.subject_ids.tolist(), arm.follow_up.tolist(), arm.terminal.tolist(),

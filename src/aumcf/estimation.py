@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArmDataset
+from .core import ArmDataset, ValidationError
 
 S_CONVENTIONS = ("left", "right")
 
@@ -179,8 +179,10 @@ def fit_arm(
 
     Each event carries rate mass 1, or with ``weights`` the weight of its
     type (0 for a type not in the map, so ``{k: 1.0}`` fits type k alone);
-    the survival curve and the risk sets are the arm's own. The jumps are
-    read from the prefix of the arm's jump index up to tau.
+    a weight that is negative, NaN or infinite raises
+    :class:`ValidationError`. The survival curve and the risk sets are the
+    arm's own. The jumps are read from the prefix of the arm's jump index
+    up to tau.
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
@@ -188,6 +190,8 @@ def fit_arm(
         raise ValueError(f"s_convention must be one of {S_CONVENTIONS}")
     if weights is not None:
         weights = dict(weights)  # the fit's own copy of the map it was fitted with
+        if not all(0 <= w < np.inf for w in weights.values()):
+            raise ValidationError("event-type weights must be nonnegative and finite")
     # the jumps up to tau are a prefix of the arm's index
     k = arm._te.searchsorted(tau, side="right")
     te, e, event_first, at_te = arm._te[:k], arm._e[:k], arm._event_first[:k], arm._at_te[:k]

@@ -1,11 +1,11 @@
 """The two-sample contrasts and their influence-function Wald inference.
 
-Every contrast (difference or ratio, with or without event-type weights,
-with or without covariate augmentation) is one pipeline, ``contrast``,
-which the CLI and the Monte Carlo harness call; the four named contrasts
-are presets of it. The arm variance is the sample mean of the squared
-influence values; the two-sample standard error follows from
-independence of arms.
+Each arm's fit, influence values and SE come from one ``fit_arms`` call,
+read by the CLI's ``estimate`` and by every contrast. Every contrast
+(difference or ratio, weighted or not, augmented or not) is one pipeline,
+``contrast``, which the CLI and the Monte Carlo harness call; the four
+named contrasts are presets of it. The arm variance is the sample mean of
+the squared influence values; the two-sample SE follows from independence.
 
 Covariate augmentation shifts a contrast on its working scale by
 beta' (Wbar1 - Wbar2), with beta chosen to minimize the asymptotic
@@ -104,14 +104,21 @@ def arm_variance(psi: np.ndarray) -> float:
     return float(np.mean(psi**2))
 
 
-def standard_errors(*arms: tuple[np.ndarray, int]) -> list[float]:
-    """The SE sqrt(arm_variance(psi) / n) of each arm's ``(psi, n)``, then
+def standard_errors(*psis: np.ndarray) -> list[float]:
+    """The SE sqrt(arm_variance(psi) / psi.size) of each arm's psi, then
     that of their difference. Every psi is scaled by one power of two
     before squaring and the SEs back after, which is exact: an SE is
     finite when it is representable, though psi**2 may overflow."""
-    e = _scale_exponent(*(psi for psi, _ in arms))
-    v = [arm_variance(np.ldexp(psi, -e)) / n for psi, n in arms]
+    e = _scale_exponent(*psis)
+    v = [arm_variance(np.ldexp(psi, -e)) / psi.size for psi in psis]
     return [math.ldexp(math.sqrt(x), e) for x in (*v, sum(v))]
+
+
+def fit_arms(arms, tau: float, s_convention: str = "left", weights: dict | None = None):
+    """Each arm's ``fit_arm``, its psi from ``fit_influence``, and ``standard_errors(*psis)``."""
+    fits = [fit_arm(arm, tau, s_convention, weights) for arm in arms]
+    psis = [fit_influence(fit) for fit in fits]
+    return fits, psis, standard_errors(*psis)
 
 
 def _scale_exponent(*psis: np.ndarray) -> int:
@@ -257,13 +264,10 @@ def contrast(
         if missing:
             raise ValidationError(f"no weight supplied for event type(s): {missing}")
     z = wald_z(alpha)
-    fits = [fit_arm(arm, study.tau, s_convention, weights) for arm in study.arms()]
+    fits, (psi1, psi2), (se1, se2, se) = fit_arms(study.arms(), study.tau, s_convention, weights)
     t1, t2 = (fit.theta for fit in fits)
-    psi1, psi2 = (fit_influence(fit) for fit in fits)
-    n1, n2 = study.arm1.n, study.arm2.n
-    se1, se2, se = standard_errors((psi1, n1), (psi2, n2))
     common = dict(tau=study.tau, alpha=alpha, theta1=t1, se1=se1, theta2=t2, se2=se2,
-                  n1=n1, n2=n2)
+                  n1=study.arm1.n, n2=study.arm2.n)
     point = t1 - t2
     if ratio:
         if t1 <= 0 or t2 <= 0:
@@ -275,7 +279,7 @@ def contrast(
         psi1, psi2 = psi1 / t1, psi2 / t2
     try:
         if ratio:
-            se = standard_errors((psi1, n1), (psi2, n2))[2]
+            se = standard_errors(psi1, psi2)[2]
             if t1 / t2 == 0.0:  # a log of -inf, as from weights of 1e-300 and 1e300
                 raise OverflowError("the ratio underflows to 0")
             point = math.log(t1 / t2)
@@ -293,7 +297,7 @@ def contrast(
         point -= float(summary.beta_hat @ (summary.mean1 - summary.mean2))
         # the adjusted influence values psi - (W - Wbar) beta, whose SE is
         # the adjusted SE: the residuals of the least-squares fit for beta
-        adjusted = [(psi - (arm.covariates - mean) @ summary.beta_hat, arm.n) for arm, psi, mean
+        adjusted = [psi - (arm.covariates - mean) @ summary.beta_hat for arm, psi, mean
                     in zip(study.arms(), (psi1, psi2), (summary.mean1, summary.mean2))]
         se_adj = standard_errors(*adjusted)[2]
         return AugmentedResult(

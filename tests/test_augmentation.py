@@ -9,6 +9,7 @@ import pytest
 from aumcf import (
     SingularCovariateError,
     StudyDataset,
+    ValidationError,
     augmentation_weights,
     augmented_contrast,
     contrast_difference,
@@ -26,6 +27,12 @@ def _with_covariates(arm, label, covs):
     return make_arm(label, [
         (*row[:5], (float(w),)) for row, w in zip(subject_rows(arm), covs)
     ])
+
+
+def _scaled_covariates(study, factor):
+    arms = [make_arm(arm.arm, [(*row[:5], tuple(factor * w for w in row[5]))
+                               for row in subject_rows(arm)]) for arm in study.arms()]
+    return StudyDataset(*arms, tau=study.tau, covariate_names=study.covariate_names)
 
 
 def test_constant_covariate_singular(rng):
@@ -103,7 +110,10 @@ def test_zero_covariates_passthrough(rng):
     assert aug.relative_efficiency == 1.0
 
 
-def test_collinear_covariates_singular(rng):
+# an exactly and a nearly collinear pair; the error names the given
+# names, or w1, w2, ... when there are none
+@pytest.mark.parametrize("eps,names,named", [(0.0, ("u", "v"), "u"), (1e-6, (), "w1")])
+def test_collinear_covariates_singular(rng, eps, names, named):
     base1 = random_arm(rng, n=20, arm=1)
     base2 = random_arm(rng, n=20, arm=2)
     w1 = rng.standard_normal(20)
@@ -111,13 +121,42 @@ def test_collinear_covariates_singular(rng):
 
     def dup(arm, label, w):
         return make_arm(label, [
-            (*row[:5], (float(v), float(2 * v))) for row, v in zip(subject_rows(arm), w)
+            (*row[:5], (float(v), float(2 * v + eps * rng.standard_normal())))
+            for row, v in zip(subject_rows(arm), w)
         ])
 
-    study = StudyDataset(dup(base1, 1, w1), dup(base2, 2, w2), tau=2.0,
-                         covariate_names=("w1", "w2"))
-    with pytest.raises(SingularCovariateError):
+    study = StudyDataset(dup(base1, 1, w1), dup(base2, 2, w2), tau=2.0, covariate_names=names)
+    with pytest.raises(SingularCovariateError, match=rf"dominated by: \['{named}'\]$"):
         augmented_contrast(study)
+
+
+def test_small_covariate_is_not_singular(rng):
+    # a covariate scaled by 1e-3 has a covariance far below 1, and the
+    # same adjusted point and SE to round-off
+    study = random_study(rng, n=20, n_cov=1)
+    base, small = augmented_contrast(study), augmented_contrast(_scaled_covariates(study, 1e-3))
+    assert small.adjusted.point == pytest.approx(base.adjusted.point, rel=1e-12)
+    assert small.adjusted.se == pytest.approx(base.adjusted.se, rel=1e-12)
+
+
+def test_augmentation_weights_guards():
+    # no covariate, or an arm of p subjects, raises; an arm of p + 1
+    # subjects passes the guard
+    def arm(label, covs):
+        return make_arm(label, [(f"{label}{i}", 1.0 + i, False, (0.5,), (), w)
+                                for i, w in enumerate(covs)])
+
+    psi = np.array([1.0, -2.0, 1.0])
+    bare = StudyDataset(arm(1, [()] * 3), arm(2, [()] * 3), tau=2.0)
+    with pytest.raises(ValidationError, match="at least one covariate"):
+        augmentation_weights(bare, psi, psi)
+    covs = [(0.5, 1.0), (1.5, -1.0), (-0.25, 2.0)]
+    short = StudyDataset(arm(1, covs), arm(2, covs[:2]), tau=2.0)
+    with pytest.raises(ValidationError, match=r"^arm 2: need at least p\+1=3 subjects"):
+        augmentation_weights(short, psi, psi[:2])
+    summary = augmentation_weights(StudyDataset(arm(1, covs), arm(2, covs[::-1]), tau=2.0),
+                                   psi, psi)
+    assert np.isfinite(summary.beta_hat).all()
 
 
 def test_no_events_relative_efficiency_is_null():
@@ -229,10 +268,7 @@ def test_adjusted_se_is_exact_for_a_nearly_collinear_covariate(rng):
 def test_augmentation_weights_is_finite_when_beta_is(rng):
     # at tau 1e300 with covariates of order 1e10, C'psi and so gamma
     # overflow, but beta, about psi / W, is far inside the float range
-    study = random_study(rng, tau=1e300, n=30, n_cov=2)
-    arms = [make_arm(arm.arm, [(*row[:5], tuple(1e10 * w for w in row[5]))
-                               for row in subject_rows(arm)]) for arm in study.arms()]
-    study = StudyDataset(*arms, tau=study.tau, covariate_names=study.covariate_names)
+    study = _scaled_covariates(random_study(rng, tau=1e300, n=30, n_cov=2), 1e10)
     psi1, psi2 = (influence_values(arm, study.tau) for arm in study.arms())
     with np.errstate(over="ignore"):
         summary = augmentation_weights(study, psi1, psi2)

@@ -907,6 +907,63 @@ def test_compare_covariates_builds_no_extra_arm(runner, tmp_path, rng, monkeypat
     assert built == [1, 2]  # the CSV read's two arms; subsetting builds none
 
 
+def test_each_command_fits_each_arm_once(runner, tmp_path, rng, monkeypatch):
+    # estimate and every compare flag combination read each arm through one
+    # fit and one set of influence values
+    import itertools
+
+    import aumcf.cli
+    import aumcf.estimation
+    import aumcf.inference
+
+    path = tmp_path / "in.csv"
+    with open(path, "w") as fh:
+        write_records_csv(random_study(rng, n=20, n_cov=2, n_types=3), fh)
+    calls = []
+    real_fit, real_influence = aumcf.estimation.fit_arm, aumcf.estimation.fit_influence
+
+    def fit(arm, *args, **kwargs):
+        calls.append(("fit_arm", arm.arm))
+        return real_fit(arm, *args, **kwargs)
+
+    def influence(fit):
+        calls.append(("fit_influence", fit.arm.arm))
+        return real_influence(fit)
+
+    # cli imports neither name; were it to, its own reference is counted too
+    for module in (aumcf.cli, aumcf.estimation, aumcf.inference):
+        monkeypatch.setattr(module, "fit_arm", fit, raising=False)
+        monkeypatch.setattr(module, "fit_influence", influence, raising=False)
+    runs = [["estimate"]] + [["compare", *kind, *weights, *covariates]
+                             for kind, weights, covariates in itertools.product(
+                                 [[], ["--contrast", "ratio"]],
+                                 [[], ["--weights", "0=1,1=2,2=0.5"]],
+                                 [[], ["--covariates", "w2,w1"]])]
+    for args in runs:
+        calls.clear()
+        result = runner.invoke(main, [args[0], str(path), "--tau", "2", *args[1:]])
+        assert result.exit_code == 0, (args, result.stderr)
+        assert sorted(calls) == [("fit_arm", 1), ("fit_arm", 2),
+                                 ("fit_influence", 1), ("fit_influence", 2)], args
+
+
+# arm 1 has an event at its death time, where the two conventions differ
+TIED_CSV = TOY_CSV.replace("s1,10,2,1\n", "s1,10,1,1\ns1,10,2,1\n")
+
+
+@pytest.mark.parametrize("s_convention", ["left", "right"])
+def test_estimate_arms_are_the_compare_arms(runner, tmp_path, s_convention):
+    path = tmp_path / "tied.csv"
+    path.write_text(TIED_CSV)
+    flags = ["--tau", "12", "--s-convention", s_convention]
+    arms = _strict_json(runner.invoke(main, ["estimate", str(path), *flags]).stdout)["arms"]
+    res = _strict_json(runner.invoke(main, ["compare", str(path), *flags]).stdout)["result"]
+    # repr round-trips a float, so equal JSON numbers are equal bits
+    assert [(a["theta"], a["se"]) for a in arms] == [(res["theta1"], res["se1"]),
+                                                     (res["theta2"], res["se2"])]
+    assert arms[0]["theta"] != arms[1]["theta"]
+
+
 @pytest.mark.parametrize("flags", [
     ["--contrast", "ratio", "--covariates", "w1"],
     ["--contrast", "ratio", "--weights", "0=1,1=2,2=0.5"],

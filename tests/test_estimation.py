@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from aumcf import (
     StepFunction,
+    ValidationError,
     area_under_step,
     aumcf,
     fit_arm,
@@ -223,6 +224,11 @@ def test_curve_rows_include_origin_and_tau(toy_arm):
     assert rows[0] == (0.0, 0.0) and rows[-1][0] == 12.0
     empty = make_arm(1, [("a", 5.0, False)])
     assert mcf(empty).to_rows(5.0) == [(0.0, 0.0), (5.0, 0.0)]
+    # a jump exactly at tau gives one row there, and a curve whose value
+    # is above tau still ends with a row at tau
+    f = StepFunction(np.array([0.5, 2.0]), np.array([0.25, 0.125]), 1.0)
+    assert f.to_rows(0.5) == [(0.0, 1.0), (0.5, 0.25)]
+    assert StepFunction([1.0], [0.5], 1.0).to_rows(0.5) == [(0.0, 1.0), (0.5, 1.0)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,7 +285,7 @@ def test_fit_positions_are_the_searches_they_count(arm):
     # every position a fit counts, byte for byte against the search it
     # replaces, and every jump array it reads from the arm's index against
     # one built from scratch; tau inf is the fit behind mcf
-    x = arm._sorted_follow_up
+    x = arm.follow_up[arm._follow_up_order]
     for tau in (0.25, 1.0, 1.75, 3.0, math.inf):
         for s_convention in ("left", "right"):
             for weights in (None, {0: 1.0}, {2: 1.0}, {0: 0.0, 1: 2.0, 2: 1.0}):
@@ -303,6 +309,15 @@ def test_fit_positions_are_the_searches_they_count(arm):
                                  (events_before[fit.at_td + 1],
                                   np.searchsorted(te, td, side="right"))):
                     assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes())
+
+
+@pytest.mark.parametrize("weight", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("call", [fit_arm, aumcf, influence_values])
+def test_fit_rejects_a_weight_that_is_no_event_mass(call, weight):
+    # 0 drops a type; a negative, NaN or infinite weight raises in the fit
+    arm = make_arm(1, [("a", 1.0, True, (0.5,)), ("b", 2.0, True, (2.0,))])
+    with pytest.raises(ValidationError, match="weights must be nonnegative and finite"):
+        call(arm, 2.0, weights={0: weight})
 
 
 def test_influence_at_tau_inf_raises_without_warning():

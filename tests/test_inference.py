@@ -192,10 +192,13 @@ def test_ratio_doubled_events(rng):
 
 
 def test_ratio_undefined_for_zero_theta():
-    a1 = make_arm(1, [("a", 5.0, False, (1.0,))])
-    a2 = make_arm(2, [("b", 5.0, False)])
-    with pytest.raises(RatioUndefinedError):
-        contrast_ratio(StudyDataset(a1, a2, tau=5.0))
+    # either arm with no events: theta is 0 there
+    events, none = [("a", 5.0, False, (1.0,))], [("b", 5.0, False)]
+    for first, second, thetas in ((events, none, "theta1=4, theta2=0"),
+                                  (none, events, "theta1=0, theta2=4")):
+        study = StudyDataset(make_arm(1, first), make_arm(2, second), tau=5.0)
+        with pytest.raises(RatioUndefinedError, match=thetas):
+            contrast_ratio(study)
 
 
 @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.10])
