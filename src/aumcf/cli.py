@@ -10,6 +10,7 @@ degeneracy, 4 config error (a flag that click cannot parse included).
 from __future__ import annotations
 
 import contextlib
+import csv
 import dataclasses
 import functools
 import hashlib
@@ -102,21 +103,6 @@ def _read_input_bytes(path: str) -> bytes:
         return fh.read()
 
 
-def _read_csv_input(path: str) -> tuple[io.TextIOWrapper, str]:
-    """The input as a text stream, read as ``read_arms_csv(path)`` reads a
-    file, and the SHA-256 of its bytes."""
-    raw = _read_input_bytes(path)
-    try:
-        # not utf-8-sig, so that the offset counts a byte-order mark
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(
-            f"input is not UTF-8: byte 0x{raw[exc.start]:02x} at offset {exc.start}"
-        ) from exc
-    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
-    return text, hashlib.sha256(raw).hexdigest()
-
-
 def _check_truncation(arms, tau: float, strict: bool) -> None:
     """With ``--strict-tau``, fail when some arm has no subject followed to tau."""
     msgs = [m for a in arms if (m := arm_truncation_message(a, tau))]
@@ -125,19 +111,19 @@ def _check_truncation(arms, tau: float, strict: bool) -> None:
 
 
 def _load_study(path: str, tau: float, strict: bool) -> tuple[StudyDataset, str]:
-    text, digest = _read_csv_input(path)
-    study = read_study_csv(text, tau)
+    raw = _read_input_bytes(path)
+    study = read_study_csv(raw, tau)
     _check_truncation(study.arms(), tau, strict)
-    return study, digest
+    return study, hashlib.sha256(raw).hexdigest()
 
 
 def _load_arms(path: str, tau: float, strict: bool) -> tuple[list[ArmDataset], str]:
     """Arm-wise loader for the commands that accept single-arm input."""
-    text, digest = _read_csv_input(path)
-    arms, _ = read_arms_csv(text)
+    raw = _read_input_bytes(path)
+    arms, _ = read_arms_csv(raw)
     arms = [arms[k] for k in sorted(arms)]
     _check_truncation(arms, tau, strict)
-    return arms, digest
+    return arms, hashlib.sha256(raw).hexdigest()
 
 
 def _provenance(command: str, digest: str, **extra) -> dict:
@@ -177,18 +163,13 @@ def _csv_report(provenance: dict, header, rows) -> str:
     buf = io.StringIO()
     for key in sorted(provenance):
         buf.write(f"# {key}={provenance[key]}\n")
-    buf.write(",".join(header) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")  # a float is written as its repr
+    writer.writerow(header)
     for row in rows:
         if any(isinstance(v, float) and not math.isfinite(v) for v in row):
             raise ArithmeticError(_NON_FINITE)
-        buf.write(",".join(_csv_cell(v) for v in row) + "\n")
+        writer.writerow(row)
     return buf.getvalue()
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _check_tau(ctx, param, tau: float) -> float:
@@ -316,7 +297,10 @@ def compare(input_path, tau, alpha, kind, covariates, weights, strict_tau,
     study, digest = _load_study(input_path, tau, strict_tau)
     prov = _provenance("compare", digest, tau=tau, alpha=alpha,
                        s_convention=s_convention, contrast=kind)
+    if weights is not None:
+        prov["weights"] = ",".join(f"{k}={w!r}" for k, w in sorted(weights.items()))
     if covariates is not None:
+        prov["covariates"] = ",".join(covariates)
         try:
             study = study.select_covariates(covariates)
         except ValidationError as exc:

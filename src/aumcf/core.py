@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import copy
 import csv
+import io
 import itertools
+import pathlib
 import sys
 import warnings
 from dataclasses import dataclass
@@ -518,15 +520,22 @@ def _raise_first_bad_row(rows, fields, width, last_line):
 
 
 def read_arms_csv(source) -> tuple[dict[int, ArmDataset], tuple[str, ...]]:
-    """Read per-arm datasets (one or both arms) from a CSV path, read as
-    UTF-8 with any leading byte-order mark dropped, or a text file object,
-    plus the covariate column names."""
+    """Read per-arm datasets (one or both arms) from a CSV path, the input's
+    bytes or a text file object, plus the covariate column names. A path or
+    bytes are read as UTF-8 with any leading byte-order mark dropped; a
+    byte that is not UTF-8 raises :class:`ValidationError` naming its
+    offset, the mark counted."""
+    if not hasattr(source, "read"):
+        source = source if isinstance(source, bytes) else pathlib.Path(source).read_bytes()
+        try:
+            # not utf-8-sig, so that the offset counts a byte-order mark
+            source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"input is not UTF-8: byte 0x{source[exc.start]:02x} "
+                                  f"at offset {exc.start}") from exc
+        source = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", newline="")
     # the reader's chunk arrays are freed before the rows are grouped
-    if hasattr(source, "read"):
-        columns, cov_names = _read_columns(source)
-    else:
-        with open(source, newline="", encoding="utf-8-sig") as fh:
-            columns, cov_names = _read_columns(fh)
+    columns, cov_names = _read_columns(source)
     return _arms_from_rows(*columns), cov_names
 
 
@@ -572,7 +581,8 @@ def write_records_csv(study: StudyDataset, fh) -> None:
 
 
 def read_study_csv(source, tau: float) -> StudyDataset:
-    """Read a two-arm study from a CSV path or file object."""
+    """Read a two-arm study from a CSV path, bytes or text file object, as
+    :func:`read_arms_csv` reads it."""
     arms, cov_names = read_arms_csv(source)
     for arm in (1, 2):
         if arm not in arms:

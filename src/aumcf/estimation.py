@@ -79,12 +79,12 @@ class ArmFit:
 
     One fit per (arm, tau, s_convention, weights); ``mcf`` fits with tau
     inf. Event jumps: distinct event times ``te`` <= tau with event counts
-    ``e`` (the number of counted events at each), at-risk counts ``y_e``,
+    ``e`` (the number of events at each), at-risk counts ``y_e``,
     rate increments ``dr`` = event mass (see ``fit_arm``) / ``y_e`` and the
     survival ``s`` at ``te`` under the convention. Death jumps: distinct
     terminal-event times ``td`` <= tau with death counts ``d`` and at-risk
-    counts ``y_d``. Behind them: the ``owners`` and ``mass`` of the counted
-    events in time order and ``event_first``, the first event of each jump;
+    counts ``y_d``. Behind them: the ``owners`` and ``mass`` of the events
+    in time order and ``event_first``, the first event of each jump;
     ``death_rows``, the follow-up positions of the counted deaths, and
     ``death_first``, the first of each jump; ``at_te`` and ``at_td``, where
     the risk sets start in follow-up order (``y = n - at``);
@@ -94,11 +94,10 @@ class ArmFit:
     the arm's Kaplan-Meier curve with 1 prepended.
 
     The jumps on [0, tau] are a prefix of the arm's jump index (see
-    ``ArmDataset``), and the arrays taken from it are read-only views of
-    it: every death array but ``y_d`` and ``deaths_before``, and with no
-    ``weights`` ``te``, ``e``, ``event_first``, ``at_te`` and ``owners``.
-    With ``weights`` the event arrays are the prefix less its events of
-    weight 0 and the jumps they leave empty.
+    ``ArmDataset``), whatever the ``weights``, and the arrays taken from it
+    are read-only views of it: ``te``, ``e``, ``event_first``, ``at_te``,
+    ``owners`` and every death array but ``y_d`` and ``deaths_before``.
+    The weights set only ``mass``, and through it ``dr``.
 
     Every other position, here and in ``fit_influence``, is counted from
     ``at_te`` and ``at_td``, not searched for: a jump time is at or before
@@ -180,9 +179,9 @@ def fit_arm(
     Each event carries rate mass 1, or with ``weights`` the weight of its
     type (0 for a type not in the map, so ``{k: 1.0}`` fits type k alone);
     a weight that is negative, NaN or infinite raises
-    :class:`ValidationError`. The survival curve and the risk sets are the
-    arm's own. The jumps are read from the prefix of the arm's jump index
-    up to tau.
+    :class:`ValidationError`. The jumps, the survival curve and the risk
+    sets are the arm's own, read from the prefix of its jump index up to
+    tau; an event of mass 0 keeps its jump, where ``dr`` may be 0.
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
@@ -199,18 +198,10 @@ def fit_arm(
     owners = arm.event_subjects[:m]
     if weights is None:
         mass = np.ones(m)
-    else:
-        # each event weighs its type's entry, 0 for a type not in the map;
-        # events of weight 0 are dropped, and so are jumps left empty
+    else:  # each event weighs its type's entry, 0 for a type not in the map
         labels, mass = arm.event_type_labels[:m], np.zeros(m)
         for label, v in weights.items():
             mass[labels == label] = v
-        keep = mass != 0
-        owners, mass = owners[keep], mass[keep]
-        e = np.add.reduceat(keep, event_first, dtype=e.dtype)
-        kept = e != 0
-        e, te, at_te = e[kept], te[kept], at_te[kept]
-        event_first = np.cumsum(e) - e
     y_e = (arm.n - at_te).astype(np.float64)
     j = arm._td.searchsorted(tau, side="right")
     td, d, death_first, at_td = arm._td[:j], arm._d[:j], arm._death_first[:j], arm._at_td[:j]
@@ -251,7 +242,7 @@ def fit_influence(fit: ArmFit) -> np.ndarray:
     events_before = _counts_below(fit.at_te, n)
 
     w_e = (tau - te) * fit.s * (n / fit.y_e)
-    # the counted events come in runs, one per event jump, and each takes
+    # the events come in runs, one per event jump, and each takes
     # its jump's weight times its own mass; likewise the deaths in
     # follow-up order
     obs_event = np.bincount(fit.owners, weights=np.repeat(w_e, fit.e) * fit.mass, minlength=n)

@@ -200,12 +200,12 @@ def at_risk(arm, times):
 
 def reference_fit(arm, tau, s_convention="left", weights=None):
     """The ``ArmFit`` jump arrays and theta as computed from the columns in
-    subject order: ``np.unique`` of masked times, event mass by
-    ``np.bincount``, at-risk counts from a fresh sort of the follow-up
+    subject order: ``np.unique`` of the event times up to tau, event mass
+    by ``np.bincount``, at-risk counts from a fresh sort of the follow-up
     times. Keys are the ``ArmFit`` fields."""
     x = arm.follow_up
     w = event_weights(arm, weights)
-    keep = (arm.event_times <= tau) & (w != 0)
+    keep = arm.event_times <= tau
     te, at, e = np.unique(arm.event_times[keep], return_inverse=True, return_counts=True)
     y_e = at_risk(arm, te).astype(np.float64)
     dr = np.bincount(at, weights=w[keep], minlength=te.size) / y_e
@@ -229,7 +229,7 @@ def reference_influence(fit):
 
     w_e = (tau - te) * fit.s * (n / fit.y_e)
     w = event_weights(arm, fit.weights)
-    ev = (arm.event_times <= tau) & (w != 0)
+    ev = arm.event_times <= tau
     obs_event = np.zeros(n)
     np.add.at(obs_event, arm.event_subjects[ev],
               w_e[np.searchsorted(te, arm.event_times[ev])] * w[ev])

@@ -545,6 +545,21 @@ def test_bad_byte_after_a_byte_order_mark_names_its_file_offset(runner, tmp_path
         "input is not UTF-8: byte 0xff at offset 5")
 
 
+@pytest.mark.parametrize("read", [aumcf.read_arms_csv, lambda src: aumcf.read_study_csv(src, 1.0)],
+                         ids=["read_arms_csv", "read_study_csv"])
+def test_library_reader_decodes_a_path_or_bytes_as_the_cli_does(tmp_path, read):
+    # the same ValidationError as the CLI's exit 2, by the offset in the
+    # file, the byte-order mark counted
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\xef\xbb\xbfid,time,status,arm\n\xff,1,0,1\nb,1,0,2\n")
+    for source in (str(path), path, path.read_bytes()):
+        with pytest.raises(aumcf.ValidationError) as info:
+            read(source)
+        assert str(info.value) == "input is not UTF-8: byte 0xff at offset 22"
+    path.write_bytes(b"\xef\xbb\xbf" + TOY_CSV.encode())
+    assert read(path.read_bytes()) == read(str(path)) == read(io.StringIO(TOY_CSV))
+
+
 @pytest.mark.parametrize("header,name", [
     ("id,time,status,arm,w1,w1", "w1"), ("id,time,status,arm,time", "time"),
 ])
@@ -803,6 +818,24 @@ def test_blank_comma_list_entries_are_skipped(runner, tmp_path, rng, flag, entri
         assert result.exit_code == 4 and result.stdout == ""
         assert json.loads(result.stderr) == {"error": {
             "code": 4, "type": "ConfigError", "message": empty}}
+
+
+def test_provenance_records_weights_and_covariates(runner, tmp_path, rng):
+    # each key only when its flag is given, the same text in JSON and CSV:
+    # the weights sorted by type, each as repr(float); the names as given
+    path = tmp_path / "in.csv"
+    with open(path, "w") as fh:
+        write_records_csv(random_study(rng, n=20, n_cov=2, n_types=3), fh)
+    for flags, want in (([], {}),
+                        (["--weights", "2=3,0=1,1=.5"], {"weights": "0=1.0,1=0.5,2=3.0"}),
+                        (["--covariates", "w2,w1", "--weights", "0=1e300,1=1,2=2"],
+                         {"covariates": "w2,w1", "weights": "0=1e+300,1=1.0,2=2.0"})):
+        args = ["compare", str(path), "--tau", "2", *flags]
+        prov = _strict_json(runner.invoke(main, args).stdout)["provenance"]
+        assert {k: prov[k] for k in ("covariates", "weights") if k in prov} == want
+        csv_lines = runner.invoke(main, args + ["--format", "csv"]).stdout.splitlines()
+        assert [line for line in csv_lines if line.startswith(("# covariates=", "# weights="))] \
+            == [f"# {k}={v}" for k, v in sorted(want.items())]
 
 
 def test_huge_weights_keep_a_finite_se(runner):

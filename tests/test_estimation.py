@@ -256,12 +256,12 @@ def test_km_monotone_and_bounded(rng):
 
 def _jump_oracle(arm, tau, s_convention, weights):
     """The event and death arrays and the survival of a fit on [0, tau],
-    from scratch: the counted events by a mask over the columns, the deaths
+    from scratch: the events up to tau by a mask over the columns, the deaths
     by a fresh sort of the follow-up times, jumps by ``np.unique``, the
     first of each jump and the risk sets by searches, and the Kaplan-Meier
     product over the deaths up to tau."""
     w = event_weights(arm, weights)
-    keep = (arm.event_times <= tau) & (w != 0)
+    keep = arm.event_times <= tau
     times = arm.event_times[keep]
     te, e = np.unique(times, return_counts=True)
     order = np.argsort(arm.follow_up, kind="stable")
@@ -276,7 +276,7 @@ def _jump_oracle(arm, tau, s_convention, weights):
                 s=km[np.searchsorted(td, te, side=s_convention)])
 
 
-# a jump at 1.0 holds only events of type 1, so {0: 1.0} empties it
+# a jump at 1.0 holds only events of type 1, so {0: 1.0} gives it mass 0
 @example(arm=make_arm(1, [("a", 2.0, True, (0.5, 1.0), (0, 1)),
                           ("b", 1.0, True, (1.0,), (1,)), ("c", 1.5, False)]))
 @settings(max_examples=150, deadline=None)
@@ -311,10 +311,26 @@ def test_fit_positions_are_the_searches_they_count(arm):
                     assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes())
 
 
+def test_fit_jump_arrays_are_read_only_views_of_the_arm_index_for_any_weights():
+    # the weights set only the event mass: with a type weighted 0 and one
+    # left out, the jump at 0.5 holds mass 0 and is still read from the index
+    arm = make_arm(1, [("a", 2.0, True, (0.5, 1.0, 1.8), (0, 1, 1)),
+                       ("b", 1.0, True, (1.0,), (1,)), ("c", 1.5, False, (0.5,), (2,))])
+    index = dict(te=arm._te, e=arm._e, event_first=arm._event_first, at_te=arm._at_te,
+                 owners=arm.event_subjects, td=arm._td, d=arm._d, at_td=arm._at_td,
+                 death_first=arm._death_first, death_rows=arm._death_rows)
+    for weights in (None, {0: 1.0, 1: 2.0, 2: 0.5}, {0: 0.0, 1: 2.0}):
+        fit = fit_arm(arm, 1.0, "left", weights)
+        assert fit.te.tolist() == [0.5, 1.0]
+        for name, base in index.items():
+            got = getattr(fit, name)
+            assert np.shares_memory(got, base) and not got.flags.writeable, (weights, name)
+
+
 @pytest.mark.parametrize("weight", [math.nan, -1.0, math.inf])
 @pytest.mark.parametrize("call", [fit_arm, aumcf, influence_values])
 def test_fit_rejects_a_weight_that_is_no_event_mass(call, weight):
-    # 0 drops a type; a negative, NaN or infinite weight raises in the fit
+    # 0 gives a type mass 0; a negative, NaN or infinite weight raises in the fit
     arm = make_arm(1, [("a", 1.0, True, (0.5,)), ("b", 2.0, True, (2.0,))])
     with pytest.raises(ValidationError, match="weights must be nonnegative and finite"):
         call(arm, 2.0, weights={0: weight})

@@ -4,7 +4,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from aumcf import (
     RatioUndefinedError,
@@ -130,6 +130,30 @@ def test_influence_reduces_without_deaths_or_censoring(rng):
     psi = influence_values(arm, tau)
     expected = (tau - times) - theta
     assert psi == pytest.approx(expected, rel=1e-10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arm=st.one_of(
+    st.builds(lambda seed, n: random_arm(np.random.default_rng(seed), n=n, death_rate=0.0,
+                                         n_types=3),
+              st.integers(0, 2**32 - 1), st.integers(2, 59)),
+    tied_arms().filter(lambda arm: not arm.terminal.any())),
+    tau=st.floats(0.1, 5.0))
+def test_influence_is_n_times_the_derivative_of_theta_without_deaths(arm, tau):
+    # psi_i = n d theta / d c_i, c_i the count of subject i in a resample:
+    # exact with no deaths (with deaths the two differ by O(1/n)); central
+    # differences of ArmFit.thetas from counts 1 +- eps in subject i's entry
+    n, eps = arm.n, 1e-6
+    counts = np.vstack([1.0 + eps * np.eye(n), 1.0 - eps * np.eye(n)])
+    for s_convention in ("left", "right"):
+        for weights in (None, {1: 1.0}, {0: 1.0, 1: 2.0, 2: 0.5}):
+            fit = fit_arm(arm, tau, s_convention, weights)
+            up, down = np.split(fit.thetas(counts), 2)
+            psi = fit_influence(fit)
+            gap = n * (up - down) / (2 * eps) - psi
+            # the difference of two thetas carries round-off of a few ulps
+            # of theta, which is n |theta| 1e-10 after the division by eps
+            assert np.abs(gap).max() <= 1e-6 * np.abs(psi).max() + 1e-7 * n * abs(fit.theta)
 
 
 def test_influence_zero_for_identical_histories():
@@ -416,7 +440,7 @@ def test_smallest_alpha_keeps_normal_quantile(rng):
 def test_fit_and_influence_are_bitwise_the_subject_order_computation(arm):
     # tau before the first jump (on the grid without 0), between grid
     # points, on one, and beyond the last follow-up; type 2 may be absent;
-    # a type missing from the weights or weighted 0 is dropped
+    # a type missing from the weights or weighted 0 keeps its jumps at mass 0
     for tau in (0.25, 1.0, 1.75, 3.0):
         for s_convention in ("left", "right"):
             for weights in (None, {0: 1.0}, {2: 1.0}, {0: 0.0, 1: 2.0, 2: 1.0}):

@@ -437,7 +437,7 @@ def test_bootstrap_equals_resampling_subject_objects(rng, monkeypatch):
     assert bootstrap_se(study, B=100, seed=11) == se
     # two event types and covariates: the bootstrap fits all events
     _check_against_refits(random_study(rng, n=25, n_cov=2, n_types=2), seed=12)
-    # three types: the weighted fit drops type 0 and weighs type 2 by 2.5
+    # three types: the weighted fit gives type 0 mass 0 and weighs type 2 by 2.5
     _check_against_refits(random_study(rng, n=25, n_types=3), seed=13)
 
 
