@@ -52,6 +52,17 @@ _INDEX = (
 )
 
 
+def _check_subjects(subject_ids, problems) -> None:
+    """Raise :class:`ValidationError` naming the first subject that any
+    ``(mask, message)`` pair of ``problems`` flags, with the message of the
+    first mask that flags it; each mask holds one bool per subject."""
+    flagged = np.logical_or.reduce([mask for mask, _ in problems])
+    if flagged.any():
+        s = int(np.argmax(flagged))
+        msg = next(m for mask, m in problems if mask[s])
+        raise ValidationError(f"subject {subject_ids[s]!r}: {msg}")
+
+
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of the first element and length of each run of equal values
     in a sorted array."""
@@ -95,9 +106,11 @@ class ArmDataset:
         event_subjects,
         event_type_labels,
     ):
-        """Check the columns against the data model; ``covariates`` is
-        ``(n, p)``. Events may come in any order: they are sorted by time,
-        then by subject, then by the order given.
+        """Check the columns against the data model: an error names the
+        first subject whose follow-up X is not finite and >= 0, whose
+        covariates are not finite or who has an event outside [0, X].
+        ``covariates`` is ``(n, p)``. Events may come in any order: they are
+        sorted by time, then by subject, then by the order given.
         """
         follow_up = np.array(follow_up, dtype=np.float64)
         n = follow_up.size
@@ -121,23 +134,14 @@ class ArmDataset:
             event_subjects.min() >= 0 and event_subjects.max() < n
         ):
             raise ValidationError(f"arm {arm}: event subject index out of range")
-        bad = ~(np.isfinite(follow_up) & (follow_up >= 0))
-        if bad.any():
-            raise ValidationError(
-                f"subject {subject_ids[np.argmax(bad)]!r}: "
-                "follow-up must be finite and >= 0"
-            )
-        bad = ~np.isfinite(covariates).all(axis=1)
-        if bad.any():
-            raise ValidationError(
-                f"subject {subject_ids[np.argmax(bad)]!r}: missing or non-finite covariate"
-            )
-        outside = ~((event_times >= 0) & (event_times <= follow_up[event_subjects]))
-        if outside.any():
-            raise ValidationError(
-                f"subject {subject_ids[event_subjects[np.argmax(outside)]]!r}: "
-                "event time outside [0, X]"
-            )
+        bad_event = ~((event_times >= 0) & (event_times <= follow_up[event_subjects]))
+        outside = np.zeros(n, dtype=bool)
+        outside[event_subjects[bad_event]] = True
+        _check_subjects(subject_ids, (
+            (~(np.isfinite(follow_up) & (follow_up >= 0)), "follow-up must be finite and >= 0"),
+            (~np.isfinite(covariates).all(axis=1), "missing or non-finite covariate"),
+            (outside, "event time outside [0, X]"),
+        ))
         order = np.lexsort((event_subjects, event_times))
         self.arm = int(arm)
         self.n = n
@@ -230,19 +234,17 @@ def _arms_from_rows(ids, time, status, arm, event_type, covariates):
 
     ``ids`` is a list of str; the other columns are arrays with one entry
     per row, ``covariates`` of shape ``(rows, p)``, and every ``status``
-    is 0, 1 or 2 (the CSV reader rejects any other). Each error names the
-    first offending subject: rows are checked in input order, then
-    subjects in (arm, id) order.
+    is 0, 1 or 2 (the CSV reader rejects any other). Only what rows alone
+    show is checked here, naming the first offending subject: each row's
+    arm label in input order, then one censor or death row and one
+    covariate vector per subject in (arm, id) order. :class:`ArmDataset`
+    then checks the data model of arm 1, then of arm 2.
     """
     if not ids:
         raise ValidationError("no records supplied")
     bad_arm = (arm != 1) & (arm != 2)
-    bad = bad_arm | ~(np.isfinite(time) & (time >= 0))
-    if bad.any():
-        k = int(np.argmax(bad))
-        msg = "arm must be 1 or 2" if bad_arm[k] else "negative or non-finite time"
-        raise ValidationError(f"subject {ids[k]!r}: {msg}")
-    arm = arm.astype(np.int64)
+    if bad_arm.any():
+        raise ValidationError(f"subject {ids[int(np.argmax(bad_arm))]!r}: arm must be 1 or 2")
 
     # subjects are (arm, id) pairs, in arm order, then as sorted() orders
     # the ids (numpy's fixed-width str arrays would drop trailing NULs)
@@ -261,8 +263,6 @@ def _arms_from_rows(ids, time, status, arm, event_type, covariates):
     terminal[subj[is_end]] = status[is_end] == Status.DEATH
     is_event = ~is_end
     ev_subj, ev_time = subj[is_event], time[is_event]
-    late = np.zeros(n_subj, dtype=bool)
-    late[ev_subj[ev_time > follow_up[ev_subj]]] = True
 
     # a subject's covariates are those of its first row; comparing row
     # indices keeps a NaN in that row from conflicting with itself
@@ -270,21 +270,11 @@ def _arms_from_rows(ids, time, status, arm, event_type, covariates):
     differs = (np.arange(len(ids)) != ref_row) & (covariates != covariates[ref_row]).any(axis=1)
     conflict = np.zeros(n_subj, dtype=bool)
     conflict[subj[differs]] = True
-    cov = covariates[first]
-    nonfinite = ~np.isfinite(cov).all(axis=1)
-
-    problems = (
+    _check_subjects(subject_ids, (
         (n_end == 0, "missing terminal/censor record"),
         (n_end > 1, "multiple terminal/censor records"),
-        (late, "event time exceeds follow-up time"),
         (conflict, "conflicting covariate values"),
-        (nonfinite, "missing or non-finite covariate"),
-    )
-    flagged = np.logical_or.reduce([mask for mask, _ in problems])
-    if flagged.any():
-        s = int(np.argmax(flagged))
-        msg = next(m for mask, m in problems if mask[s])
-        raise ValidationError(f"subject {subject_ids[s]!r}: {msg}")
+    ))
 
     arms = {}
     n1 = int(np.searchsorted(keys, len(uid)))
@@ -296,7 +286,7 @@ def _arms_from_rows(ids, time, status, arm, event_type, covariates):
         on = ev_arm == a
         arms[a] = ArmDataset(
             a, subject_ids[lo:hi], follow_up[lo:hi], terminal[lo:hi],
-            cov[lo:hi], ev_time[on], ev_subj[on] - lo, ev_type[on],
+            covariates[first[lo:hi]], ev_time[on], ev_subj[on] - lo, ev_type[on],
         )
     return arms
 

@@ -365,6 +365,8 @@ def run_operating_characteristics(
     than there are replicates; results are aggregated in replicate order,
     so parallel equals serial bitwise.
     """
+    if isinstance(n_jobs, bool) or not isinstance(n_jobs, numbers.Integral):
+        raise ValidationError("n_jobs must be an integer")
     if n_jobs < 1:
         raise ValidationError("n_jobs must be at least 1")
     for m in methods:

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import aumcf
-from aumcf import write_records_csv
+from aumcf import StudyDataset, write_records_csv
 from aumcf.cli import main
 from aumcf.simulation import COVARIATE_MODES, SCENARIO_KINDS
 
@@ -836,6 +836,22 @@ def test_provenance_records_weights_and_covariates(runner, tmp_path, rng):
         csv_lines = runner.invoke(main, args + ["--format", "csv"]).stdout.splitlines()
         assert [line for line in csv_lines if line.startswith(("# covariates=", "# weights="))] \
             == [f"# {k}={v}" for k, v in sorted(want.items())]
+
+
+def test_csv_comment_writes_a_line_break_in_a_value_as_backslash_n(runner, tmp_path, rng):
+    # a covariate name may hold a line break inside a quoted header field
+    path = tmp_path / "nl.csv"
+    study = random_study(rng, n=20, n_cov=1)
+    with open(path, "w", newline="") as fh:
+        write_records_csv(StudyDataset(study.arm1, study.arm2, 1.0, ("a\nb",)), fh)
+    args = ["compare", str(path), "--tau", "1", "--covariates", "a\nb"]
+    assert _strict_json(runner.invoke(main, args).stdout)["provenance"]["covariates"] == "a\nb"
+    result = runner.invoke(main, [*args, "--format", "csv"])
+    assert result.exit_code == 0, result.output
+    lines = result.stdout.split("\n")
+    comments = lines[:lines.index("method," + ",".join(aumcf.cli._CONTRAST_COLUMNS))]
+    assert all(line.startswith("# ") for line in comments), comments
+    assert "# covariates=a\\nb" in comments
 
 
 def test_huge_weights_keep_a_finite_se(runner):

@@ -43,7 +43,7 @@ def test_ingest_duplicate_terminal_record():
 
 
 def test_ingest_event_after_followup():
-    with pytest.raises(ValidationError, match="subject 's1': event time exceeds follow-up"):
+    with pytest.raises(ValidationError, match=r"subject 's1': event time outside \[0, X\]"):
         read_study_csv(_csv("s1,7.0,1,1", "s1,5.0,0,1"), tau=10.0)
 
 
@@ -255,26 +255,69 @@ def test_csv_numbers_parse_like_python():
     study = read_study_csv(io.StringIO(text), tau=1.0)
     assert study.arm1.event_times.tolist() == [1.5]
     assert study.arm1.follow_up.tolist() == [10.0]
-    with pytest.raises(ValidationError, match="negative or non-finite time"):
+    with pytest.raises(ValidationError, match="subject 'b': follow-up must be finite"):
         read_study_csv(io.StringIO(text.replace("2e0", "inf")), tau=1.0)
 
 
 @pytest.mark.parametrize("rows,match", [
     (["b,1,0,1", "a,1,0,1", "a,2,0,1"], "subject 'a': multiple terminal"),
     (["b,1,1,1", "a,1,1,1"], "subject 'a': missing terminal"),
-    (["a,3,1,1", "a,2,0,1"], "subject 'a': event time exceeds follow-up"),
+    (["a,3,1,1", "a,2,0,1"], "subject 'a': event time outside"),
     (["a,1,1,1,0.5", "a,2,0,1,0.25"], "subject 'a': conflicting covariate"),
     (["a,1,1,1,nan", "a,2,0,1,nan"], "subject 'a': conflicting covariate"),
     (["a,2,0,1,nan"], "subject 'a': missing or non-finite covariate"),
     (["a,2,0,1,inf", "b,2,0,1,1"], "subject 'a': missing or non-finite covariate"),
-    (["z,-1,0,1", "a,2,0,3"], "subject 'z': negative or non-finite"),
+    # every row's arm label is checked before any subject's follow-up
+    (["z,-1,0,1", "a,2,0,3"], "subject 'a': arm must be 1 or 2"),
     (["z,1,0,1", "a,2,0,3"], "subject 'a': arm must be 1 or 2"),
+    # a rule that rows alone show, in either arm, before any arm's data model
+    (["a,-1,0,1", "b,1,1,2"], "subject 'b': missing terminal"),
+    (["a,1,1,2", "b,1,0,2", "z,-1,0,1"], "subject 'a': missing terminal"),
+    # arm 1's data model before arm 2's
+    (["a,nan,0,2", "z,1,0,1", "z,2,1,1"], "subject 'z': event time outside"),
 ])
 def test_csv_validation_names_first_offending_subject(rows, match):
     cov = ",w1" if rows[0].count(",") == 4 else ""
     text = "\n".join([f"id,time,status,arm{cov}"] + rows + ["c,1,0,2" + (",0" if cov else "")])
     with pytest.raises(ValidationError, match=match):
         read_study_csv(io.StringIO(text + "\n"), tau=1.0)
+
+
+def _arm_columns(rows):
+    """The ``ArmDataset`` arguments of arm-1 rows ``(id, time, status, w1)``,
+    subjects in id order, each with the covariate and follow-up of its
+    censor or death row."""
+    ids = sorted({r[0] for r in rows})
+    end = {r[0]: r for r in rows if r[2] != Status.EVENT}
+    events = [r for r in rows if r[2] == Status.EVENT]
+    return dict(arm=1, subject_ids=ids, follow_up=[end[i][1] for i in ids],
+                terminal=[end[i][2] == Status.DEATH for i in ids],
+                covariates=[[end[i][3]] for i in ids],
+                event_times=[r[1] for r in events],
+                event_subjects=[ids.index(r[0]) for r in events],
+                event_type_labels=[0] * len(events))
+
+
+@pytest.mark.parametrize("bad,message", [
+    ([("b", -1.0, 0, 0.5)], "follow-up must be finite and >= 0"),
+    ([("b", np.nan, 2, 0.5)], "follow-up must be finite and >= 0"),
+    ([("b", np.inf, 0, 0.5)], "follow-up must be finite and >= 0"),
+    ([("b", -0.5, 1, 0.5), ("b", 2.0, 0, 0.5)], "event time outside [0, X]"),
+    ([("b", np.nan, 1, 0.5), ("b", 2.0, 0, 0.5)], "event time outside [0, X]"),
+    ([("b", 3.0, 1, 0.5), ("b", 2.0, 2, 0.5)], "event time outside [0, X]"),
+    ([("b", 2.0, 0, np.nan)], "missing or non-finite covariate"),
+    ([("b", 2.0, 0, -np.inf)], "missing or non-finite covariate"),
+])
+def test_csv_and_columns_break_a_data_model_rule_alike(bad, message):
+    # ArmDataset alone checks the data model, so a CSV and the same columns
+    # given to ArmDataset raise the same error
+    rows = [("a", 1.0, 1, 0.25), ("a", 2.0, 2, 0.25), *bad, ("c", 3.0, 0, 1.0)]
+    text = "id,time,status,arm,w1\n" + "".join(f"{i},{t!r},{s},1,{w!r}\n" for i, t, s, w in rows)
+    with pytest.raises(ValidationError) as from_csv:
+        read_arms_csv(io.StringIO(text))
+    with pytest.raises(ValidationError) as from_columns:
+        ArmDataset(**_arm_columns(rows))
+    assert str(from_csv.value) == str(from_columns.value) == f"subject 'b': {message}"
 
 
 def test_subject_order_is_python_sorted():
@@ -717,7 +760,7 @@ def test_fit_and_contrast_modules_share_only_public_names():
     import aumcf
 
     def imported(module, source):
-        tree = ast.parse(open(getattr(aumcf, module).__file__).read())
+        tree = ast.parse(Path(getattr(aumcf, module).__file__).read_text())
         return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 and node.module == source for alias in node.names}
 

@@ -346,6 +346,13 @@ def test_harness_rejects_jobs_below_1(n_jobs):
         run_operating_characteristics(cfg, truth=0.0, n_jobs=n_jobs)
 
 
+@pytest.mark.parametrize("n_jobs", [2.5, 2.0, "2", True, None])
+def test_harness_rejects_jobs_that_are_no_integer(n_jobs):
+    cfg = ScenarioConfig(n_per_arm=10, replicates=2, seed=14)
+    with pytest.raises(ValidationError, match="n_jobs must be an integer"):
+        run_operating_characteristics(cfg, truth=0.0, n_jobs=n_jobs)
+
+
 def test_harness_adjusted_requires_covariates():
     cfg = ScenarioConfig(n_per_arm=20, replicates=2, seed=15)
     with pytest.raises(ValidationError, match="covariate mode"):
