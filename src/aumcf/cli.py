@@ -162,8 +162,10 @@ def _json_report(payload: dict) -> str:
 def _csv_report(provenance: dict, header, rows) -> str:
     buf = io.StringIO()
     for key in sorted(provenance):
-        # a line break would end the comment: it is written as \r or \n
-        value = str(provenance[key]).replace("\r", "\\r").replace("\n", "\\n")
+        # a line break would end the comment: it is written as \r or \n,
+        # and a backslash as \\, so that the escape can be undone
+        value = (str(provenance[key]).replace("\\", "\\\\")
+                 .replace("\r", "\\r").replace("\n", "\\n"))
         buf.write(f"# {key}={value}\n")
     writer = csv.writer(buf, lineterminator="\n")  # a float is written as its repr
     writer.writerow(header)

@@ -14,6 +14,7 @@ exact inversion of that rate. This layout is ``STREAM_VERSION`` 2.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace, asdict
@@ -451,28 +452,41 @@ def bootstrap_se(
     """Nonparametric bootstrap SE of the AUMCF difference.
 
     Subject-level resampling with replacement within each arm; the SD of
-    the B resampled differences. Deterministic given the seed. Each
-    resample is one ``rng.integers(0, n, size=n)`` draw per arm, arm 1
-    then arm 2 for each b, held as a count vector over the original arm's
-    subjects: its AUMCF is a sum over the original arm's jumps on
-    [0, tau] weighted by the counts, so no resampled arm is built. The SE
-    agrees with refitting each resampled arm to round-off.
+    the B resampled differences. Deterministic given the seed, a
+    nonnegative integer. Resample b draws each arm's n subjects from
+    ``rng.integers(0, n)``, arm 1 then arm 2, and holds them as a count
+    vector over the original arm's subjects: its AUMCF is a sum over the
+    original arm's jumps on [0, tau] weighted by the counts, so no
+    resampled arm is built. The SE agrees with refitting each resampled arm
+    to round-off. Draws of one bound that come in a row, as all of a
+    block's draws do when the arms are of equal size, are made in one
+    ``integers`` call: the generator's values do not depend on how its
+    calls split them, so the stream is that of one
+    ``rng.integers(0, n, size=n)`` call per arm and resample.
     """
     if isinstance(B, bool) or not isinstance(B, numbers.Integral):
         raise ValidationError("B must be an integer")
     if B < 100:
         raise ValidationError("B must be at least 100")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValidationError("seed must be an integer")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     rng = _stream(seed, _PURPOSE_BOOTSTRAP)
     arms = study.arms()
     fits = [fit_arm(arm, study.tau) for arm in arms]
+    n1, n2 = (arm.n for arm in arms)
     rows = max(1, _BOOTSTRAP_CELLS // max(arm.n + arm.event_times.size for arm in arms))
+    # a block's draws are a (rows, n1 + n2) matrix, row b resample b: arm
+    # 1's n1 draws, then arm 2's n2; shifted by this, one bincount counts
+    # each row and arm apart
+    shift = (np.arange(rows)[:, None] * (n1 + n2) + np.repeat([0, n1], [n1, n2])).ravel()
     deltas = np.empty(B)
     for lo in range(0, B, rows):
         size = min(rows, B - lo)
-        counts = [np.empty((size, arm.n), dtype=np.int64) for arm in arms]
-        for b in range(size):
-            for arm, c in zip(arms, counts):
-                c[b] = np.bincount(rng.integers(0, arm.n, size=arm.n), minlength=arm.n)
-        theta1, theta2 = (fit.thetas(c) for fit, c in zip(fits, counts))
-        deltas[lo:lo + size] = theta1 - theta2
+        draws = np.concatenate([rng.integers(0, n, size=n * len(tuple(run)))
+                                for n, run in itertools.groupby((n1, n2) * size)])
+        draws += shift[:draws.size]
+        counts = np.bincount(draws, minlength=draws.size).reshape(size, n1 + n2)
+        deltas[lo:lo + size] = fits[0].thetas(counts[:, :n1]) - fits[1].thetas(counts[:, n1:])
     return float(np.std(deltas, ddof=1))

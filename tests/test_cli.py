@@ -854,6 +854,23 @@ def test_csv_comment_writes_a_line_break_in_a_value_as_backslash_n(runner, tmp_p
     assert "# covariates=a\\nb" in comments
 
 
+def test_csv_comment_tells_a_backslash_n_from_a_line_break(runner, tmp_path, rng):
+    # a name holding a backslash and n is written with the backslash
+    # doubled, so it does not print as the name holding a line break
+    study = random_study(rng, n=20, n_cov=1)
+    comments = {}
+    for name in ("a\\nb", "a\nb"):
+        path = tmp_path / f"{len(name)}.csv"
+        with open(path, "w", newline="") as fh:
+            write_records_csv(StudyDataset(study.arm1, study.arm2, 1.0, (name,)), fh)
+        result = runner.invoke(main, ["compare", str(path), "--tau", "1", "--covariates", name,
+                                      "--format", "csv"])
+        assert result.exit_code == 0, result.output
+        comments[name] = [line for line in result.stdout.split("\n")
+                          if line.startswith("# covariates=")]
+    assert comments == {"a\\nb": ["# covariates=a\\\\nb"], "a\nb": ["# covariates=a\\nb"]}
+
+
 def test_huge_weights_keep_a_finite_se(runner):
     # psi**2 overflows at 1e300 weights, the SEs (about 3e299) do not
     unit = _result(runner, ["compare", "-", "--tau", "1", "--weights", "0=1,1=1,2=1"])["result"]

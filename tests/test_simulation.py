@@ -398,6 +398,22 @@ def test_bootstrap_rejects_non_integer_b(B):
         bootstrap_se(study, B=B)
 
 
+@pytest.mark.parametrize("seed, message", [(None, "an integer"), (True, "an integer"),
+                                           (1.5, "an integer"), ("3", "an integer"),
+                                           (-1, "nonnegative")])
+def test_bootstrap_rejects_a_seed_that_is_no_nonnegative_integer(seed, message, monkeypatch):
+    # None would seed the stream from fresh OS entropy; the check comes
+    # before the stream is made
+    study = generate_dataset(ScenarioConfig(n_per_arm=10, seed=18), 0)
+
+    def no_stream(*args):
+        raise AssertionError("a stream was made")
+
+    monkeypatch.setattr(simulation, "_stream", no_stream)
+    with pytest.raises(ValidationError, match=f"seed must be {message}"):
+        bootstrap_se(study, B=100, seed=seed)
+
+
 # the fits whose resamples are checked: the bootstrap's, a weighted one in
 # which type 0 weighs 0, and one with the right-continuous survival curve
 _RESAMPLED_FITS = (("left", None), ("left", {1: 1.0, 2: 2.5}), ("right", None))
@@ -428,24 +444,63 @@ def _check_against_refits(study, B=100, seed=11):
             ones = np.ones((1, fit.arm.n), dtype=np.int64)
             np.testing.assert_allclose(fit.thetas(ones), [fit.theta], rtol=1e-12, atol=0)
     want = float(np.std(refits[0, :, 0] - refits[0, :, 1], ddof=1))
-    np.testing.assert_allclose(bootstrap_se(study, B=B, seed=seed), want, rtol=1e-12, atol=0)
+    se = bootstrap_se(study, B=B, seed=seed)
+    np.testing.assert_allclose(se, want, rtol=1e-12, atol=0)
+    # the resamples of one generator call per arm and resample give the SE bitwise
+    theta1, theta2 = (fit_arm(arm, study.tau).thetas(c) for arm, c in zip(study.arms(), counts))
+    assert se == float(np.std(theta1 - theta2, ddof=1))
     return counts
 
 
 def test_bootstrap_equals_resampling_subject_objects(rng, monkeypatch):
     """The resamples are the draws of a resample-and-refit loop, and the
     count-weighted AUMCFs and the SE agree with that loop to round-off."""
-    study = random_study(rng, n=30, n_types=2)
-    se = bootstrap_se(study, B=100, seed=11)
-    _check_against_refits(study)
-    # blocks of 7 resamples, the last one short, give the same SE bitwise
-    widest = max(arm.n + arm.event_times.size for arm in study.arms())
-    monkeypatch.setattr(simulation, "_BOOTSTRAP_CELLS", 7 * widest)
-    assert bootstrap_se(study, B=100, seed=11) == se
+    equal = random_study(rng, n=30, n_types=2)
+    _check_against_refits(equal)
     # two event types and covariates: the bootstrap fits all events
     _check_against_refits(random_study(rng, n=25, n_cov=2, n_types=2), seed=12)
     # three types: the weighted fit gives type 0 mass 0 and weighs type 2 by 2.5
     _check_against_refits(random_study(rng, n=25, n_types=3), seed=13)
+    # arms of 30 and 23: a block draws each arm of each resample in its own call
+    unequal = StudyDataset(equal.arm1, random_study(rng, n=23, n_types=2).arm2, tau=equal.tau)
+    _check_against_refits(unequal, seed=14)
+    # blocks of one resample, and of 7 with the last one short, give the
+    # default blocks' SE bitwise
+    for study, seed in ((equal, 11), (unequal, 14)):
+        se = bootstrap_se(study, B=100, seed=seed)
+        widest = max(arm.n + arm.event_times.size for arm in study.arms())
+        assert simulation._BOOTSTRAP_CELLS // widest > 7  # the default blocks are wider
+        for cells in (widest, 7 * widest):
+            with monkeypatch.context() as patch:
+                patch.setattr(simulation, "_BOOTSTRAP_CELLS", cells)
+                assert bootstrap_se(study, B=100, seed=seed) == se
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2 ** 40])
+def test_one_integers_call_draws_what_split_calls_draw(seed):
+    """``bootstrap_se`` makes a run of draws of one bound in one call: the
+    generator gives the same values, and is left in the same state, as
+    when each resample's draws are their own call. Odd and even bounds,
+    the bound 1 (no bits drawn), 2**31 (the last 32-bit bound) and bounds
+    past 2**32 (64-bit draws); odd sizes leave half a 64-bit word."""
+
+    def draw(calls):
+        rng = _stream(seed, _PURPOSE_BOOTSTRAP)
+        values = np.concatenate([rng.integers(0, n, size=m) for n, m in calls])
+        # the next draws of both widths, and a float
+        return values, rng.integers(0, 10, size=3), rng.integers(0, 2 ** 40, size=3), rng.random()
+
+    for n, m in ((1, 1), (2, 2), (7, 7), (200, 200), (201, 201), (2 ** 31, 5), (2 ** 33 + 1, 4)):
+        for k in (2, 5):
+            for got, want in zip(draw([(n, k * m)]), draw([(n, m)] * k)):
+                np.testing.assert_array_equal(got, want)
+    # a mix of bounds, merged into one call at each run of one bound
+    calls = [(7, 7), (7, 7), (4, 4), (2 ** 31, 3), (2 ** 31, 3), (7, 7), (1, 1), (1, 1),
+             (201, 201), (201, 201), (2 ** 33 + 1, 4), (2 ** 33 + 1, 4), (3, 3)]
+    merged = [(n, sum(m for _, m in run)) for n, run in itertools.groupby(calls, lambda c: c[0])]
+    assert len(merged) == 8
+    for got, want in zip(draw(merged), draw(calls)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_bootstrap_event_tied_with_death():
@@ -476,12 +531,11 @@ def test_bootstrap_event_with_empty_risk_set():
     assert (drawn == 0).any() and (drawn > 0).any()
 
 
-def test_bootstrap_on_tied_study_is_pinned():
-    # the SE that the count-matrix bootstrap gave when it sorted each arm
-    # itself; reading the arm's stored follow-up order leaves it bitwise
-    rng = np.random.default_rng(20261018)
+def _tied_study(seed, n1, n2):
+    """Two arms of subjects on ``TIE_GRID``, heavily tied, drawn arm 1 first."""
+    rng = np.random.default_rng(seed)
 
-    def tied_arm(arm, n=40):
+    def tied_arm(arm, n):
         subjects = []
         for i in range(n):
             x = float(rng.choice(TIE_GRID[1:]))
@@ -489,8 +543,21 @@ def test_bootstrap_on_tied_study_is_pinned():
             subjects.append((f"s{i}", x, bool(rng.random() < 0.4), times.tolist()))
         return make_arm(arm, subjects)
 
-    study = StudyDataset(tied_arm(1), tied_arm(2), tau=1.5)
+    return StudyDataset(tied_arm(1, n1), tied_arm(2, n2), tau=1.5)
+
+
+def test_bootstrap_on_tied_study_is_pinned():
+    # the SE that the count-matrix bootstrap gave when it sorted each arm
+    # itself; reading the arm's stored follow-up order leaves it bitwise
+    study = _tied_study(20261018, 40, 40)
     assert bootstrap_se(study, B=200, seed=7).hex() == "0x1.3384305c4b4ecp-2"
+
+
+def test_bootstrap_on_unequal_tied_study_is_pinned():
+    # arms of 40 and 37: the SE that the bootstrap gave when it drew each
+    # resample of each arm in its own call
+    study = _tied_study(20261020, 40, 37)
+    assert bootstrap_se(study, B=200, seed=7).hex() == "0x1.2244a5a801f41p-2"
 
 
 def test_streams_are_distinct():
