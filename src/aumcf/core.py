@@ -8,6 +8,7 @@ optional baseline covariate vector.
 
 from __future__ import annotations
 
+import array
 import copy
 import csv
 import io
@@ -308,37 +309,46 @@ def arm_truncation_message(arm_data: ArmDataset, tau: float) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 _FIXED_COLUMNS = ("id", "time", "status", "arm")
-# rows converted at a time: only this many rows are ever held as strings
-# beyond the id column
+# lines parsed in C at a time: only this many lines are ever held as
+# strings beyond the id column
 _CHUNK_ROWS = 4096
 
 
-def _floats(values) -> np.ndarray:
-    return np.fromiter(map(float, values), np.float64, len(values))
-
-
-def _ints(values) -> np.ndarray:
-    return np.fromiter(map(int, values), np.int64, len(values))
-
-
-def _statuses(values) -> np.ndarray:
-    out = _ints(values)
-    if ((out < Status.CENSOR) | (out > Status.DEATH)).any():
+def _status(text: str) -> int:
+    code = int(text)
+    if not Status.CENSOR <= code <= Status.DEATH:
         raise ValueError("unknown status")
-    return out
+    return code
 
 
-def _event_types(values) -> np.ndarray:
-    return np.array([int(v) if v else 0 for v in values], dtype=np.int64)
+def _event_type(text: str) -> int:
+    return int(text) if text else 0
+
+
+def _header_columns(header) -> dict[str, int]:
+    """The position of each name of a CSV header; an empty or repeated name
+    raises :class:`ValidationError`."""
+    if "" in header:
+        # an unnamed column is neither dropped nor read as a covariate
+        raise ValidationError(
+            f"CSV header field {header.index('') + 1} is empty; R's write.csv "
+            "writes its row names there unless called with row.names = FALSE"
+        )
+    col = {name: k for k, name in enumerate(header)}
+    if len(col) < len(header):
+        name = next(c for k, c in enumerate(header) if col[c] != k)
+        raise ValidationError(f"CSV header repeats the column name {name!r}")
+    return col
 
 
 def _read_columns(fh) -> tuple[tuple, tuple[str, ...]]:
-    """Read the CSV into one array per column, a chunk of rows at a time.
+    """Read the CSV into one array per column.
 
     Leading chunks of plain lines (see ``_parse_plain``) are parsed in C by
     ``np.loadtxt``. From the first chunk that is not plain on, rows come
-    from ``csv.reader`` and are converted with Python's own ``int`` and
-    ``float``, which give the same numbers; only that path reports errors.
+    from ``csv.reader`` and are converted and checked one at a time, in
+    file order, by the same converters, which give Python's own ``int``
+    and ``float``; only that path reports errors.
 
     Returns the columns ``(ids, time, status, arm, event_type, covariates)``
     that ``_arms_from_rows`` takes, ``event_type`` being 0 where the field
@@ -357,60 +367,56 @@ def _read_columns(fh) -> tuple[tuple, tuple[str, ...]]:
         missing = [c for c in _FIXED_COLUMNS if c not in header]
         if missing:
             raise ValidationError(f"CSV missing required columns: {missing}")
-        if "" in header:
-            # an unnamed column is neither dropped nor read as a covariate
-            raise ValidationError(
-                f"CSV header field {header.index('') + 1} is empty; R's write.csv "
-                "writes its row names there unless called with row.names = FALSE"
-            )
-        col = {name: k for k, name in enumerate(header)}
-        if len(col) < len(header):
-            name = next(c for k, c in enumerate(header) if col[c] != k)
-            raise ValidationError(f"CSV header repeats the column name {name!r}")
+        col = _header_columns(header)
         has_type = "event_type" in col
         cov_names = tuple(
             c for c in header if c not in _FIXED_COLUMNS and c != "event_type"
         )
         # (label, column, converter) in the order the fields of a row are
-        # checked; a converter takes a sequence of field texts
-        fields = [("status", col["status"], _statuses)]
+        # checked; a converter takes one field text
+        fields = [("status", col["status"], _status)]
         if has_type:
-            fields.append(("event_type", col["event_type"], _event_types))
-        fields += [("covariate", col[c], _floats) for c in cov_names]
-        fields += [("time", col["time"], _floats), ("arm", col["arm"], _ints)]
+            fields.append(("event_type", col["event_type"], _event_type))
+        fields += [("covariate", col[c], float) for c in cov_names]
+        fields += [("time", col["time"], float), ("arm", col["arm"], int)]
         width = len(header)
         ids: list[str] = []
         parts: list[list[np.ndarray]] = [[] for _ in fields]
+        id_k = col["id"]
         # nothing is left of fh when every chunk was plain
-        rest = _read_plain_chunks(fh, fields, width, col["id"], ids, parts)
+        rest = _read_plain_chunks(fh, fields, width, id_k, ids, parts)
         if rest:
             line0 = reader.line_num + len(ids)
             reader = csv.reader(itertools.chain(rest, fh))
-        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
-            widths = set(map(len, chunk))
-            rows = [row for row in chunk if row] if 0 in widths else chunk  # skip blank lines
-            if not rows:
+        # 8 bytes a value, so the rows are not held as strings
+        columns = [array.array("d" if convert is float else "q") for _, _, convert in fields]
+        steps = [(label, k, convert, values.append)
+                 for (label, k, convert), values in zip(fields, columns)]
+        line = line0  # the line where the row before ends
+        for row in reader:
+            first, line = line + 1, line0 + reader.line_num
+            if not row:  # a blank line
                 continue
-            try:
-                if widths - {0, width}:
-                    raise ValueError("a row of another width")
-                cols = list(zip(*rows))
-                for part, (_, k, convert) in zip(parts, fields):
-                    part.append(convert(cols[k]))
-            except (ValueError, OverflowError):
-                _raise_first_bad_row(chunk, fields, width, line0 + reader.line_num)
-                raise
-            ids.extend(cols[col["id"]])
+            if len(row) != width:
+                raise ValidationError(f"line {first}: expected {width} fields, got {len(row)}")
+            for label, k, convert, append in steps:
+                try:
+                    append(convert(row[k]))
+                except (ValueError, OverflowError):
+                    what = "covariate value" if label == "covariate" else f"{label} {row[k]!r}"
+                    raise ValidationError(f"line {first}: bad {what}") from None
+            ids.append(row[id_k])
     except csv.Error as exc:
         raise ValidationError(f"line {line0 + reader.line_num}: {exc}") from exc
 
+    for part, values in zip(parts, columns):
+        part.append(np.asarray(values))
     n = len(ids)
-    arrays = [np.concatenate(p) if p else np.empty(0) for p in parts]
+    arrays = [np.concatenate(p) for p in parts]
     covs = arrays[1 + has_type:-2]
-    event_type = arrays[1].astype(np.int64) if has_type else np.zeros(n, dtype=np.int64)
+    event_type = arrays[1] if has_type else np.zeros(n, dtype=np.int64)
     covariates = np.column_stack(covs) if covs else np.empty((n, 0))
-    status, arm = arrays[0].astype(np.int64), arrays[-1].astype(np.int64)
-    return (ids, arrays[-2], status, arm, event_type, covariates), cov_names
+    return (ids, arrays[-2], arrays[0], arrays[-1], event_type, covariates), cov_names
 
 
 def _read_plain_chunks(fh, fields, width, id_column, ids, parts) -> list[str]:
@@ -419,14 +425,15 @@ def _read_plain_chunks(fh, fields, width, id_column, ids, parts) -> list[str]:
     first chunk that is not plain, or ``[]`` at the end of the stream."""
     # one table field per column, so that loadtxt checks every row's width;
     # the ids are read as str objects
-    kinds = {k: np.float64 if convert is _floats else np.int64 for _, k, convert in fields}
+    kinds = {k: np.float64 if convert is float else np.int64 for _, k, convert in fields}
     dtype = np.dtype([(f"c{k}", kinds.get(k, object)) for k in range(width)])
     names = [f"c{k}" for _, k, _ in fields]
-    # an empty event_type is 0; loadtxt rejects a label outside int64
-    converters = {k: _EventTypeLabels().__getitem__
-                  for label, k, _ in fields if label == "event_type"}
+    # loadtxt parses float and int itself, and rejects a converted value
+    # outside int64
+    converters = {k: _Memo(convert).__getitem__
+                  for _, k, convert in fields if convert not in (float, int)}
     while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
-        table = _parse_plain(lines, dtype, converters, names[0])
+        table = _parse_plain(lines, dtype, converters)
         if table is None:
             return lines
         for part, name in zip(parts, names):
@@ -435,28 +442,32 @@ def _read_plain_chunks(fh, fields, width, id_column, ids, parts) -> list[str]:
     return []
 
 
-class _EventTypeLabels(dict):
-    """The label of each event_type field text read so far, 0 for an empty
-    field: each distinct text is converted once, and its ``__getitem__`` is
-    a ``loadtxt`` converter with no Python frame per field."""
+class _Memo(dict):
+    """``convert`` of each field text read so far: each distinct text is
+    converted once, and ``__getitem__`` is a ``loadtxt`` converter with no
+    Python frame per field."""
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
 
     def __missing__(self, text):
-        label = self[text] = int(text) if text else 0
-        return label
+        value = self[text] = self.convert(text)
+        return value
 
 
-def _parse_plain(lines, dtype, converters, status) -> Optional[np.ndarray]:
+def _parse_plain(lines, dtype, converters) -> Optional[np.ndarray]:
     """The chunk as one ``np.loadtxt`` table with a row per line, or None
     when the chunk is not plain.
 
     Plain lines hold no NUL and no CR other than in a CRLF line end; none
     is blank or longer than the csv module's field limit, and the last
     does not end inside a quoted field; each has as many fields as
-    ``dtype``; every field parses without a warning; and every ``status``
-    field is 0, 1 or 2. ``loadtxt`` splits such lines, quoted fields
-    included, as ``csv.reader`` does, and reads their numbers as Python's
-    ``int`` and ``float`` do. It rejects some that those take (``1_000``,
-    non-ASCII digits): such a chunk is not plain.
+    ``dtype``; and every field parses, or converts, without an error or a
+    warning. ``loadtxt`` splits such lines, quoted fields included, as
+    ``csv.reader`` does, and reads their numbers as Python's ``int`` and
+    ``float`` do. It rejects some that those take (``1_000``, non-ASCII
+    digits): such a chunk is not plain.
     """
     text = "".join(lines)
     # loadtxt closes a quoted field still open at the end of the chunk,
@@ -478,35 +489,7 @@ def _parse_plain(lines, dtype, converters, status) -> Optional[np.ndarray]:
         return None
     if len(table) != len(lines):  # loadtxt skips blank lines
         return None
-    code = table[status]
-    if ((code < Status.CENSOR) | (code > Status.DEATH)).any():
-        return None
     return table
-
-
-def _raise_first_bad_row(rows, fields, width, last_line):
-    """Raise for the first bad row of ``rows``, the raw ``csv.reader`` rows
-    that end on file line ``last_line``: a row other than blank that is not
-    ``width`` fields wide, or one with a field that its converter rejects,
-    fields checked in ``fields`` order. A row is named by its first line;
-    it ends one line, plus the line breaks in its fields, after the row
-    before it."""
-    spans = [1 + (t := ",".join(row)).count("\n") + t.count("\r") - t.count("\r\n")
-             for row in rows]
-    line = last_line - sum(spans)
-    for row, span in zip(rows, spans):
-        first, line = line + 1, line + span
-        if not row:
-            continue
-        if len(row) != width:
-            raise ValidationError(f"line {first}: expected {width} fields, got {len(row)}")
-        for label, k, convert in fields:
-            try:
-                convert([row[k]])
-            except (ValueError, OverflowError):
-                if label == "covariate":
-                    raise ValidationError(f"line {first}: bad covariate value") from None
-                raise ValidationError(f"line {first}: bad {label} {row[k]!r}") from None
 
 
 def read_arms_csv(source) -> tuple[dict[int, ArmDataset], tuple[str, ...]]:
@@ -532,9 +515,11 @@ def read_arms_csv(source) -> tuple[dict[int, ArmDataset], tuple[str, ...]]:
 def write_records_csv(study: StudyDataset, fh) -> None:
     """Write a study in the CSV interchange format: arm by arm, subject by
     subject, each subject's event rows in time order, then its censor or
-    death row. An arm that repeats a subject id raises
+    death row. An arm that repeats a subject id, or a covariate name that
+    is empty, repeated or one of the reader's column names, raises
     :class:`ValidationError` before anything is written: the reader would
-    take its rows for one subject's."""
+    take the subject's rows for one subject's, or not read the header
+    back."""
     for arm in study.arms():
         seen = set()
         for sid in map(str, arm.subject_ids.tolist()):
@@ -549,6 +534,10 @@ def write_records_csv(study: StudyDataset, fh) -> None:
     if has_type:
         header.append("event_type")
     header.extend(cov_names)
+    # the reader's header rules, an event_type column counted also when
+    # none is written: the reader would take a covariate of that name for
+    # the labels
+    _header_columns(header if has_type else [*header, "event_type"])
     writer = csv.writer(fh)
     writer.writerow(header)
     no_type = [""] if has_type else []

@@ -224,10 +224,19 @@ _FIELD_ERRORS = [
     ('a,1.0,0,1\n"b\nc",1.0,0,x\n', "line 3: bad arm 'x'"),
     # the first bad row in file order, whatever is wrong with it
     ("a,x,0,1\nb,1.0,0\n", "line 2: bad time 'x'"),
+    ("a,x,0,1\nb,1,0,2\n" + "c" * 131073 + ",1,0,2\n", "line 2: bad time 'x'"),
 ]
 
 
-@pytest.mark.parametrize("body,match", _FIELD_ERRORS)
+def _text_id(value):
+    """A test id for a text over the csv field limit: its length, not the
+    text; other values keep pytest's own id."""
+    if isinstance(value, str) and len(value) > csv.field_size_limit():
+        return f"text of {len(value)} chars"
+    return None
+
+
+@pytest.mark.parametrize("body,match", _FIELD_ERRORS, ids=_text_id)
 def test_csv_field_errors_name_the_line(body, match):
     with pytest.raises(ValidationError, match=match):
         read_study_csv(io.StringIO("id,time,status,arm\n" + body), tau=1.0)
@@ -452,6 +461,21 @@ def test_write_records_csv_rejects_a_repeated_subject_id():
     assert buf.getvalue() == ""
 
 
+@pytest.mark.parametrize("names", [("time",), ("event_type",), ("id",), ("",), ("w", "w")])
+def test_write_records_csv_rejects_a_header_it_cannot_read_back(names):
+    # the reader would reject the header, or take a covariate column for a
+    # column of its own; without events no event_type column is written
+    covariates = np.zeros((2, len(names)))
+    no_events = dict(event_times=[], event_subjects=[], event_type_labels=[])
+    for events in ({}, no_events):
+        arms = [ArmDataset(**dict(_TWO_SUBJECTS, arm=a, covariates=covariates, **events))
+                for a in (1, 2)]
+        buf = io.StringIO()
+        with pytest.raises(ValidationError, match="CSV header"):
+            write_records_csv(StudyDataset(*arms, 1.0, names), buf)
+        assert buf.getvalue() == ""
+
+
 def test_select_covariates_shares_all_but_the_covariates(rng):
     study = random_study(rng, n=20, n_cov=3)
     sub = study.select_covariates(("w3", "w1"))
@@ -575,7 +599,7 @@ def test_crlf_chunks_read_as_csv_reader(data):
     *("id,time,status,arm\n" + body for body, _ in _FIELD_ERRORS),
     _BAD_FIELD_ORDER, _BAD_FIELD_ORDER.replace("2,0.5", "2,w"),
     _PYTHON_NUMBERS, _PYTHON_NUMBERS.replace("2e0", "inf"),
-])
+], ids=_text_id)
 def test_csv_test_inputs_read_as_csv_reader(text):
     fast, slow, _ = _read_both_ways(text)
     assert fast == slow
@@ -684,6 +708,23 @@ def test_plain_csv_rows_never_reach_csv_reader(rng, monkeypatch):
     monkeypatch.setattr(csv, "reader", header_only)
     back = read_study_csv(_NoSeek(text), 1.0)
     assert back.arm1 == study.arm1 and back.arm2 == study.arm2
+
+
+def test_bare_cr_file_is_read_by_csv_reader_alone(rng, monkeypatch):
+    # no line is plain, so csv.reader reads the whole file, more than
+    # _CHUNK_ROWS rows, in one pass
+    text = _plain_study_csv(rng)
+    real = core._parse_plain
+    tables = []
+
+    def spy(*args):
+        tables.append(real(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(core, "_parse_plain", spy)
+    arms = read_arms_csv(text.replace("\n", "\r").encode())
+    assert tables and all(t is None for t in tables)
+    assert arms == read_arms_csv(text.encode())
 
 
 @pytest.mark.parametrize("edit,error", [
