@@ -64,6 +64,25 @@ def _check_subjects(subject_ids, problems) -> None:
         raise ValidationError(f"subject {subject_ids[s]!r}: {msg}")
 
 
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` of a 1-d array with no NaN,
+    from numpy's default sort. Without ties any sorting permutation is the
+    stable one; with ties the values are ranked, and the rank, then the
+    position, is a key with no ties."""
+    order = np.argsort(values)
+    ordered = values[order]
+    new = ordered[1:] != ordered[:-1]
+    if new.all():
+        return order
+    n = values.size
+    key = np.empty(n, dtype=np.int64)
+    key[order[0]] = 0
+    key[order[1:]] = np.cumsum(new)
+    key *= n
+    key += np.arange(n)
+    return np.argsort(key)
+
+
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of the first element and length of each run of equal values
     in a sorted array."""
@@ -143,7 +162,10 @@ class ArmDataset:
             (~np.isfinite(covariates).all(axis=1), "missing or non-finite covariate"),
             (outside, "event time outside [0, X]"),
         ))
-        order = np.lexsort((event_subjects, event_times))
+        # by subject, then stably by time: the order of np.lexsort((subjects,
+        # times)); timsort takes events grouped by subject in one pass
+        order = np.argsort(event_subjects, kind="stable")
+        order = order[_stable_order(event_times[order])]
         self.arm = int(arm)
         self.n = n
         self.subject_ids = subject_ids
@@ -155,7 +177,7 @@ class ArmDataset:
         self.event_type_labels = event_type_labels[order]
         # the subjects in follow-up order, ties in subject order: fits,
         # influence values and the bootstrap read the arm through it
-        self._follow_up_order = np.argsort(follow_up, kind="stable")
+        self._follow_up_order = _stable_order(follow_up)
         x = follow_up[self._follow_up_order]
         self._event_first, self._e = _runs(self.event_times)
         self._te = self.event_times[self._event_first]
@@ -251,40 +273,62 @@ def _arms_from_rows(ids, time, status, arm, event_type, covariates):
     # the ids (numpy's fixed-width str arrays would drop trailing NULs)
     uid = sorted(dict.fromkeys(ids))
     rank = dict(zip(uid, range(len(uid))))
-    id_code = np.fromiter(map(rank.__getitem__, ids), np.int64, len(ids))
-    keys, first, subj = np.unique((arm - 1) * len(uid) + id_code, return_index=True,
-                                  return_inverse=True)
+    subj = np.fromiter(map(rank.__getitem__, ids), np.int64, len(ids))
+    subj += (arm - 1) * len(uid)
+    # the (arm, id) codes that occur, by counting; a row's subject is the
+    # number of codes below its own that occur
+    present = np.bincount(subj, minlength=2 * len(uid)) != 0
+    keys = present.nonzero()[0]
+    subj = (np.cumsum(present) - 1)[subj]
     subject_ids = np.array(uid, dtype=object)[keys % len(uid)]
     n_subj = keys.size
-    is_end = status != Status.EVENT
-    n_end = np.bincount(subj[is_end], minlength=n_subj)
-    follow_up = np.zeros(n_subj)
-    follow_up[subj[is_end]] = time[is_end]
-    terminal = np.zeros(n_subj, dtype=bool)
-    terminal[subj[is_end]] = status[is_end] == Status.DEATH
-    is_event = ~is_end
-    ev_subj, ev_time = subj[is_event], time[is_event]
+    # a subject's first row is the head of its first run of rows; each
+    # index array is freed once used, as a read peaks in the ArmDataset
+    # builds below
+    heads = np.ones(len(ids), dtype=bool)
+    np.not_equal(subj[1:], subj[:-1], out=heads[1:])
+    heads = heads.nonzero()[0]
+    first = np.full(n_subj, len(ids))
+    np.minimum.at(first, subj[heads], heads)
+    del heads
 
-    # a subject's covariates are those of its first row; comparing row
-    # indices keeps a NaN in that row from conflicting with itself
-    ref_row = first[subj]
-    differs = (np.arange(len(ids)) != ref_row) & (covariates != covariates[ref_row]).any(axis=1)
+    end = (status != Status.EVENT).nonzero()[0]
+    end_subj = subj[end]
+    n_end = np.bincount(end_subj, minlength=n_subj)
+    follow_up = np.zeros(n_subj)
+    follow_up[end_subj] = time[end]
+    terminal = np.zeros(n_subj, dtype=bool)
+    terminal[end_subj] = status[end] == Status.DEATH
+    del end, end_subj
+
+    # a subject's covariates are those of its first row; only its other
+    # rows are compared with them, so a NaN there conflicts
+    rest = np.ones(len(ids), dtype=bool)
+    rest[first] = False
+    rest = rest.nonzero()[0]
+    rest_subj = subj[rest]
+    ref = first[rest_subj]
+    differs = np.zeros(rest.size, dtype=bool)
+    for column in covariates.T:
+        differs |= column[rest] != column[ref]
     conflict = np.zeros(n_subj, dtype=bool)
-    conflict[subj[differs]] = True
+    conflict[rest_subj[differs]] = True
+    del rest, rest_subj, ref, differs
     _check_subjects(subject_ids, (
         (n_end == 0, "missing terminal/censor record"),
         (n_end > 1, "multiple terminal/censor records"),
         (conflict, "conflicting covariate values"),
     ))
 
+    event = (status == Status.EVENT).nonzero()[0]
+    ev_subj, ev_time, ev_type = subj[event], time[event], event_type[event]
+    del event, subj
     arms = {}
     n1 = int(np.searchsorted(keys, len(uid)))
-    ev_arm = arm[is_event]
-    ev_type = event_type[is_event]
-    for a, lo, hi in ((1, 0, n1), (2, n1, n_subj)):
+    in_arm1 = ev_subj < n1
+    for a, lo, hi, on in ((1, 0, n1, in_arm1), (2, n1, n_subj, ~in_arm1)):
         if lo == hi:
             continue
-        on = ev_arm == a
         arms[a] = ArmDataset(
             a, subject_ids[lo:hi], follow_up[lo:hi], terminal[lo:hi],
             covariates[first[lo:hi]], ev_time[on], ev_subj[on] - lo, ev_type[on],

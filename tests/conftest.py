@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from aumcf import ArmDataset, StudyDataset, aumcf, fit_arm, fit_influence, generate_dataset
+from aumcf import (
+    ArmDataset, Status, StudyDataset, ValidationError, aumcf, fit_arm, fit_influence,
+    generate_dataset,
+)
 
 
 def make_arm(arm, subjects):
@@ -38,6 +41,52 @@ def subject_rows(arm):
             tuple(float(w) for w in arm.covariates[i]),
         ))
     return rows
+
+
+def unique_grouping(ids, time, status, arm, event_type, covariates):
+    """``core._arms_from_rows`` as ``np.unique`` computes the grouping: the
+    same columns in, the same arms or error out, for checking the grouping
+    by counting. Subjects are (arm, id) pairs in arm order, then in
+    ``sorted()`` order of the ids; a subject's covariates are those of its
+    first row."""
+    if not ids:
+        raise ValidationError("no records supplied")
+    bad_arm = (arm != 1) & (arm != 2)
+    if bad_arm.any():
+        raise ValidationError(f"subject {ids[int(np.argmax(bad_arm))]!r}: arm must be 1 or 2")
+    uid = sorted(set(ids))
+    rank = {sid: k for k, sid in enumerate(uid)}
+    id_code = np.array([rank[sid] for sid in ids], dtype=np.int64)
+    keys, first, subj = np.unique((arm - 1) * len(uid) + id_code, return_index=True,
+                                  return_inverse=True)
+    subject_ids = np.array(uid, dtype=object)[keys % len(uid)]
+    n_subj = keys.size
+    is_end = status != Status.EVENT
+    n_end = np.bincount(subj[is_end], minlength=n_subj)
+    follow_up = np.zeros(n_subj)
+    follow_up[subj[is_end]] = time[is_end]
+    terminal = np.zeros(n_subj, dtype=bool)
+    terminal[subj[is_end]] = status[is_end] == Status.DEATH
+    ref_row = first[subj]
+    differs = (np.arange(len(ids)) != ref_row) & (covariates != covariates[ref_row]).any(axis=1)
+    conflict = np.zeros(n_subj, dtype=bool)
+    conflict[subj[differs]] = True
+    for s in range(n_subj):
+        for bad, msg in ((n_end[s] == 0, "missing terminal/censor record"),
+                         (n_end[s] > 1, "multiple terminal/censor records"),
+                         (conflict[s], "conflicting covariate values")):
+            if bad:
+                raise ValidationError(f"subject {subject_ids[s]!r}: {msg}")
+    arms = {}
+    n1 = int(np.searchsorted(keys, len(uid)))
+    for a, lo, hi in ((1, 0, n1), (2, n1, n_subj)):
+        on = ~is_end & (arm == a)
+        if lo < hi:
+            arms[a] = ArmDataset(
+                a, subject_ids[lo:hi], follow_up[lo:hi], terminal[lo:hi],
+                covariates[first[lo:hi]], time[on], subj[on] - lo, event_type[on],
+            )
+    return arms
 
 
 def random_arm(rng, n=30, arm=1, event_rate=1.0, death_rate=0.3,

@@ -19,7 +19,9 @@ from aumcf import (
 )
 from aumcf import core
 
-from conftest import TIE_GRID, at_risk, make_arm, random_study, subject_rows, tied_arms
+from conftest import (
+    TIE_GRID, at_risk, make_arm, random_study, subject_rows, tied_arms, unique_grouping,
+)
 
 
 def _csv(*rows):
@@ -535,6 +537,146 @@ def test_subject_history_validation():
     # one subject's events get sorted
     arm = ArmDataset(**dict(ok, event_times=[1.5, 0.5], event_subjects=[0, 0]))
     assert arm.event_times.tolist() == [0.5, 1.5]
+
+
+# ---------------------------------------------------------------------------
+# Orders from numpy's default sort, subjects grouped by counting
+# ---------------------------------------------------------------------------
+
+_SORT_INPUTS = st.one_of(
+    st.lists(st.floats(allow_nan=False), max_size=3),
+    st.lists(st.floats(allow_nan=False), max_size=40),
+    st.lists(st.sampled_from(TIE_GRID), max_size=40),
+    st.lists(st.sampled_from([-0.0, 0.0, 0.5]), max_size=20),
+    st.builds(lambda v, n: [v] * n, st.floats(allow_nan=False), st.integers(0, 20)),
+)
+
+
+def _arranged(values, arrange):
+    v = np.array(values, dtype=np.float64)
+    if arrange == "given":
+        return v
+    v = np.sort(v, kind="stable")
+    return v if arrange == "sorted" else v[::-1].copy()
+
+
+def _assert_event_order_is_lexsort(times, subjects):
+    """The arm sorts events as ``np.lexsort((subjects, times))`` does: each
+    event's label is its position in the order given."""
+    n = int(subjects.max()) + 1 if subjects.size else 1
+    arm = ArmDataset(1, [f"s{i}" for i in range(n)], np.full(n, 1e300), np.zeros(n, bool),
+                     np.empty((n, 0)), times, subjects, np.arange(times.size))
+    want = np.lexsort((subjects, times))
+    assert arm.event_type_labels.tolist() == want.tolist()
+    assert arm.event_times.tobytes() == times[want].tobytes()  # -0.0 stays -0.0
+    assert arm.event_subjects.tolist() == subjects[want].tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_SORT_INPUTS, arrange=st.sampled_from(["given", "sorted", "reversed"]))
+def test_stable_order_is_numpys_stable_argsort(values, arrange):
+    v = _arranged(values, arrange)
+    got, want = core._stable_order(v), np.argsort(v, kind="stable")
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), arrange=st.sampled_from(["given", "sorted", "reversed"]))
+def test_event_order_is_lexsort_by_time_then_subject(data, arrange):
+    times = _arranged(data.draw(st.lists(st.sampled_from([-0.0, *TIE_GRID]) | st.floats(0, 2),
+                                         max_size=30)), arrange)
+    subjects = data.draw(st.lists(st.integers(0, 4), min_size=times.size, max_size=times.size))
+    if data.draw(st.booleans()):
+        subjects.sort()  # grouped by subject, as the reader and simulator give them
+    _assert_event_order_is_lexsort(times, np.array(subjects, dtype=np.int64))
+
+
+def test_orders_of_ten_thousand_four_decimal_times():
+    rng = np.random.default_rng(31)
+    times = np.round(rng.exponential(1.0, 10_000), 4)
+    assert np.unique(times).size < times.size  # there are ties
+    assert core._stable_order(times).tolist() == np.argsort(times, kind="stable").tolist()
+    _assert_event_order_is_lexsort(times, np.sort(rng.integers(0, 2000, times.size)))
+
+
+@st.composite
+def _row_columns(draw):
+    """The reader's columns of rows in any order, so that a subject's rows
+    are not contiguous and the arms interleave; ids recur across arms, and
+    some subjects have one row. Now and then a subject lacks its censor or
+    death row, has two, or has a conflicting covariate (NaN included)."""
+    p = draw(st.integers(0, 2))
+    rows = []
+    for arm in (1, 2):
+        for sid in draw(st.lists(st.sampled_from(["a", "b", "a\0", "c", "d"]),
+                                 max_size=4, unique=True)):
+            cov = draw(st.lists(st.sampled_from([0.0, 0.5]), min_size=p, max_size=p))
+            x = draw(st.sampled_from(TIE_GRID))
+            times = draw(st.lists(st.sampled_from([t for t in TIE_GRID if t <= x]), max_size=3))
+            ends = draw(st.sampled_from([[0], [2]] * 5 + [[], [0, 2]]))
+            for t, status in [(t, Status.EVENT) for t in times] + [(x, s) for s in ends]:
+                w = cov
+                if p and draw(st.integers(0, 19)) == 0:
+                    w = [draw(st.sampled_from([0.25, np.nan]))] + cov[1:]
+                rows.append((sid, t, int(status), arm, draw(st.integers(0, 2)), w))
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    columns = [np.array([r[k] for r in rows], dtype=d)
+               for k, d in ((1, np.float64), (2, np.int64), (3, np.int64), (4, np.int64))]
+    covariates = np.array([r[5] for r in rows], dtype=np.float64).reshape(len(rows), p)
+    return ([r[0] for r in rows], *columns, covariates)
+
+
+def _grouped(group, columns):
+    try:
+        return group(*columns)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _assert_same_arms(got, want):
+    """The same error, or arms with the same bytes in every column and
+    index array."""
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert sorted(got) == sorted(want)
+    for a in want:
+        for name in (*core._COLUMNS, *core._INDEX):
+            x, y = getattr(got[a], name), getattr(want[a], name)
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            same = x.tolist() == y.tolist() if x.dtype == object else x.tobytes() == y.tobytes()
+            assert same, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=_row_columns())
+def test_grouping_by_counting_equals_np_unique(columns):
+    _assert_same_arms(_grouped(core._arms_from_rows, columns), _grouped(unique_grouping, columns))
+
+
+def test_grouping_across_a_chunk_boundary():
+    # most arm-1 subjects have three rows in a row, every tenth only one;
+    # arm 2's rows sit among arm 1's, and arm-2 subjects of one row go first
+    # until one subject's rows straddle the first chunk's last row and the
+    # next chunk's first
+    rng = np.random.default_rng(7)
+    rows = []
+    for i in range(1500):
+        t = np.round(rng.uniform(0, 2, 2), 4)
+        w = f"{rng.standard_normal():.6f}"
+        events = [] if i % 10 == 9 else [f"s{i:05d},{v},1,1,{w}" for v in t.tolist()]
+        rows += [*events, f"s{i:05d},2.0,{i % 3 % 2 * 2},1,{w}"]
+    for i in range(50):
+        rows.insert(int(rng.integers(0, 4000)), f"s{i:05d},{1 + i / 64!r},0,2,{i}")
+    last = core._CHUNK_ROWS - 1
+    while rows[last].split(",")[0] != rows[last + 1].split(",")[0]:
+        rows.insert(0, f"z{len(rows)},1.5,2,2,0")
+    text = "id,time,status,arm,w1\n" + "\n".join(rows) + "\n"
+    columns = core._read_columns(io.StringIO(text))[0]
+    arms = read_arms_csv(io.StringIO(text))[0]
+    _assert_same_arms(arms, unique_grouping(*columns))
+    assert arms[1].n == 1500 and arms[2].n == len(rows) - 4200
 
 
 # ---------------------------------------------------------------------------
