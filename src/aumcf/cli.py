@@ -1,9 +1,10 @@
 """Command-line interface: estimate, compare, curves, simulate.
 
 Input is the long-format CSV ``id,time,status,arm[,event_type][,w1,...]``.
-Every report carries a provenance block (input hash, tau, alpha, survival
-convention, version) and output is byte-identical across runs for the same
-inputs and seeds. Exit codes: 0 success, 2 validation error, 3 numerical
+Every report carries a provenance block (the input or config hash, the
+version and the flags that set its numbers), one writer puts each value in
+its place in JSON or CSV, and output is byte-identical across runs for the
+same inputs and seeds. Exit codes: 0 success, 2 validation error, 3 numerical
 degeneracy, 4 config error (a flag that click cannot parse included).
 """
 
@@ -136,14 +137,6 @@ def _provenance(command: str, digest: str, **extra) -> dict:
     return prov
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
-
-
 # the columns of a contrast's CSV report, after ``method`` when augmented
 _CONTRAST_COLUMNS = (
     "kind", "tau", "theta1", "se1", "theta2", "se2", "point", "se",
@@ -152,28 +145,38 @@ _CONTRAST_COLUMNS = (
 _NON_FINITE = "report has a non-finite statistic (overflow or degenerate input)"
 
 
-def _json_report(payload: dict) -> str:
-    try:
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise ArithmeticError(_NON_FINITE) from exc
-
-
-def _csv_report(provenance: dict, header, rows) -> str:
-    buf = io.StringIO()
-    for key in sorted(provenance):
-        # a line break would end the comment: it is written as \r or \n,
-        # and a backslash as \\, so that the escape can be undone
-        value = (str(provenance[key]).replace("\\", "\\\\")
-                 .replace("\r", "\\r").replace("\n", "\\n"))
-        buf.write(f"# {key}={value}\n")
-    writer = csv.writer(buf, lineterminator="\n")  # a float is written as its repr
-    writer.writerow(header)
-    for row in rows:
-        if any(isinstance(v, float) and not math.isfinite(v) for v in row):
-            raise ArithmeticError(_NON_FINITE)
-        writer.writerow(row)
-    return buf.getvalue()
+def _write_report(fmt: str, out: str | None, provenance: dict, blocks: dict,
+                  records: list[dict], csv_comments: dict | None = None) -> None:
+    """Write one report to ``out`` (default stdout): as JSON, the provenance
+    and the top-level ``blocks``; as CSV, the provenance and ``csv_comments``
+    as ``# key=value`` lines, then one row per record, keys as columns."""
+    if fmt == "json":
+        try:
+            text = json.dumps({"provenance": provenance, **blocks}, sort_keys=True, indent=2,
+                              allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise ArithmeticError(_NON_FINITE) from exc
+    else:
+        buf = io.StringIO()
+        for key, value in sorted({**provenance, **(csv_comments or {})}.items()):
+            # a line break would end the comment: it is written as \r or \n,
+            # and a backslash as \\, so that the escape can be undone
+            value = (str(value).replace("\\", "\\\\")
+                     .replace("\r", "\\r").replace("\n", "\\n"))
+            buf.write(f"# {key}={value}\n")
+        writer = csv.writer(buf, lineterminator="\n")  # a float is written as its repr
+        writer.writerow(records[0])
+        for record in records:
+            row = list(record.values())
+            if any(isinstance(v, float) and not math.isfinite(v) for v in row):
+                raise ArithmeticError(_NON_FINITE)
+            writer.writerow(row)
+        text = buf.getvalue()
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        click.echo(text, nl=False)
 
 
 def _check_tau(ctx, param, tau: float) -> float:
@@ -277,12 +280,7 @@ def estimate(input_path, tau, alpha, strict_tau, s_convention, fmt, out):
     } for fit, se in zip(fits, ses)]  # zip drops the last SE, the difference's
     prov = _provenance("estimate", digest, tau=tau, alpha=alpha,
                        s_convention=s_convention)
-    if fmt == "json":
-        _emit(_json_report({"provenance": prov, "arms": arms}), out)
-    else:
-        header = ["arm", "n", "theta", "se", "ci_lower", "ci_upper"]
-        rows = [[a[h] for h in header] for a in arms]
-        _emit(_csv_report(prov, header, rows), out)
+    _write_report(fmt, out, prov, {"arms": arms}, arms)
 
 
 @main.command()
@@ -312,17 +310,17 @@ def compare(input_path, tau, alpha, kind, covariates, weights, strict_tau,
     result = contrast(study, alpha, s_convention, ratio=kind == "ratio",
                       weights=weights, augment=covariates is not None)
 
-    if fmt == "json":
-        body = result.to_dict() if covariates is not None else {"result": result.to_dict()}
-        _emit(_json_report({"provenance": prov, **body}), out)
-    elif covariates is None:
-        row = [getattr(result, c) for c in _CONTRAST_COLUMNS]
-        _emit(_csv_report(prov, _CONTRAST_COLUMNS, [row]), out)
+    if covariates is None:
+        body = {"result": result.to_dict()}
+        records = [{c: body["result"][c] for c in _CONTRAST_COLUMNS}]
+        _write_report(fmt, out, prov, body, records)
     else:
-        rows = [[m, *(getattr(getattr(result, m), c) for c in _CONTRAST_COLUMNS)]
-                for m in ("unadjusted", "adjusted")]
-        prov = dict(prov, relative_efficiency=result.relative_efficiency)
-        _emit(_csv_report(prov, ("method", *_CONTRAST_COLUMNS), rows), out)
+        # JSON has null where the CSV comment keeps an infinite relative_efficiency
+        body = result.to_dict()
+        records = [{"method": m, **{c: body[m][c] for c in _CONTRAST_COLUMNS}}
+                   for m in ("unadjusted", "adjusted")]
+        _write_report(fmt, out, prov, body, records,
+                      {"relative_efficiency": result.relative_efficiency})
 
 
 @main.command()
@@ -336,8 +334,8 @@ def curves(input_path, tau, strict_tau, s_convention, out):
     for arm in arm_data:
         for name, fn in (("mcf", mcf(arm, s_convention)), ("km", km_survival(arm))):
             for t, v in fn.to_rows(tau):
-                rows.append([arm.arm, name, t, v])
-    _emit(_csv_report(prov, ["arm", "curve", "time", "value"], rows), out)
+                rows.append({"arm": arm.arm, "curve": name, "time": t, "value": v})
+    _write_report("csv", out, prov, {}, rows)
 
 
 @main.command()
@@ -394,14 +392,8 @@ def simulate(config_path, seed, reps, alpha, truth, jobs, fmt, out):
         "truth": "exact" if truth is None else "given",
         "version": __version__,
     }
-    if fmt == "json":
-        payload = {"provenance": prov}
-        payload.update(oc.to_dict())
-        _emit(_json_report(payload), out)
-    else:
-        header = [f.name for f in dataclasses.fields(oc.rows[0])]
-        rows = [dataclasses.astuple(r) for r in oc.rows]
-        _emit(_csv_report(dict(prov, alpha=alpha), header, rows), out)
+    body = oc.to_dict()
+    _write_report(fmt, out, prov, body, body["rows"], {"alpha": body["alpha"]})
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -676,6 +677,66 @@ def test_compare_no_events_relative_efficiency_null(runner, tmp_path):
     result = runner.invoke(main, args + ["--format", "csv"])
     assert result.exit_code == 0
     assert "# relative_efficiency=inf\n" in result.stdout
+
+
+def _json_records(report):
+    """The JSON record of each row of the same report's CSV, in row order."""
+    for key in ("arms", "rows"):
+        if key in report:
+            return report[key]
+    if "result" in report:
+        return [report["result"]]
+    return [dict(report[m], method=m) for m in ("unadjusted", "adjusted")]
+
+
+@pytest.mark.parametrize("args,extra", [
+    (["estimate"], ()),
+    (["compare"], ()),
+    (["compare", "--contrast", "ratio"], ()),
+    (["compare", "--weights", "0=1,1=2,2=0.5"], ()),
+    (["compare", "--covariates", "w2,w1"], ("relative_efficiency",)),
+    (["compare", "--covariates", "w1", NO_EVENTS_CSV], ("relative_efficiency",)),
+    (["simulate", "none"], ("alpha",)),
+    (["simulate", "informative"], ("alpha",)),
+], ids=["estimate", "compare", "ratio", "weighted", "augmented", "augmented-no-events",
+        "simulate-one-row", "simulate-two-rows"])
+def test_csv_report_carries_the_json_numbers(runner, tmp_path, rng, args, extra):
+    # the CSV rows, comment lines and CSV-only lines of a report, read back,
+    # are the JSON report's values
+    path = tmp_path / "in"
+    if args[0] == "simulate":
+        path.write_text(json.dumps({"kind": "icr", "covariate_mode": args[1], "n_per_arm": 20,
+                                    "replicates": 3, "seed": 7, "tau": 1.0}))
+        args = ["simulate", str(path), "--truth", "0"]
+    else:
+        if args[-1] == NO_EVENTS_CSV:
+            path.write_text(NO_EVENTS_CSV)
+            args = args[:-1]
+        else:
+            with open(path, "w") as fh:
+                write_records_csv(random_study(rng, n=20, n_cov=2, n_types=3), fh)
+        args = [args[0], str(path), "--tau", "2", *args[1:]]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.stderr
+    report = _strict_json(result.stdout)
+    result = runner.invoke(main, [*args, "--format", "csv"])
+    assert result.exit_code == 0, result.stderr
+    lines = result.stdout.splitlines()
+    head = next(k for k, line in enumerate(lines) if not line.startswith("# "))
+    comments = dict(line[2:].split("=", 1) for line in lines[:head])
+    header, *rows = csv.reader(lines[head:])
+
+    records = _json_records(report)
+    assert len(rows) == len(records) >= 1
+    for row, record in zip(rows, records):
+        for column, text in zip(header, row, strict=True):
+            value = record[column]
+            assert (text if isinstance(value, str) else float(text)) == value, column
+    prov = report["provenance"]
+    assert {k: comments.pop(k) for k in prov} == {k: str(v) for k, v in prov.items()}
+    assert set(comments) == set(extra)
+    for key, text in comments.items():
+        assert float(text) == (math.inf if report[key] is None else report[key]), key
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
