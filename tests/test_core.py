@@ -690,20 +690,22 @@ class _NoSeek(io.StringIO):
         raise io.UnsupportedOperation("seek")
 
 
-def _read(text):
-    """``_read_columns`` of ``text``: the ids, each array's dtype, shape and
+def _read(source):
+    """``_read_columns`` of ``source``, a text read from a ``_NoSeek``
+    stream or the input's bytes: the ids, each array's dtype, shape and
     bytes, and the covariate names; or the error's type and message."""
     try:
-        (ids, *arrays), names = core._read_columns(_NoSeek(text))
+        (ids, *arrays), names = core._read_columns(
+            _NoSeek(source) if isinstance(source, str) else source)
     except (ValueError, OverflowError) as exc:
         return type(exc), str(exc)
     return ids, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays], names
 
 
-def _read_both_ways(text):
-    """``_read`` of ``text``, the same with every chunk given to
-    ``csv.reader``, and whether the first parsed some chunk in C."""
-    real = core._parse_plain
+def _read_by_chunks(source):
+    """``_read`` of ``source``, and whether each chunk it cut was parsed in
+    C, in file order."""
+    real = core._parse_chunk
     tables = []
 
     def spy(*args):
@@ -711,11 +713,18 @@ def _read_both_ways(text):
         return tables[-1]
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(core, "_parse_plain", spy)
-        fast = _read(text)
-        m.setattr(core, "_parse_plain", lambda *args: None)
-        slow = _read(text)
-    return fast, slow, any(t is not None for t in tables)
+        m.setattr(core, "_parse_chunk", spy)
+        return _read(source), [t is not None for t in tables]
+
+
+def _read_both_ways(source):
+    """``_read`` of ``source``, the same with every chunk given to
+    ``csv.reader``, and whether the first parsed some chunk in C."""
+    fast, in_c = _read_by_chunks(source)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(core, "_parse_chunk", lambda *args: None)
+        slow = _read(source)
+    return fast, slow, any(in_c)
 
 
 @settings(max_examples=150, deadline=None)
@@ -837,7 +846,7 @@ def _plain_study_csv(rng, n=1500):
 def test_plain_csv_rows_never_reach_csv_reader(rng, monkeypatch):
     text = _plain_study_csv(rng)
     with monkeypatch.context() as m:
-        m.setattr(core, "_parse_plain", lambda *args: None)
+        m.setattr(core, "_parse_chunk", lambda *args: None)
         study = read_study_csv(_NoSeek(text), 1.0)
     real = csv.reader
 
@@ -856,17 +865,80 @@ def test_bare_cr_file_is_read_by_csv_reader_alone(rng, monkeypatch):
     # no line is plain, so csv.reader reads the whole file, more than
     # _CHUNK_ROWS rows, in one pass
     text = _plain_study_csv(rng)
-    real = core._parse_plain
+    real = core._parse_chunk
     tables = []
 
     def spy(*args):
         tables.append(real(*args))
         return tables[-1]
 
-    monkeypatch.setattr(core, "_parse_plain", spy)
+    monkeypatch.setattr(core, "_parse_chunk", spy)
     arms = read_arms_csv(text.replace("\n", "\r").encode())
     assert tables and all(t is None for t in tables)
     assert arms == read_arms_csv(text.encode())
+
+
+def _variant(text, case):
+    """``text``, a plain CSV of two chunks, as the input ``case`` names: the
+    input's bytes, or a text for a ``_NoSeek`` stream."""
+    lines = text.split("\n")
+    assert len(lines) > 6000 and 2 * core._CHUNK_ROWS > len(lines)
+    if case == "blank line mid-file":
+        lines.insert(5000, "")
+    if case == "status out of range in a late chunk":
+        fields = lines[5000].split(",")
+        lines[5000] = ",".join([*fields[:2], "3", *fields[3:]])
+    if case == "bare CR in the last chunk":
+        return ("\n".join(lines[:6000]) + "\n" + "\r".join(lines[6000:])).encode()
+    text = "\n".join(lines)
+    return {
+        "CRLF": text.replace("\n", "\r\n").encode(),
+        "no final newline": text.rstrip("\n").encode(),
+        "UTF-8 BOM": b"\xef\xbb\xbf" + text.encode(),
+        "_NoSeek stream": text,
+    }.get(case, text.encode())
+
+
+@pytest.mark.parametrize("case", [
+    "LF", "CRLF", "no final newline", "UTF-8 BOM", "blank line mid-file",
+    "bare CR in the last chunk", "status out of range in a late chunk", "_NoSeek stream",
+])
+def test_byte_chunks_read_as_csv_reader(rng, case):
+    # chunks cut from the input's bytes read as csv.reader alone reads the
+    # input: every variant of a plain CSV to the same columns, or to the
+    # same error at the same line
+    text = _plain_study_csv(rng)
+    source = _variant(text, case)
+    fast, chunks = _read_by_chunks(source)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(core, "_parse_chunk", lambda *args: None)
+        assert fast == _read(source)
+    if case == "status out of range in a late chunk":
+        assert fast == (ValidationError, "line 5001: bad status '3'")
+        assert chunks == [True, False]
+        return
+    assert fast == _read(text.encode())
+    # the first chunk is parsed in C, and the second too unless a blank
+    # line or a bare CR keeps it from C
+    assert chunks == [True, case not in ("blank line mid-file", "bare CR in the last chunk")]
+
+
+def test_text_stream_ends_lines_at_a_bare_cr_only_when_read_universally(rng):
+    # a stream read with newline="" ends a line at a bare CR, as the csv
+    # module asks; io.StringIO by default ends lines at LF only, so that
+    # csv.reader meets the CR inside a line
+    text = _plain_study_csv(rng)
+    cr = text.replace("\n", "\r")
+    want = read_arms_csv(text.encode())
+    assert read_arms_csv(io.TextIOWrapper(io.BytesIO(cr.encode()), newline="")) == want
+    assert read_arms_csv(io.StringIO(cr, newline="")) == want
+    with pytest.raises(ValidationError, match="^line 1: new-line character seen in unquoted"):
+        read_arms_csv(io.StringIO(cr))
+
+
+def test_binary_stream_is_an_error():
+    with pytest.raises(ValidationError, match="opened in text mode"):
+        read_arms_csv(io.BytesIO(b"id,time,status,arm\na,1,0,1\n"))
 
 
 @pytest.mark.parametrize("edit,error", [

@@ -1,19 +1,25 @@
-"""Time the layers of a CSV read and of an arm build, best of 15, each with
+"""Time the layers of a CSV read, of an arm build, of the fits and
+contrasts, of the bootstrap and of a simulated draw, best of 15, each with
 its tracemalloc peak, and the CLI as a fresh process, best of 15 with the
 child's peak RSS, and record them under LABEL in BENCH_layers.json; run it
 again under the same LABEL to keep each layer's best over the runs.
 
 Usage: PYTHONPATH=src python tools/bench_layers.py LABEL
 
-The CSV at n/arm is perfbench/inputs.make_study_csv(n, 1); the simulated
-arm is arm 1 of generate_dataset(ScenarioConfig(n_per_arm=n), 0). Each
-ArmDataset build is timed on the arguments the reader or the simulator
-gave it. The CLI layer runs ``python -m aumcf.cli compare CSV --tau 2
---covariates w1,w2`` from the tree that PYTHONPATH names, stdout to
-/dev/null.
+The CSV at n/arm is perfbench/inputs.make_study_csv(n, 1), read from its
+bytes, as the CLI hands them over, and from a copy whose line breaks are
+bare CRs; the study is that CSV read at tau 2. The simulated arm is arm 1
+of generate_dataset(ScenarioConfig(n_per_arm=n), 0). ``_read_columns``,
+``_arms_from_rows`` and each ArmDataset build are timed on the arguments
+that the reader or the simulator gave them, so the script times older
+trees too. ``fit_arm`` and ``fit_influence`` fit arm 1 of the study; the
+contrasts and ``bootstrap_se`` (B=200, seed 0) take the whole study, the
+weighted one with the benchmark's weights {1: 1, 2: 2, 3: 0.5}. The CLI
+layer runs ``python -m aumcf.cli compare CSV --tau 2 --covariates w1,w2``
+from the tree that PYTHONPATH names, stdout to /dev/null.
 """
 
-import io, json, os, platform, subprocess, sys, tempfile, time, tracemalloc
+import json, os, platform, subprocess, sys, tempfile, time, tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,17 +34,26 @@ import aumcf  # noqa: E402
 from aumcf import core, simulation  # noqa: E402
 from aumcf.simulation import ScenarioConfig, generate_dataset  # noqa: E402
 
+WEIGHTS = {1: 1.0, 2: 2.0, 3: 0.5}
 
-def first_build(module, call):
-    """A rebuild of the first ArmDataset that ``call`` builds through
-    ``module``, from the very arguments it was given."""
-    args, real = [], module.ArmDataset
-    module.ArmDataset = lambda *a: args.append(a) or real(*a)
+
+def first_call(module, name, call):
+    """A rerun of the first call that ``call`` makes to ``module.name``,
+    on the very arguments it was given; an argument that is a stream, as
+    an older reader was handed, is rewound before each rerun."""
+    args, real = [], getattr(module, name)
+    setattr(module, name, lambda *a: args.append(a) or real(*a))
     try:
         call()
     finally:
-        module.ArmDataset = real
-    return lambda: real(*args[0])
+        setattr(module, name, real)
+
+    def rerun():
+        for a in args[0]:
+            if hasattr(a, "seek"):
+                a.seek(0)
+        return real(*args[0])
+    return rerun
 
 
 def measure(fn):
@@ -86,15 +101,27 @@ def measure_process(argv):
 
 def layers(n):
     raw = make_study_csv(n, 1)[0]
-    stream = lambda: io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
-    columns = core._read_columns(stream())[0]
+    bare_cr = raw.replace(b"\n", b"\r")
+    read = lambda: core.read_study_csv(raw, 2.0)
+    study = read()
+    fit = aumcf.fit_arm(study.arm1, study.tau)
     config = ScenarioConfig(n_per_arm=n, replicates=1)
     timed = {name: measure(fn) for name, fn in (
-        ("read_study_csv", lambda: core.read_study_csv(raw, 2.0)),
-        ("_read_columns", lambda: core._read_columns(stream())),
-        ("_arms_from_rows", lambda: core._arms_from_rows(*columns)),
-        ("ArmDataset_csv_arm", first_build(core, lambda: core.read_study_csv(raw, 2.0))),
-        ("ArmDataset_simulated_arm", first_build(simulation, lambda: generate_dataset(config, 0))),
+        ("read_study_csv", read),
+        ("read_study_csv_bare_cr", lambda: core.read_study_csv(bare_cr, 2.0)),
+        ("_read_columns", first_call(core, "_read_columns", read)),
+        ("_arms_from_rows", first_call(core, "_arms_from_rows", read)),
+        ("ArmDataset_csv_arm", first_call(core, "ArmDataset", read)),
+        ("ArmDataset_simulated_arm",
+         first_call(simulation, "ArmDataset", lambda: generate_dataset(config, 0))),
+        ("fit_arm", lambda: aumcf.fit_arm(study.arm1, study.tau)),
+        ("fit_influence", lambda: aumcf.fit_influence(fit)),
+        ("contrast_difference", lambda: aumcf.contrast_difference(study)),
+        ("contrast_ratio", lambda: aumcf.contrast_ratio(study)),
+        ("weighted_contrast", lambda: aumcf.weighted_contrast(study, WEIGHTS)),
+        ("augmented_contrast", lambda: aumcf.augmented_contrast(study)),
+        ("bootstrap_se_B200", lambda: aumcf.bootstrap_se(study, B=200, seed=0)),
+        ("generate_dataset", lambda: generate_dataset(config, 0)),
     )}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "study.csv")
