@@ -354,11 +354,11 @@ def arm_truncation_message(arm_data: ArmDataset, tau: float) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 _FIXED_COLUMNS = ("id", "time", "status", "arm")
-# lines parsed in C at a time: only this many lines are ever held as
+# rows parsed in C at a time: only this many lines are ever held as
 # strings beyond the id column
 _CHUNK_ROWS = 4096
-# bytes searched for line ends at a time
-_SCAN_BYTES = 1 << 18
+# bytes decoded at a time into the lines that np.loadtxt reads
+_BLOCK_BYTES = 1 << 16
 
 
 def _status(text: str) -> int:
@@ -392,12 +392,12 @@ def _read_columns(source) -> tuple[tuple, tuple[str, ...]]:
     """Read the CSV that :func:`read_arms_csv` takes into one array per
     column.
 
-    The input's bytes are cut into chunks of ``_CHUNK_ROWS`` lines (see
-    ``_chunks``), and leading chunks of plain lines (see ``_parse_chunk``)
-    are parsed in C by ``np.loadtxt``. From the first chunk that is not
-    plain on, rows come from ``csv.reader`` and are converted and checked
-    one at a time, in file order, by the same converters, which give
-    Python's own ``int`` and ``float``; only that path reports errors.
+    ``csv.reader`` reads the header. When the body is plain (see
+    ``_parse_plain``) it is parsed in C by ``np.loadtxt``; otherwise the
+    header's reader reads on over the whole body, and its rows are
+    converted and checked one at a time, in file order, by the same
+    converters, which give Python's own ``int`` and ``float``; only that
+    path reports errors.
 
     Returns the columns ``(ids, time, status, arm, event_type, covariates)``
     that ``_arms_from_rows`` takes, ``event_type`` being 0 where the field
@@ -407,10 +407,12 @@ def _read_columns(source) -> tuple[tuple, tuple[str, ...]]:
     header is line 1, and skipped blank lines and the line breaks inside
     quoted fields count.
     """
-    raw, start, newline = _input_bytes(source)
-    lines = _Lines(raw, start, newline)
-    reader = csv.reader(lines)
-    line0 = 0  # lines read before the current reader's first
+    raw, start = _input_bytes(source)
+    stream = io.BytesIO(raw)  # shares raw, not a copy
+    stream.seek(start)
+    # lines end at LF, CRLF or a bare CR, as the csv module asks
+    reader = csv.reader(io.TextIOWrapper(stream, encoding="utf-8", errors="surrogatepass",
+                                         newline=""))
     try:
         header = next(reader, None)
         if header is None:
@@ -431,64 +433,53 @@ def _read_columns(source) -> tuple[tuple, tuple[str, ...]]:
         fields += [("covariate", col[c], float) for c in cov_names]
         fields += [("time", col["time"], float), ("arm", col["arm"], int)]
         width = len(header)
-        ids: list[str] = []
-        parts: list[list[np.ndarray]] = [[] for _ in fields]
         id_k = col["id"]
-        # the header's reader reads on from the end of the plain chunks,
-        # which is the end of the input when every chunk was plain
-        lines.pos = _read_plain_chunks(raw, lines.pos, fields, width, id_k, ids, parts)
-        if lines.pos < len(raw):
-            line0 = reader.line_num + len(ids)
-            reader = csv.reader(_text(raw, lines.pos, newline))
-        # 8 bytes a value, so the rows are not held as strings
-        columns = [array.array("d" if convert is float else "q") for _, _, convert in fields]
-        steps = [(label, k, convert, values.append)
-                 for (label, k, convert), values in zip(fields, columns)]
-        line = line0  # the line where the row before ends
-        for row in reader:
-            first, line = line + 1, line0 + reader.line_num
-            if not row:  # a blank line
-                continue
-            if len(row) != width:
-                raise ValidationError(f"line {first}: expected {width} fields, got {len(row)}")
-            for label, k, convert, append in steps:
-                try:
-                    append(convert(row[k]))
-                except (ValueError, OverflowError):
-                    what = "covariate value" if label == "covariate" else f"{label} {row[k]!r}"
-                    raise ValidationError(f"line {first}: bad {what}") from None
-            ids.append(row[id_k])
+        plain = _parse_plain(raw, start, reader.line_num, fields, width, id_k)
+        if plain is not None:
+            ids, arrays = plain
+        else:
+            ids = []
+            # 8 bytes a value, so the rows are not held as strings
+            columns = [array.array("d" if convert is float else "q")
+                       for _, _, convert in fields]
+            steps = [(label, k, convert, values.append)
+                     for (label, k, convert), values in zip(fields, columns)]
+            line = reader.line_num  # the line where the row before ends
+            for row in reader:
+                first, line = line + 1, reader.line_num
+                if not row:  # a blank line
+                    continue
+                if len(row) != width:
+                    raise ValidationError(f"line {first}: expected {width} fields, got {len(row)}")
+                for label, k, convert, append in steps:
+                    try:
+                        append(convert(row[k]))
+                    except (ValueError, OverflowError):
+                        what = "covariate value" if label == "covariate" else f"{label} {row[k]!r}"
+                        raise ValidationError(f"line {first}: bad {what}") from None
+                ids.append(row[id_k])
+            arrays = [np.array(values) for values in columns]
     except csv.Error as exc:
-        raise ValidationError(f"line {line0 + reader.line_num}: {exc}") from exc
+        raise ValidationError(f"line {reader.line_num}: {exc}") from exc
 
-    for part, values in zip(parts, columns):
-        part.append(np.asarray(values))
     n = len(ids)
-    arrays = [np.concatenate(p) for p in parts]
-    del parts  # the chunk arrays, freed before the covariate matrix is built
     covs = arrays[1 + has_type:-2]
     event_type = arrays[1] if has_type else np.zeros(n, dtype=np.int64)
     covariates = np.column_stack(covs) if covs else np.empty((n, 0))
     return (ids, arrays[-2], arrays[0], arrays[-1], event_type, covariates), cov_names
 
 
-def _input_bytes(source) -> tuple[bytes, int, str]:
-    """The input's bytes, the offset of its first line and the ``newline``
-    of ``io.TextIOWrapper`` that splits them into lines.
+def _input_bytes(source) -> tuple[bytes, int]:
+    """The input's bytes and the offset of its first line.
 
-    A path or bytes are UTF-8, their lines split at LF, CRLF and a bare CR,
-    and a leading byte-order mark is skipped. A text file object is read
-    whole and encoded with ``surrogatepass``, which its decoding undoes
-    for any text; its lines end at LF, and at a bare CR too when it
-    reports the line breaks it read in ``newlines``, as one opened with
-    ``newline=""`` does. ``io.StringIO`` by default reports none and
-    keeps a CR inside a line, as its own iteration does."""
+    A path or bytes are UTF-8, and a leading byte-order mark is skipped. A
+    text file object is read whole and encoded with ``surrogatepass``,
+    which its decoding undoes for any text."""
     if hasattr(source, "read"):
         text = source.read()
         if not isinstance(text, str):
             raise ValidationError("a file object must be opened in text mode")
-        return (text.encode("utf-8", "surrogatepass"), 0,
-                "" if getattr(source, "newlines", None) else "\n")
+        return text.encode("utf-8", "surrogatepass"), 0
     raw = source if isinstance(source, bytes) else pathlib.Path(source).read_bytes()
     if not raw.isascii():
         try:
@@ -497,86 +488,97 @@ def _input_bytes(source) -> tuple[bytes, int, str]:
         except UnicodeDecodeError as exc:
             raise ValidationError(f"input is not UTF-8: byte 0x{raw[exc.start]:02x} "
                                   f"at offset {exc.start}") from exc
-    return raw, len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0, ""
+    return raw, len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
 
 
-def _text(raw: bytes, pos: int, newline: str) -> io.TextIOWrapper:
-    """A text stream of ``raw`` from byte ``pos`` on, lines split as
-    ``newline`` splits them; ``io.BytesIO`` shares ``raw``, not a copy."""
-    stream = io.BytesIO(raw)
-    stream.seek(pos)
-    return io.TextIOWrapper(stream, encoding="utf-8", errors="surrogatepass", newline=newline)
+def _lf_blocks(raw: bytes, pos: int, limit: int, counts: list):
+    """The lines of ``raw`` from byte ``pos`` on, split at LF with the LF
+    dropped, as one list per block of the input; ``counts`` gets each
+    block's number of lines.
 
-
-class _Lines:
-    """The lines of ``raw`` from byte ``pos`` on, as ``_text(raw, pos,
-    newline)`` iterates them, with ``pos`` at the start of the next."""
-
-    def __init__(self, raw: bytes, pos: int, newline: str):
-        self.raw, self.pos, self.newline = raw, pos, newline
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> str:
-        raw, pos = self.raw, self.pos
-        if pos >= len(raw):
-            raise StopIteration
-        end = raw.find(b"\n", pos) + 1 or len(raw)
-        cr = -1 if self.newline else raw.find(b"\r", pos, end)
-        if cr >= 0:
-            end = cr + 1 + raw.startswith(b"\n", cr + 1)
-        self.pos = end
-        return raw[pos:end].decode("utf-8", "surrogatepass")
-
-
-def _chunks(raw: bytes, pos: int):
-    """Cut ``raw`` from byte ``pos`` on into chunks of ``_CHUNK_ROWS``
-    lines, the last one of the lines left, and yield the start and end of
-    each, its number of lines and its longest line's length in bytes, the
-    line end counted. A line ends after an LF or at the end of ``raw``.
-
-    The line ends are searched for ``_SCAN_BYTES`` at a time, so no array
-    is as long as the input."""
-    data = np.frombuffer(raw, dtype=np.uint8)
-    found = np.empty(0, dtype=np.intp)  # line ends past pos, in no chunk yet
-    scanned = pos
+    A block ends at the last LF within ``min(limit, _BLOCK_BYTES)`` bytes,
+    or at the end of its first line when that is longer than a block, so a
+    line of more than ``limit`` bytes, its LF counted, raises ValueError.
+    An LF byte is never part of a longer UTF-8 sequence, so a block
+    decodes on its own."""
+    span = min(limit, _BLOCK_BYTES)
     while pos < len(raw):
-        while found.size < _CHUNK_ROWS and scanned < len(raw):
-            window = data[scanned:scanned + _SCAN_BYTES]
-            found = np.concatenate((found, np.flatnonzero(window == 0x0A) + (scanned + 1)))
-            scanned += window.size
-        if found.size < _CHUNK_ROWS and (not found.size or found[-1] < len(raw)):
-            found = np.append(found, len(raw))  # a last line with no line end
-        ends, found = found[:_CHUNK_ROWS], found[_CHUNK_ROWS:]
-        end = int(ends[-1])
-        yield pos, end, ends.size, int(np.diff(ends, prepend=pos).max())
+        end = len(raw) if len(raw) - pos <= span else raw.rfind(b"\n", pos, pos + span) + 1
+        if not end:  # the first line is longer than a block
+            end = raw.find(b"\n", pos) + 1 or len(raw)
+            if end - pos > limit:
+                raise ValueError("a line is longer than the csv field limit")
+        lines = str(memoryview(raw)[pos:end], "utf-8", "surrogatepass").split("\n")
+        if not lines[-1]:  # the empty text after the block's last LF
+            lines.pop()
+        counts.append(len(lines))
+        yield lines
         pos = end
 
 
-def _read_plain_chunks(raw, pos, fields, width, id_column, ids, parts) -> int:
-    """Append the ids (column ``id_column``) and field arrays of the
-    leading plain chunks of ``raw`` from byte ``pos`` on to ``ids`` and
-    ``parts``; return the offset of the first chunk that is not plain, or
-    the length of ``raw``."""
+def _parse_plain(raw, start, skip, fields, width, id_column) -> Optional[tuple[list, list]]:
+    """The ids (column ``id_column``) and one array per field of the
+    lines of ``raw`` from byte ``start`` on, less the ``skip`` lines of
+    the header, as ``np.loadtxt`` parses them; or None when they are not
+    plain.
+
+    Plain input holds no NUL and no CR other than in a CRLF line end, and
+    its last line does not end inside a quoted field. Each body line is
+    one table row: none is blank, none is longer than the csv module's
+    field limit, none opens a quoted field that the next line closes; each
+    has ``width`` fields; every field parses, or converts, without an
+    error or a warning; and every status is a status code. ``loadtxt``
+    splits such lines, quoted fields included, as ``csv.reader`` does, and
+    reads their numbers as Python's ``int`` and ``float`` do. It rejects
+    some that those take (``1_000``, non-ASCII digits): such a body is not
+    plain.
+    """
+    limit = csv.field_size_limit()
+    # loadtxt closes a quoted field still open at the end of the input,
+    # while csv.reader keeps the line break in it; the rules before that
+    # one keep csv.reader from raising on the last line
+    last = raw[raw.rfind(b"\n", start, len(raw) - 1) + 1 or start:]
+    cr = raw.find(b"\r")
+    if (b"\0" in raw
+            # the CRs are counted only when the first is in a CRLF
+            or cr >= 0 and (not raw.startswith(b"\r\n", cr)
+                            or raw.count(b"\r") != raw.count(b"\r\n"))
+            or len(last) > limit
+            or any("\n" in f or "\r" in f
+                   for f in next(csv.reader([last.decode("utf-8", "surrogatepass")])))):
+        return None
     # one table field per column, so that loadtxt checks every row's width;
     # the ids are read as str objects
     kinds = {k: np.float64 if convert is float else np.int64 for _, k, convert in fields}
     dtype = np.dtype([(f"c{k}", kinds.get(k, object)) for k in range(width)])
-    names = [f"c{k}" for _, k, _ in fields]
     # loadtxt parses float and int itself, status included, and rejects a
     # converted value outside int64
     converters = {k: _Memo(convert).__getitem__
                   for _, k, convert in fields if convert not in (float, int, _status)}
-    for bounds in _chunks(raw, pos):
-        # the first field is the status
-        table = _parse_chunk(raw, bounds, dtype, converters, names[0])
-        if table is None:
-            return bounds[0]
-        for part, name in zip(parts, names):
-            part.append(table[name])
-        ids.extend(table[f"c{id_column}"].tolist())
-    return len(raw)
+    counts, tables = [], []
+    lines = itertools.chain.from_iterable(_lf_blocks(raw, start, limit, counts))
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 reads "1.0" as an int with a DeprecationWarning;
+            # loadtxt warns of a blank line and of an input with no rows
+            warnings.simplefilter("error")
+            # each call leaves lines just past the last line it read
+            for line in lines:
+                tables.append(np.loadtxt(
+                    itertools.chain((line,), lines), delimiter=",", dtype=dtype,
+                    converters=converters, comments=None, quotechar='"', ndmin=1,
+                    skiprows=skip if not tables else 0, max_rows=_CHUNK_ROWS,
+                ))
+    except (ValueError, OverflowError, Warning):
+        return None
+    # loadtxt reads a quoted field on over a line end
+    if sum(map(len, tables)) != sum(counts) - skip:
+        return None
+    arrays = [np.concatenate([t[f"c{k}"] for t in tables]) for _, k, _ in fields]
+    codes = arrays[0]  # the first field is the status
+    if codes.min() < Status.CENSOR or codes.max() > Status.DEATH:
+        return None
+    return [i for t in tables for i in t[f"c{id_column}"].tolist()], arrays
 
 
 class _Memo(dict):
@@ -593,64 +595,13 @@ class _Memo(dict):
         return value
 
 
-def _parse_chunk(raw, bounds, dtype, converters, status) -> Optional[np.ndarray]:
-    """The chunk of ``raw`` that ``bounds`` gives (see ``_chunks``), as one
-    ``np.loadtxt`` table with a row per line, or None when the chunk is
-    not plain.
-
-    Plain lines hold no NUL and no CR other than in a CRLF line end; none
-    is blank or longer than the csv module's field limit, and the last
-    does not end inside a quoted field; each has as many fields as
-    ``dtype``; every field parses, or converts, without an error or a
-    warning; and every value of the field ``status`` is a status code.
-    ``loadtxt`` splits such lines, quoted fields included, as
-    ``csv.reader`` does, and reads their numbers as Python's ``int`` and
-    ``float`` do. It rejects some that those take (``1_000``, non-ASCII
-    digits): such a chunk is not plain.
-    """
-    lo, hi, count, longest = bounds
-    # a line is never longer in characters than in bytes, so no line over
-    # the field limit passes
-    if (raw.find(b"\0", lo, hi) >= 0 or longest > csv.field_size_limit()
-            or raw.find(b"\r", lo, hi) >= 0
-            and raw.count(b"\r", lo, hi) != raw.count(b"\r\n", lo, hi)):
-        return None
-    # an LF byte is never part of a longer UTF-8 sequence, so the chunk
-    # decodes on its own, from a view of raw rather than a copy
-    lines = str(memoryview(raw)[lo:hi], "utf-8", "surrogatepass").split("\n")
-    # loadtxt closes a quoted field still open at the end of the chunk,
-    # while csv.reader carries it on into the next; the rules before that
-    # one keep csv.reader from raising on the chunk's last line
-    last = lines[count - 1] + "\n" * (len(lines) > count)
-    if any("\n" in f or "\r" in f for f in next(csv.reader([last]))):
-        return None
-    del lines[count:]  # the empty text after a last line end
-    try:
-        with warnings.catch_warnings():
-            # numpy < 2 reads "1.0" as an int with a DeprecationWarning
-            warnings.simplefilter("error")
-            table = np.loadtxt(
-                lines, delimiter=",", dtype=dtype, converters=converters,
-                comments=None, quotechar='"', ndmin=1,
-            )
-    except (ValueError, OverflowError, Warning):
-        return None
-    if len(table) != count:  # loadtxt skips blank lines
-        return None
-    codes = table[status]
-    if codes.min() < Status.CENSOR or codes.max() > Status.DEATH:
-        return None
-    return table
-
-
 def read_arms_csv(source) -> tuple[dict[int, ArmDataset], tuple[str, ...]]:
     """Read per-arm datasets (one or both arms) from a CSV path, the input's
     bytes or a text file object, plus the covariate column names. A path or
     bytes are read as UTF-8 with any leading byte-order mark dropped; a
     byte that is not UTF-8 raises :class:`ValidationError` naming its
     offset, the mark counted. A text file object is read whole, as it is
-    opened."""
-    # the reader's chunk arrays are freed before the rows are grouped
+    opened. Lines end at LF, CRLF or a bare CR."""
     columns, cov_names = _read_columns(source)
     return _arms_from_rows(*columns), cov_names
 

@@ -658,8 +658,8 @@ def test_grouping_by_counting_equals_np_unique(columns):
 def test_grouping_across_a_chunk_boundary():
     # most arm-1 subjects have three rows in a row, every tenth only one;
     # arm 2's rows sit among arm 1's, and arm-2 subjects of one row go first
-    # until one subject's rows straddle the first chunk's last row and the
-    # next chunk's first
+    # until one subject's rows straddle the last row of the first loadtxt
+    # call and the first of the next
     rng = np.random.default_rng(7)
     rows = []
     for i in range(1500):
@@ -673,6 +673,8 @@ def test_grouping_across_a_chunk_boundary():
     while rows[last].split(",")[0] != rows[last + 1].split(",")[0]:
         rows.insert(0, f"z{len(rows)},1.5,2,2,0")
     text = "id,time,status,arm,w1\n" + "\n".join(rows) + "\n"
+    fast, slow, in_c = _read_both_ways(text)
+    assert fast == slow and in_c
     columns = core._read_columns(io.StringIO(text))[0]
     arms = read_arms_csv(io.StringIO(text))[0]
     _assert_same_arms(arms, unique_grouping(*columns))
@@ -680,7 +682,7 @@ def test_grouping_across_a_chunk_boundary():
 
 
 # ---------------------------------------------------------------------------
-# Plain chunks parsed in C read as csv.reader reads them
+# A plain body parsed in C reads as csv.reader reads it
 # ---------------------------------------------------------------------------
 
 class _NoSeek(io.StringIO):
@@ -702,29 +704,30 @@ def _read(source):
     return ids, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays], names
 
 
-def _read_by_chunks(source):
-    """``_read`` of ``source``, and whether each chunk it cut was parsed in
-    C, in file order."""
-    real = core._parse_chunk
-    tables = []
+def _read_in_c(source):
+    """``_read`` of ``source``, and whether its body was parsed in C."""
+    real = core._parse_plain
+    parsed = []
 
     def spy(*args):
-        tables.append(real(*args))
-        return tables[-1]
+        parsed.append(real(*args))
+        return parsed[-1]
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(core, "_parse_chunk", spy)
-        return _read(source), [t is not None for t in tables]
+        m.setattr(core, "_parse_plain", spy)
+        got = _read(source)
+    assert len(parsed) <= 1
+    return got, any(p is not None for p in parsed)
 
 
 def _read_both_ways(source):
-    """``_read`` of ``source``, the same with every chunk given to
-    ``csv.reader``, and whether the first parsed some chunk in C."""
-    fast, in_c = _read_by_chunks(source)
+    """``_read`` of ``source``, the same with the body given to
+    ``csv.reader``, and whether the first parsed the body in C."""
+    fast, in_c = _read_in_c(source)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(core, "_parse_chunk", lambda *args: None)
+        m.setattr(core, "_parse_plain", lambda *args: None)
         slow = _read(source)
-    return fast, slow, any(in_c)
+    return fast, slow, in_c
 
 
 @settings(max_examples=150, deadline=None)
@@ -760,7 +763,7 @@ _H = "id,time,status,arm,event_type,w1\n"
 _ROWS = "a,1.0,1,1,2,0.5\na,2.0,0,1,,0.5\n"
 
 
-# (text, whether its one chunk is parsed in C)
+# (text, whether its body is parsed in C)
 @pytest.mark.parametrize("text,in_c", [
     (_H + _ROWS + "b,nan,0,2,,-nan\n", True),
     (_H + _ROWS + "b,inf,0,2,,-Infinity\n", True),
@@ -796,9 +799,14 @@ _ROWS = "a,1.0,1,1,2,0.5\na,2.0,0,1,,0.5\n"
     (_H + _ROWS + 'b,1,"3",2,,0.5\n', False),
     (_H + _ROWS + 'b,1,1,2,"",0.5\n', True),
     (_H + _ROWS + '"b\nc",1,0,2,,0.5\n', False),
+    # the last line opens a quoted field that the input's end closes
+    (_H + _ROWS + 'b,1,0,2,,"0.5\n', False),
+    (_H + _ROWS + 'b,1,0,2,,"0.5', True),
     # R's write.csv quotes the header and every string field
     ('"id","time","status","arm","event_type","w1"\n"a",1,1,1,2,0.5\n'
      '"a",2,0,1,,0.5\n"b",1,0,2,,0.5\n', True),
+    # a header over two lines: the first loadtxt call skips both
+    ('id,time,status,arm,event_type,"w\n1"\n' + _ROWS, True),
     ((_H + _ROWS).replace("\n", "\r\n"), True),
     (_H + _ROWS.replace("\n", "\r\n") + "b,1,0,2,,0.5\n", True),
     ((_H + _ROWS).replace("\n", "\r"), False),
@@ -833,9 +841,51 @@ def test_repeated_header_name_is_an_error_on_both_paths(text, name):
     assert not in_c
 
 
+@pytest.fixture
+def field_limit():
+    """``csv.field_size_limit``, restored after the test."""
+    old = csv.field_size_limit()
+    yield csv.field_size_limit
+    csv.field_size_limit(old)
+
+
+def _long_line_csv(size, line_end):
+    """A CSV whose fourth line is ``size`` bytes long, its line end counted;
+    a field of more than ``size - 13`` bytes is its id."""
+    row = ",1.0,0,1,0.5" + line_end
+    rows = [f"s{k},1.0,0,{k % 2 + 1},0.5{line_end}" for k in range(6)]
+    rows.insert(2, "x" * (size - len(row)) + row)
+    return "id,time,status,arm,w1" + line_end + "".join(rows)
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("limit,size,in_c", [
+    (300, 300, True),
+    (300, 301, False),
+    (3 * core._BLOCK_BYTES, 2 * core._BLOCK_BYTES, True),
+    (3 * core._BLOCK_BYTES, 3 * core._BLOCK_BYTES + 1, False),
+], ids=["at the limit", "a byte over it", "over a block", "over a block and the limit"])
+def test_lines_over_the_csv_field_limit_read_as_csv_reader(field_limit, line_end, limit,
+                                                            size, in_c):
+    # the lines parsed in C are cut into blocks at LF bytes so that no line
+    # over the field limit is parsed there; csv.reader reads such a line
+    # when no field of it is over the limit
+    field_limit(limit)
+    text = _long_line_csv(size, line_end)
+    fast, slow, took_c = _read_both_ways(text)
+    assert fast == slow and fast[0][2].startswith("x") and took_c == in_c
+
+
+def test_field_over_the_csv_field_limit_is_an_error_on_both_paths(field_limit):
+    field_limit(300)
+    fast, slow, in_c = _read_both_ways(_long_line_csv(315, "\n"))
+    assert fast == slow == (ValidationError, "line 4: field larger than field limit (300)")
+    assert not in_c
+
+
 def _plain_study_csv(rng, n=1500):
-    """A plain two-arm CSV with event types and two covariates, at least
-    two chunks long."""
+    """A plain two-arm CSV with event types and two covariates, read in
+    more than one loadtxt call."""
     buf = io.StringIO()
     write_records_csv(random_study(rng, n=n, n_cov=2, n_types=2), buf)
     text = buf.getvalue().replace("\r\n", "\n")
@@ -846,41 +896,52 @@ def _plain_study_csv(rng, n=1500):
 def test_plain_csv_rows_never_reach_csv_reader(rng, monkeypatch):
     text = _plain_study_csv(rng)
     with monkeypatch.context() as m:
-        m.setattr(core, "_parse_chunk", lambda *args: None)
+        m.setattr(core, "_parse_plain", lambda *args: None)
         study = read_study_csv(_NoSeek(text), 1.0)
     real = csv.reader
 
-    def header_only(lines):
-        rows = real(lines)
-        yield next(rows)
-        for row in rows:
-            raise AssertionError(f"csv.reader read a data row: {row}")
+    class first_row_only:
+        """csv.reader that raises on a second row: the header's reader
+        reads no data row, and the last line is only checked for an open
+        quoted field."""
 
-    monkeypatch.setattr(csv, "reader", header_only)
+        def __init__(self, lines):
+            self.rows, self.read = real(lines), 0
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            row = next(self.rows)
+            self.read += 1
+            if self.read > 1:
+                raise AssertionError(f"csv.reader read a data row: {row}")
+            return row
+
+        @property
+        def line_num(self):
+            return self.rows.line_num
+
+    monkeypatch.setattr(csv, "reader", first_row_only)
     back = read_study_csv(_NoSeek(text), 1.0)
     assert back.arm1 == study.arm1 and back.arm2 == study.arm2
 
 
-def test_bare_cr_file_is_read_by_csv_reader_alone(rng, monkeypatch):
+def test_bare_cr_file_is_read_by_csv_reader_alone(rng):
     # no line is plain, so csv.reader reads the whole file, more than
     # _CHUNK_ROWS rows, in one pass
     text = _plain_study_csv(rng)
-    real = core._parse_chunk
-    tables = []
-
-    def spy(*args):
-        tables.append(real(*args))
-        return tables[-1]
-
-    monkeypatch.setattr(core, "_parse_chunk", spy)
-    arms = read_arms_csv(text.replace("\n", "\r").encode())
-    assert tables and all(t is None for t in tables)
-    assert arms == read_arms_csv(text.encode())
+    cr = text.replace("\n", "\r").encode()
+    fast, in_c = _read_in_c(cr)
+    assert not in_c
+    assert fast == _read(text.encode())
+    assert read_arms_csv(cr) == read_arms_csv(text.encode())
 
 
 def _variant(text, case):
-    """``text``, a plain CSV of two chunks, as the input ``case`` names: the
-    input's bytes, or a text for a ``_NoSeek`` stream."""
+    """``text``, a plain CSV read in two loadtxt calls, as the input
+    ``case`` names: the input's bytes, or a text for a ``_NoSeek``
+    stream."""
     lines = text.split("\n")
     assert len(lines) > 6000 and 2 * core._CHUNK_ROWS > len(lines)
     if case == "blank line mid-file":
@@ -904,36 +965,39 @@ def _variant(text, case):
     "bare CR in the last chunk", "status out of range in a late chunk", "_NoSeek stream",
 ])
 def test_byte_chunks_read_as_csv_reader(rng, case):
-    # chunks cut from the input's bytes read as csv.reader alone reads the
-    # input: every variant of a plain CSV to the same columns, or to the
-    # same error at the same line
+    # every variant of a plain CSV reads as csv.reader alone reads it, to
+    # the same columns or to the same error at the same line; the body is
+    # parsed in C as a whole, or not at all
     text = _plain_study_csv(rng)
     source = _variant(text, case)
-    fast, chunks = _read_by_chunks(source)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(core, "_parse_chunk", lambda *args: None)
-        assert fast == _read(source)
+    fast, slow, in_c = _read_both_ways(source)
+    assert fast == slow
     if case == "status out of range in a late chunk":
         assert fast == (ValidationError, "line 5001: bad status '3'")
-        assert chunks == [True, False]
+        assert not in_c
         return
     assert fast == _read(text.encode())
-    # the first chunk is parsed in C, and the second too unless a blank
-    # line or a bare CR keeps it from C
-    assert chunks == [True, case not in ("blank line mid-file", "bare CR in the last chunk")]
+    assert in_c == (case not in ("blank line mid-file", "bare CR in the last chunk"))
 
 
-def test_text_stream_ends_lines_at_a_bare_cr_only_when_read_universally(rng):
-    # a stream read with newline="" ends a line at a bare CR, as the csv
-    # module asks; io.StringIO by default ends lines at LF only, so that
-    # csv.reader meets the CR inside a line
+def test_text_stream_ends_lines_at_a_bare_cr_however_opened(rng):
+    # a text stream's lines end at LF, CRLF or a bare CR, as those of the
+    # input's bytes do, whatever newline the stream was opened with
     text = _plain_study_csv(rng)
     cr = text.replace("\n", "\r")
     want = read_arms_csv(text.encode())
     assert read_arms_csv(io.TextIOWrapper(io.BytesIO(cr.encode()), newline="")) == want
     assert read_arms_csv(io.StringIO(cr, newline="")) == want
-    with pytest.raises(ValidationError, match="^line 1: new-line character seen in unquoted"):
-        read_arms_csv(io.StringIO(cr))
+    assert read_arms_csv(io.StringIO(cr)) == want
+
+
+def test_text_stream_opened_with_a_cr_newline_reads_as_its_bytes(rng):
+    # such a stream reports no line breaks in its newlines attribute
+    cr_text = _plain_study_csv(rng).replace("\n", "\r")
+    cr_bytes = cr_text.encode()
+    want = read_arms_csv(cr_bytes)
+    assert read_arms_csv(io.StringIO(cr_text, newline="\r")) == want
+    assert read_arms_csv(io.TextIOWrapper(io.BytesIO(cr_bytes), newline="\r")) == want
 
 
 def test_binary_stream_is_an_error():
@@ -942,12 +1006,13 @@ def test_binary_stream_is_an_error():
 
 
 @pytest.mark.parametrize("edit,error", [
-    # a quoted id: read in C as the bare id, with no switch and no error
+    # a quoted id: read in C as the bare id, with no error
     (lambda row: '"' + row.replace(",", '",', 1), None),
     (lambda row: row.split(",", 1)[0] + ",abc," + row.split(",", 2)[2],
      "line 5001: bad time 'abc'"),
+    # a bare CR ends a line, of a text stream too
     (lambda row: row.replace(",", ",\r", 1),
-     "line 5001: new-line character seen in unquoted field"),
+     "line 5001: expected 7 fields, got 2"),
     (lambda row: "\n" + row.split(",", 1)[0] + ",1.0",
      "line 5002: expected 7 fields, got 2"),
     (lambda row: '"' + row.replace(",", '\n",', 1) + "\n"
@@ -958,14 +1023,15 @@ def test_binary_stream_is_an_error():
 ], ids=["quoted id", "bad time", "CR in a field", "blank line and short row",
         "quoted line break and bad time", "quoted line break and short row"])
 def test_late_switch_to_csv_reader(rng, edit, error):
-    # row 5000 is in the second chunk: the first is parsed in C, then
-    # csv.reader goes on from that chunk's own lines, without a seek
+    # row 5000 is read by the second loadtxt call: a row there that is not
+    # plain sends the whole body to csv.reader, which reports the first
+    # error at its line
     text = _plain_study_csv(rng)
     assert 5000 > core._CHUNK_ROWS
     lines = text.split("\n")
     lines[5000] = edit(lines[5000])
     fast, slow, in_c = _read_both_ways("\n".join(lines))
-    assert in_c and fast == slow
+    assert fast == slow and in_c == (error is None)
     if error is None:
         assert fast == _read(text)
     else:
@@ -973,15 +1039,17 @@ def test_late_switch_to_csv_reader(rng, edit, error):
 
 
 def test_quoted_field_open_at_a_chunk_end(rng):
-    # the last line of the first chunk opens a quoted field that the next
-    # line closes: loadtxt would close it at the chunk's end
+    # the last line of the first loadtxt call opens a quoted field that the
+    # next line closes: loadtxt reads the field on into that line, so the
+    # body has fewer rows than lines and csv.reader reads it
     text = _plain_study_csv(rng)
     lines = text.split("\n")
     head, last = lines[core._CHUNK_ROWS].rsplit(",", 1)
     lines[core._CHUNK_ROWS] = f'{head},"{last}\n"'
-    fast, slow, _ = _read_both_ways("\n".join(lines))
+    fast, slow, in_c = _read_both_ways("\n".join(lines))
     # csv.reader reads the covariate with its line break, float() without
     assert fast == slow == _read(text)
+    assert not in_c
 
 
 def test_public_api_is_pinned():

@@ -1,10 +1,18 @@
 """Time the layers of a CSV read, of an arm build, of the fits and
-contrasts, of the bootstrap and of a simulated draw, best of 15, each with
-its tracemalloc peak, and the CLI as a fresh process, best of 15 with the
-child's peak RSS, and record them under LABEL in BENCH_layers.json; run it
-again under the same LABEL to keep each layer's best over the runs.
+contrasts, of the bootstrap and of a simulated draw, each with its
+tracemalloc peak, and the CLI as a fresh process with the child's peak
+RSS, for each of several source trees, and record each layer's best time
+under the tree's LABEL in BENCH_layers.json.
 
-Usage: PYTHONPATH=src python tools/bench_layers.py LABEL
+Usage: python tools/bench_layers.py LABEL=TREE [LABEL=TREE ...]
+
+TREE is the root of a checkout, whose src/aumcf is timed. At each size
+the trees take turns, ROUNDS times, the order reversed every other round;
+each round is a fresh process (``PYTHONPATH=TREE/src python
+tools/bench_layers.py N`` prints one round at n/arm N as JSON) that runs
+each layer REPEAT times. A layer's best is its least time over the rounds,
+and over earlier runs under the same LABEL, so that one slow spell of the
+machine does not cover a whole label's runs.
 
 The CSV at n/arm is perfbench/inputs.make_study_csv(n, 1), read from its
 bytes, as the CLI hands them over, and from a copy whose line breaks are
@@ -16,7 +24,7 @@ trees too. ``fit_arm`` and ``fit_influence`` fit arm 1 of the study; the
 contrasts and ``bootstrap_se`` (B=200, seed 0) take the whole study, the
 weighted one with the benchmark's weights {1: 1, 2: 2, 3: 0.5}. The CLI
 layer runs ``python -m aumcf.cli compare CSV --tau 2 --covariates w1,w2``
-from the tree that PYTHONPATH names, stdout to /dev/null.
+from the tree, stdout to /dev/null.
 """
 
 import json, os, platform, subprocess, sys, tempfile, time, tracemalloc
@@ -26,13 +34,10 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIZES = (200, 1000, 10_000, 100_000)  # n/arm
-REPEAT = 15
+ROUNDS = 3
+REPEAT = 5  # runs of each layer in one round
 sys.path.insert(0, str(ROOT / "perfbench"))
 from inputs import make_study_csv  # noqa: E402
-
-import aumcf  # noqa: E402
-from aumcf import core, simulation  # noqa: E402
-from aumcf.simulation import ScenarioConfig, generate_dataset  # noqa: E402
 
 WEIGHTS = {1: 1.0, 2: 2.0, 3: 0.5}
 
@@ -100,6 +105,8 @@ def measure_process(argv):
 
 
 def layers(n):
+    """One round at n/arm: each layer's best of REPEAT runs, from the
+    aumcf that PYTHONPATH names."""
     raw = make_study_csv(n, 1)[0]
     bare_cr = raw.replace(b"\n", b"\r")
     read = lambda: core.read_study_csv(raw, 2.0)
@@ -132,21 +139,37 @@ def layers(n):
     return timed
 
 
-def main(label):
+def main(pairs):
+    trees = [pair.split("=", 1) for pair in pairs]
     out = ROOT / "BENCH_layers.json"
     doc = json.loads(out.read_text()) if out.exists() else {"runs": {}}
     doc["environment"] = {
         "python": platform.python_version(), "numpy": np.__version__,
         "machine": platform.machine(), "cpus": os.cpu_count(), "platform": platform.platform(),
     }
-    runs = doc["runs"].setdefault(label, {})
     for n in SIZES:
-        # a label run again keeps each layer's best time over its runs
-        old, runs[str(n)] = runs.get(str(n), {}), layers(n)
-        for name, m in runs[str(n)].items():
-            m["best_ms"] = min(m["best_ms"], old.get(name, m)["best_ms"])
-    out.write_text(json.dumps(doc, indent=1) + "\n")
+        for r in range(ROUNDS):
+            for label, tree in trees[::-1] if r % 2 else trees:
+                src = Path(tree).resolve() / "src"
+                env = dict(os.environ, PYTHONPATH=str(src))
+                timed = json.loads(subprocess.run(
+                    [sys.executable, __file__, str(n)], env=env,
+                    stdout=subprocess.PIPE, text=True, check=True).stdout)
+                # a label keeps each layer's best time over its rounds and runs
+                old = doc["runs"].setdefault(label, {}).get(str(n), {})
+                for name, m in timed.items():
+                    m["best_ms"] = min(m["best_ms"], old.get(name, m)["best_ms"])
+                doc["runs"][label][str(n)] = timed
+        out.write_text(json.dumps(doc, indent=1) + "\n")
 
 
 if __name__ == "__main__":
-    main(sys.argv[1])
+    if sys.argv[1:2] and sys.argv[1].isdigit():
+        import aumcf
+        from aumcf import core, simulation
+        from aumcf.simulation import ScenarioConfig, generate_dataset
+        if Path(aumcf.__file__).parents[1] != Path(os.environ["PYTHONPATH"]).resolve():
+            sys.exit(f"aumcf imported from {aumcf.__file__}, not from PYTHONPATH")
+        print(json.dumps(layers(int(sys.argv[1]))))
+    else:
+        main(sys.argv[1:])
